@@ -1,9 +1,13 @@
 #include "vsim/cache/page_cache.h"
 
+#include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <utility>
+
+#include "vsim/common/stopwatch.h"
 
 namespace vsim::cache {
 
@@ -194,13 +198,18 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
   // Miss path: exclusive lock, re-check (another thread may have loaded
   // the page between our unlock and relock), then evict + read. When
   // every frame of the shard is transiently pinned by concurrent
-  // readers, yield and retry a bounded number of times before giving
-  // up: pins on the serving path are held only for the duration of one
-  // record copy, so a victim frees up almost immediately. Callers hold
-  // at most one pin at a time (VectorSetStore::Get, DiskXTree's
-  // FetchNode), so a retrying thread holds no pins and cannot deadlock
-  // the shard it is waiting on.
-  constexpr int kPinWaitAttempts = 256;
+  // readers, wait outside the lock and retry: pins on the serving path
+  // are held only for the duration of one record copy, but the holder
+  // may be descheduled for a long stretch on a loaded host, so the wait
+  // is bounded by time (yields first, then sleeps with exponential
+  // backoff), not by a retry count. Callers hold at most one pin at a
+  // time (VectorSetStore::GetFlat, DiskXTree's FetchNode), so a waiting
+  // thread holds no pins and cannot deadlock the shard it waits on.
+  constexpr double kPinWaitLimitSeconds = 1.0;
+  constexpr int kPinWaitYields = 64;
+  constexpr auto kPinWaitMaxSleep = std::chrono::milliseconds(1);
+  const Stopwatch waited;
+  auto sleep = std::chrono::microseconds(10);
   for (int attempt = 0;; ++attempt) {
     {
       WriterMutexLock lock(&shard.mu);
@@ -212,8 +221,8 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
       StatusOr<size_t> grabbed = GrabFrame(shard);
       if (!grabbed.ok() && grabbed.status().code() ==
                                StatusCode::kFailedPrecondition &&
-          attempt < kPinWaitAttempts) {
-        // Fall through to the yield below, outside the lock.
+          waited.ElapsedSeconds() < kPinWaitLimitSeconds) {
+        // Fall through to the wait below, outside the lock.
       } else {
         VSIM_RETURN_NOT_OK(grabbed.status());
         size_t idx = *grabbed;
@@ -238,7 +247,12 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
         return PageHandle(&frame, page);
       }
     }
-    std::this_thread::yield();
+    if (attempt < kPinWaitYields) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(sleep);
+      sleep = std::min<std::chrono::microseconds>(2 * sleep, kPinWaitMaxSleep);
+    }
   }
 }
 

@@ -32,10 +32,10 @@
 // Pin semantics: Fetch/Allocate return a pin-counted PageHandle that is
 // safe to hold, move and destroy on any thread (unpin is one atomic
 // decrement, no lock). A pinned frame is never evicted; when every
-// frame of the target shard is pinned, Fetch yields and retries
-// briefly (momentary pin spikes are the common case under concurrent
-// serving), failing with kFailedPrecondition only when the shard stays
-// saturated by held pins.
+// frame of the target shard is pinned, Fetch waits and retries
+// (momentary pin spikes are the common case under concurrent serving),
+// failing with kFailedPrecondition only when the shard stays saturated
+// by held pins for a fixed time bound (one second).
 //
 // Thread-safety: all public methods of ShardedBufferPool and PageHandle
 // are safe to call concurrently from any thread. The one carve-out is
@@ -174,10 +174,11 @@ class ShardedBufferPool {
   // whether THIS call read the file, which is what the I/O cost
   // accounting charges (a global miss-counter delta would misattribute
   // concurrent callers' misses). When every frame of the page's shard
-  // is pinned, yields and retries a bounded number of times (pins on
-  // the read path are momentary), then fails with kFailedPrecondition
-  // if the shard stays saturated -- i.e. when frames are *held* pinned,
-  // not merely in transit.
+  // is pinned, waits and retries -- yields, then sleeps with backoff,
+  // for up to one second (pins on the read path are momentary, but
+  // their holder may be descheduled) -- then fails with
+  // kFailedPrecondition if the shard stays saturated, i.e. when frames
+  // are *held* pinned, not merely in transit.
   StatusOr<PageHandle> Fetch(PageId page, PageTier tier = PageTier::kCold,
                              bool* miss = nullptr);
 

@@ -40,6 +40,73 @@ void FinishStageAttribution(QueryStrategy strategy, double elapsed,
   }
 }
 
+// The one refinement closure behind every vector-set strategy that
+// refines through the engine (filter, approximate filter, scan,
+// VA-file). It flattens the query once, decodes each candidate into a
+// reused flat buffer -- from the store through the buffer pool when one
+// is attached, else from the RAM-resident set -- and computes the
+// minimal matching distance with the row-minimum prune, so refinement
+// allocates nothing per candidate. A failed store read is kept in
+// status() and rules the candidate out; the caller then discards the
+// whole answer.
+class Refiner {
+ public:
+  Refiner(const CadDatabase& db, const VectorSetStore* store,
+          const VectorSet& query)
+      : db_(db), store_(store), query_values_(query.size() * query.dim()) {
+    query_ = FlattenInto(query, query_values_.data());
+  }
+
+  Refinement operator()(int id, double prune_above, IoStats* stats) {
+    constexpr Refinement kFailed{kNoPrune, false};
+    FlatVectorSet candidate;
+    if (store_ != nullptr) {
+      // Disk-backed mode: really fetch the candidate through the buffer
+      // pool; only cache misses are charged as page accesses.
+      if (!status_.ok()) return kFailed;
+      StatusOr<FlatVectorSet> read =
+          store_->GetFlat(id, &candidate_values_, stats);
+      if (!read.ok()) {
+        status_ = read.status();
+        return kFailed;
+      }
+      candidate = *read;
+    } else {
+      const ObjectRepr& repr = db_.object(id);
+      if (stats != nullptr) {
+        // Refinement loads the candidate's vector set: one random page
+        // access plus its payload bytes.
+        stats->AddPageAccesses(1);
+        stats->AddBytesRead(repr.VectorSetBytes());
+      }
+      candidate_values_.resize(repr.vector_set.size() *
+                               repr.vector_set.dim());
+      candidate = FlattenInto(repr.vector_set, candidate_values_.data());
+    }
+    Refinement r;
+    r.distance = VectorSetDistance(query_, candidate, prune_above, &r.exact);
+    return r;
+  }
+
+  // The ExactDistanceFn shape (never prunes) for the scan and VA-file
+  // loops.
+  ExactDistanceFn Exact() {
+    return [this](int id, IoStats* stats) {
+      return (*this)(id, kNoPrune, stats).distance;
+    };
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const CadDatabase& db_;
+  const VectorSetStore* store_;
+  std::vector<double> query_values_;
+  FlatVectorSet query_;
+  std::vector<double> candidate_values_;
+  Status status_;
+};
+
 }  // namespace
 
 const char* QueryStrategyName(QueryStrategy strategy) {
@@ -113,28 +180,6 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
   (void)st;
 }
 
-ExactDistanceFn QueryEngine::MakeExactDistance(const ObjectRepr& query) const {
-  if (store_ != nullptr) {
-    // Disk-backed mode: really fetch the candidate through the buffer
-    // pool; only cache misses are charged as page accesses.
-    return [this, &query](int id, IoStats* stats) {
-      StatusOr<VectorSet> candidate = store_->Get(id, stats);
-      assert(candidate.ok());
-      return VectorSetDistance(query.vector_set, *candidate);
-    };
-  }
-  return [this, &query](int id, IoStats* stats) {
-    const ObjectRepr& candidate = db_->object(id);
-    if (stats != nullptr) {
-      // Refinement loads the candidate's vector set: one random page
-      // access plus its payload bytes.
-      stats->AddPageAccesses(1);
-      stats->AddBytesRead(candidate.VectorSetBytes());
-    }
-    return VectorSetDistance(query.vector_set, candidate.vector_set);
-  };
-}
-
 std::vector<BoundedCandidate> QueryEngine::ApproxFilterCandidates(
     const ObjectRepr& query, int approx_level, size_t* examined) const {
   const size_t n = db_->size();
@@ -176,6 +221,8 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
   QueryCost local;
   Stopwatch watch;
   std::vector<Neighbor> result;
+  Refiner refiner(*db_, store_, query.vector_set);
+  const RefineFn refine = std::ref(refiner);
   switch (strategy) {
     case QueryStrategy::kOneVectorXTree: {
       result = one_vector_index_->KnnQuery(query.cover_vector, k, &local.io);
@@ -191,25 +238,23 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
                   [](const BoundedCandidate& a, const BoundedCandidate& b) {
                     return a.bound < b.bound;
                   });
-        result = SortedBoundKnn(candidates, k, MakeExactDistance(query),
-                                &local.io, &ms);
+        result = SortedBoundKnn(candidates, k, refine, &local.io, &ms);
         local.approx_pruned = examined;
       } else {
         result = MultiStepKnn(*centroid_index_, query.centroid,
-                              static_cast<double>(num_covers_), k,
-                              MakeExactDistance(query), &local.io, &ms);
+                              static_cast<double>(num_covers_), k, refine,
+                              &local.io, &ms);
         local.approx_pruned = ms.filter_hits;
       }
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
-      local.hungarian_invocations = ms.candidates_refined;
+      local.hungarian_invocations = ms.hungarian_invocations;
       local.refine_seconds = ms.refine_seconds;
       break;
     }
     case QueryStrategy::kVectorSetScan: {
       result = ScanKnn(static_cast<int>(db_->size()), k, scan_bytes_,
-                       params_.page_size_bytes, MakeExactDistance(query),
-                       &local.io);
+                       params_.page_size_bytes, refiner.Exact(), &local.io);
       local.candidates_refined = db_->size();
       local.filter_hits = db_->size();  // no filter: everything qualifies
       local.hungarian_invocations = db_->size();
@@ -227,7 +272,7 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       size_t refined = 0;
       result = centroid_vafile_->MultiStepKnn(
           query.centroid, static_cast<double>(num_covers_), k,
-          MakeExactDistance(query), &local.io, &refined);
+          refiner.Exact(), &local.io, &refined);
       local.candidates_refined = refined;
       local.filter_hits = refined;
       local.hungarian_invocations = refined;
@@ -237,6 +282,10 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
   if (strategy != QueryStrategy::kVectorSetFilter) {
     // No approx stage on this strategy: degenerate invariant chain.
     local.approx_pruned = local.filter_hits;
+  }
+  if (!refiner.status().ok()) {
+    local.status = refiner.status();
+    result.clear();
   }
   FinishStageAttribution(strategy, watch.ElapsedSeconds(), &local);
   if (cost != nullptr) *cost = local;
@@ -295,6 +344,7 @@ std::vector<Neighbor> QueryEngine::InvariantKnn(QueryStrategy strategy,
               return a.distance < b.distance;
             });
   if (static_cast<int>(merged.size()) > k) merged.resize(k);
+  if (!total.status.ok()) merged.clear();
   if (cost != nullptr) *cost = total;
   return merged;
 }
@@ -321,6 +371,7 @@ std::vector<int> QueryEngine::InvariantRange(QueryStrategy strategy,
   }
   std::sort(merged.begin(), merged.end());
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  if (!total.status.ok()) merged.clear();
   if (cost != nullptr) *cost = total;
   return merged;
 }
@@ -332,6 +383,8 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
   QueryCost local;
   Stopwatch watch;
   std::vector<int> result;
+  Refiner refiner(*db_, store_, query.vector_set);
+  const RefineFn refine = std::ref(refiner);
   switch (strategy) {
     case QueryStrategy::kVectorSetFilter: {
       MultiStepStats ms;
@@ -339,25 +392,23 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
         size_t examined = 0;
         const std::vector<BoundedCandidate> candidates =
             ApproxFilterCandidates(query, approx_level, &examined);
-        result = BoundedRange(candidates, eps, MakeExactDistance(query),
-                              &local.io, &ms);
+        result = BoundedRange(candidates, eps, refine, &local.io, &ms);
         local.approx_pruned = examined;
       } else {
         result = MultiStepRange(*centroid_index_, query.centroid,
-                                static_cast<double>(num_covers_), eps,
-                                MakeExactDistance(query), &local.io, &ms);
+                                static_cast<double>(num_covers_), eps, refine,
+                                &local.io, &ms);
         local.approx_pruned = ms.filter_hits;
       }
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
-      local.hungarian_invocations = ms.candidates_refined;
+      local.hungarian_invocations = ms.hungarian_invocations;
       local.refine_seconds = ms.refine_seconds;
       break;
     }
     case QueryStrategy::kVectorSetScan: {
       result = ScanRange(static_cast<int>(db_->size()), eps, scan_bytes_,
-                         params_.page_size_bytes, MakeExactDistance(query),
-                         &local.io);
+                         params_.page_size_bytes, refiner.Exact(), &local.io);
       local.candidates_refined = db_->size();
       local.filter_hits = db_->size();  // no filter: everything qualifies
       local.hungarian_invocations = db_->size();
@@ -380,7 +431,7 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       size_t refined = 0;
       result = centroid_vafile_->MultiStepRange(
           query.centroid, static_cast<double>(num_covers_), eps,
-          MakeExactDistance(query), &local.io, &refined);
+          refiner.Exact(), &local.io, &refined);
       local.candidates_refined = refined;
       local.filter_hits = refined;
       local.hungarian_invocations = refined;
@@ -390,6 +441,10 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
   if (strategy != QueryStrategy::kVectorSetFilter) {
     // No approx stage on this strategy: degenerate invariant chain.
     local.approx_pruned = local.filter_hits;
+  }
+  if (!refiner.status().ok()) {
+    local.status = refiner.status();
+    result.clear();
   }
   FinishStageAttribution(strategy, watch.ElapsedSeconds(), &local);
   if (cost != nullptr) *cost = local;

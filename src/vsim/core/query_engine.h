@@ -31,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "vsim/common/status.h"
 #include "vsim/core/similarity.h"
 #include "vsim/index/io_stats.h"
 #include "vsim/index/mtree.h"
@@ -62,8 +63,11 @@ struct QueryCost {
   // candidates the filter step produced (Lemma 2: always >= the number
   // refined under the optimal multi-step algorithm); for scans every
   // stored object is a "hit". hungarian_invocations counts
-  // Kuhn-Munkres minimal-matching runs -- one per refinement for
-  // vector-set strategies, zero for the one-vector model.
+  // Kuhn-Munkres minimal-matching solves: on the filter strategy only
+  // the refinements whose row-minimum bound did not already exceed the
+  // current threshold (so <= candidates_refined, and equal when k >=
+  // the corpus size); one per refinement on scan, M-tree and VA-file;
+  // zero for the one-vector model.
   // filter/refine_seconds split cpu_seconds for filter-and-refine
   // strategies; strategies without a split report the whole execution
   // as one stage (scan/M-tree: refine; one-vector: filter).
@@ -81,6 +85,10 @@ struct QueryCost {
   // degenerates to filter_hits, keeping the chain intact.
   size_t approx_pruned = 0;
 
+  // Non-OK when a disk-backed store read failed during refinement; the
+  // query's answer is then empty (never a partial one).
+  Status status;
+
   double IoSeconds(const IoCostParams& params = {}) const {
     return io.SimulatedSeconds(params);
   }
@@ -96,6 +104,7 @@ struct QueryCost {
     filter_seconds += o.filter_seconds;
     refine_seconds += o.refine_seconds;
     approx_pruned += o.approx_pruned;
+    if (status.ok()) status = o.status;
     return *this;
   }
 };
@@ -107,7 +116,8 @@ class QueryEngine {
   explicit QueryEngine(const CadDatabase* db, IoCostParams params = {});
 
   // k-NN query with a stored object as the query (the paper queries
-  // with 100 random database objects).
+  // with 100 random database objects). With a store attached, a failed
+  // candidate read yields an empty result and cost->status says why.
   //
   // `approx_level` (0 = exact .. kernels::kMaxApproxLevel) switches the
   // kVectorSetFilter strategy onto the approximate pipeline: a sketch
@@ -170,8 +180,6 @@ class QueryEngine {
   void AttachStore(VectorSetStore* store) { store_ = store; }
 
  private:
-  ExactDistanceFn MakeExactDistance(const ObjectRepr& query) const;
-
   // The approximate pre-filter: prunes by sketch overlap, bounds the
   // survivors with one batched centroid-kernel call over the contiguous
   // block, and reports how many candidates the stage examined.

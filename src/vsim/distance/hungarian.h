@@ -10,15 +10,26 @@
 
 namespace vsim {
 
+// Problems with at most this many columns keep all solver scratch on
+// the stack; larger ones allocate it.
+inline constexpr int kInlineAssignmentCols = 16;
+
+// The one Kuhn-Munkres core. Solves min sum_i cost[i][column_of[i]]
+// over injective assignments of all rows to columns. `cost` is
+// row-major with `rows` x `cols`, rows <= cols; costs may be any finite
+// doubles. Writes the assignment to column_of[0, rows) when non-null
+// and returns the total cost, summed in row order.
+double SolveAssignment(const double* cost, int rows, int cols,
+                       int* column_of);
+
 struct AssignmentResult {
   // column_of[i] = column assigned to row i.
   std::vector<int> column_of;
   double total_cost = 0.0;
 };
 
-// Solves min sum_i cost[i][column_of[i]] over injective assignments of
-// all rows to columns. `cost` is row-major with `rows` x `cols`,
-// rows <= cols. Costs may be any finite doubles.
+// Convenience form over a vector-held matrix (cost.size() must equal
+// rows * cols).
 AssignmentResult SolveAssignment(const std::vector<double>& cost, int rows,
                                  int cols);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "vsim/common/scratch_array.h"
 #include "vsim/distance/hungarian.h"
 #include "vsim/distance/min_cost_flow.h"
 #include "vsim/distance/lp.h"
@@ -12,6 +13,12 @@
 namespace vsim {
 
 namespace {
+
+// Stack capacity of one flattened set (16 vectors of 16 dimensions) and
+// of the square cost matrix.
+constexpr size_t kInlineFlatDoubles = 256;
+constexpr size_t kInlineCostDoubles =
+    static_cast<size_t>(kInlineAssignmentCols) * kInlineAssignmentCols;
 
 kernels::GroundKind ToKernelGround(GroundDistance g) {
   switch (g) {
@@ -25,46 +32,82 @@ kernels::GroundKind ToKernelGround(GroundDistance g) {
   return kernels::GroundKind::kEuclidean;
 }
 
-// Flattens a (ragged) vector set into a contiguous row-major block for
-// the batched kernels.
-void Flatten(const VectorSet& set, size_t dim, std::vector<double>* out) {
-  out->resize(set.size() * dim);
-  double* dst = out->data();
-  for (const FeatureVector& v : set.vectors) {
-    std::copy(v.begin(), v.end(), dst);
-    dst += dim;
-  }
-}
-
-double Ground(GroundDistance g, const FeatureVector& a,
-              const FeatureVector& b) {
-  switch (g) {
-    case GroundDistance::kEuclidean:
-      return EuclideanDistance(a, b);
-    case GroundDistance::kSquaredEuclidean:
-      return SquaredEuclideanDistance(a, b);
-    case GroundDistance::kManhattan:
-      return ManhattanDistance(a, b);
-  }
-  return 0.0;
-}
-
-double Weight(GroundDistance g, const FeatureVector& x,
+// w(x) = dist(x, omega), omega = origin when empty. Accumulates in lp.h's
+// element order, so it equals the per-vector helpers bit for bit.
+double Weight(GroundDistance g, const double* x, size_t dim,
               const FeatureVector& omega) {
-  if (omega.empty()) {
-    switch (g) {
-      case GroundDistance::kEuclidean:
-        return EuclideanNorm(x);
-      case GroundDistance::kSquaredEuclidean:
-        return SquaredEuclideanNorm(x);
-      case GroundDistance::kManhattan: {
-        double s = 0.0;
-        for (double v : x) s += std::fabs(v);
-        return s;
-      }
+  double sum = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double diff = omega.empty() ? x[d] : x[d] - omega[d];
+    sum += g == GroundDistance::kManhattan ? std::fabs(diff) : diff * diff;
+  }
+  return g == GroundDistance::kEuclidean ? std::sqrt(sum) : sum;
+}
+
+double Finish(const MinMatchingOptions& opt, double total) {
+  return opt.sqrt_of_total ? std::sqrt(total) : total;
+}
+
+// A VectorSet copied into stack scratch in the flat layout.
+class FlatCopy {
+ public:
+  explicit FlatCopy(const VectorSet& set)
+      : buffer_(set.size() * set.dim()),
+        view_(FlattenInto(set, buffer_.data())) {}
+  const FlatVectorSet& view() const { return view_; }
+
+ private:
+  ScratchArray<double, kInlineFlatDoubles> buffer_;
+  FlatVectorSet view_;
+};
+
+// The minimal-matching core, shared by every public form. `large` has
+// at least as many vectors (m) as `small` (n). Builds the square m x m
+// cost matrix -- columns [0, n) are the elements of `small`, columns
+// [n, m) are "unmatched" slots charging w(x) -- with one batched kernel
+// call for the ground block (docs/KERNELS.md), then solves it. Returns
+// the total before Finish(); see the header for `prune_above`. Writes
+// the solver's column per row and the identity pairing cost (the
+// matrix trace: element i with element i, surplus unmatched) when
+// asked.
+double Match(const FlatVectorSet& large, const FlatVectorSet& small,
+             const MinMatchingOptions& opt, double prune_above, bool* solved,
+             int* column_of, double* identity_cost) {
+  if (solved != nullptr) *solved = true;
+  if (identity_cost != nullptr) *identity_cost = 0.0;
+  const int m = static_cast<int>(large.size);
+  const int n = static_cast<int>(small.size);
+  if (m == 0) return 0.0;  // both sets empty
+  assert(large.dim == small.dim || n == 0);
+
+  const size_t dim = large.dim;
+  ScratchArray<double, kInlineCostDoubles> cost_store(
+      static_cast<size_t>(m) * m);
+  double* cost = cost_store.data();
+  kernels::Active().cost_matrix_build(ToKernelGround(opt.ground), large.data,
+                                      m, small.data, n, dim, cost, m);
+  for (int i = 0; i < m; ++i) {
+    double* row = cost + static_cast<size_t>(i) * m;
+    std::fill(row + n, row + m,
+              Weight(opt.ground, large.data + i * dim, dim, opt.omega));
+  }
+  if (identity_cost != nullptr) {
+    for (int i = 0; i < m; ++i) {
+      *identity_cost += cost[static_cast<size_t>(i) * m + i];
     }
   }
-  return Ground(g, x, omega);
+  if (prune_above < kNoPrune) {
+    double bound = 0.0;
+    for (int i = 0; i < m; ++i) {
+      const double* row = cost + static_cast<size_t>(i) * m;
+      bound += *std::min_element(row, row + m);
+    }
+    if (Finish(opt, bound) > prune_above) {
+      if (solved != nullptr) *solved = false;
+      return bound;
+    }
+  }
+  return SolveAssignment(cost, m, m, column_of);
 }
 
 }  // namespace
@@ -73,81 +116,45 @@ MatchingDistanceResult MinimalMatchingDistanceDetailed(
     const VectorSet& a, const VectorSet& b, const MinMatchingOptions& opt) {
   MatchingDistanceResult result;
   result.first_is_larger = a.size() >= b.size();
-  const VectorSet& large = result.first_is_larger ? a : b;
-  const VectorSet& small = result.first_is_larger ? b : a;
-  const int m = static_cast<int>(large.size());
-  const int n = static_cast<int>(small.size());
-
-  if (m == 0) {
-    // Both sets empty.
-    return result;
+  const FlatCopy large(result.first_is_larger ? a : b);
+  const FlatCopy small(result.first_is_larger ? b : a);
+  const int n = static_cast<int>(small.view().size);
+  result.assignment.resize(large.view().size);
+  double identity = 0.0;
+  const double total = Match(large.view(), small.view(), opt, kNoPrune,
+                             nullptr, result.assignment.data(), &identity);
+  for (int& partner : result.assignment) {
+    if (partner >= n) partner = -1;  // an "unmatched" slot
   }
-  assert(large.dim() == small.dim() || n == 0);
-
-  // Identity pairing cost (element i with element i, surplus unmatched).
-  for (int i = 0; i < m; ++i) {
-    result.identity_cost +=
-        i < n ? Ground(opt.ground, large.vectors[i], small.vectors[i])
-              : Weight(opt.ground, large.vectors[i], opt.omega);
-  }
-
-  if (n == 0) {
-    // All elements unmatched: distance is the sum of weights.
-    double total = 0.0;
-    for (int i = 0; i < m; ++i) {
-      total += Weight(opt.ground, large.vectors[i], opt.omega);
-    }
-    result.assignment.assign(m, -1);
-    result.distance = opt.sqrt_of_total ? std::sqrt(total) : total;
-    result.identity_cost =
-        opt.sqrt_of_total ? std::sqrt(result.identity_cost) : result.identity_cost;
-    return result;
-  }
-
-  // Square m x m cost matrix: columns [0, n) are the elements of the
-  // smaller set; columns [n, m) are "unmatched" slots charging w(x).
-  // The ground block -- the refinement hot loop -- is one batched
-  // kernel call over both sets flattened to contiguous buffers
-  // (docs/KERNELS.md), writing rows straight into the square matrix.
-  const size_t dim = large.dim();
-  std::vector<double> large_flat, small_flat;
-  Flatten(large, dim, &large_flat);
-  Flatten(small, dim, &small_flat);
-  std::vector<double> cost(static_cast<size_t>(m) * m);
-  kernels::Active().cost_matrix_build(
-      ToKernelGround(opt.ground), large_flat.data(), m, small_flat.data(), n,
-      dim, cost.data(), m);
-  for (int i = 0; i < m; ++i) {
-    const double w = Weight(opt.ground, large.vectors[i], opt.omega);
-    for (int j = n; j < m; ++j) {
-      cost[static_cast<size_t>(i) * m + j] = w;
-    }
-  }
-  const AssignmentResult assignment = SolveAssignment(cost, m, m);
-
-  result.assignment.resize(m);
-  for (int i = 0; i < m; ++i) {
-    result.assignment[i] = assignment.column_of[i] < n
-                               ? assignment.column_of[i]
-                               : -1;
-  }
-  const double total = assignment.total_cost;
-  result.permutation_used =
-      total < result.identity_cost - 1e-12 * (1.0 + result.identity_cost);
-  result.distance = opt.sqrt_of_total ? std::sqrt(total) : total;
-  if (opt.sqrt_of_total) {
-    result.identity_cost = std::sqrt(result.identity_cost);
-  }
+  result.permutation_used = total < identity - 1e-12 * (1.0 + identity);
+  result.distance = Finish(opt, total);
+  result.identity_cost = Finish(opt, identity);
   return result;
 }
 
 double MinimalMatchingDistance(const VectorSet& a, const VectorSet& b,
                                const MinMatchingOptions& opt) {
-  return MinimalMatchingDistanceDetailed(a, b, opt).distance;
+  const FlatCopy fa(a), fb(b);
+  return MinimalMatchingDistance(fa.view(), fb.view(), opt);
 }
 
 double VectorSetDistance(const VectorSet& a, const VectorSet& b) {
-  return MinimalMatchingDistance(a, b, MinMatchingOptions{});
+  const FlatCopy fa(a), fb(b);
+  return VectorSetDistance(fa.view(), fb.view());
+}
+
+double MinimalMatchingDistance(const FlatVectorSet& a, const FlatVectorSet& b,
+                               const MinMatchingOptions& opt,
+                               double prune_above, bool* solved) {
+  const bool a_is_larger = a.size >= b.size;
+  return Finish(opt, Match(a_is_larger ? a : b, a_is_larger ? b : a, opt,
+                           prune_above, solved, nullptr, nullptr));
+}
+
+double VectorSetDistance(const FlatVectorSet& a, const FlatVectorSet& b,
+                         double prune_above, bool* solved) {
+  return MinimalMatchingDistance(a, b, MinMatchingOptions{}, prune_above,
+                                 solved);
 }
 
 StatusOr<double> PartialMatchingDistance(const VectorSet& a,

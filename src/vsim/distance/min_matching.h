@@ -6,6 +6,7 @@
 #ifndef VSIM_DISTANCE_MIN_MATCHING_H_
 #define VSIM_DISTANCE_MIN_MATCHING_H_
 
+#include <limits>
 #include <vector>
 
 #include "vsim/common/status.h"
@@ -67,6 +68,28 @@ double MinimalMatchingDistance(const VectorSet& a, const VectorSet& b,
 // The vector set model's distance: Euclidean ground distance, weight
 // w(x) = ||x||, no square root. A metric.
 double VectorSetDistance(const VectorSet& a, const VectorSet& b);
+
+// Flat-set forms: the allocation-free core every form above runs
+// through. Up to kInlineAssignmentCols vectors per set, the cost matrix
+// and the Kuhn-Munkres scratch stay on the stack.
+//
+// `prune_above` lets a filter-and-refine loop skip hopeless solves.
+// The sum of the cost matrix's row minima lower-bounds the distance;
+// it is summed in the solver's own row order, so it never exceeds the
+// solved total. When it is greater than `prune_above`, it is returned
+// without running Kuhn-Munkres and *solved (if given) is set to false.
+// A candidate whose returned value exceeds the caller's threshold thus
+// never enters an answer, exactly as with the solved distance.
+inline constexpr double kNoPrune = std::numeric_limits<double>::infinity();
+
+double MinimalMatchingDistance(const FlatVectorSet& a, const FlatVectorSet& b,
+                               const MinMatchingOptions& opt,
+                               double prune_above = kNoPrune,
+                               bool* solved = nullptr);
+
+double VectorSetDistance(const FlatVectorSet& a, const FlatVectorSet& b,
+                         double prune_above = kNoPrune,
+                         bool* solved = nullptr);
 
 // Partial similarity (Section 4.1): the cost of the cheapest matching
 // of exactly `pairs` vector pairs between the two sets, ignoring all

@@ -206,19 +206,31 @@ class MTree {
               distance_(entries[i].object, entries[j].object);
         }
       }
+      // Generalized hyperplane: each entry goes to the closer pivot; an
+      // entry equidistant from both goes to the side holding fewer
+      // entries so far. Without that tie rule, duplicate objects (equal
+      // distances to both pivots) all land on one side, which leaves an
+      // empty sibling and an over-capacity node.
+      const auto goes_left = [&](size_t a, size_t b, size_t e, size_t left,
+                                 size_t right) {
+        const double da = d[a * n + e], db = d[b * n + e];
+        return da < db || (da == db && left <= right);
+      };
       size_t p1 = 0, p2 = 1;
       double best_mm = std::numeric_limits<double>::infinity();
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = i + 1; j < n; ++j) {
-          // Generalized hyperplane: each entry goes to the closer pivot.
           double r1 = 0.0, r2 = 0.0;
+          size_t left = 0, right = 0;
           for (size_t e = 0; e < n; ++e) {
             const double child_extent =
                 entries[e].child >= 0 ? entries[e].radius : 0.0;
-            if (d[i * n + e] <= d[j * n + e]) {
+            if (goes_left(i, j, e, left, right)) {
               r1 = std::max(r1, d[i * n + e] + child_extent);
+              ++left;
             } else {
               r2 = std::max(r2, d[j * n + e] + child_extent);
+              ++right;
             }
           }
           const double mm = std::max(r1, r2);
@@ -238,7 +250,7 @@ class MTree {
       for (size_t e = 0; e < n; ++e) {
         const double child_extent =
             entries[e].child >= 0 ? entries[e].radius : 0.0;
-        if (d[p1 * n + e] <= d[p2 * n + e]) {
+        if (goes_left(p1, p2, e, left.entries.size(), right.entries.size())) {
           r1 = std::max(r1, d[p1 * n + e] + child_extent);
           left.entries.push_back(std::move(entries[e]));
         } else {

@@ -26,11 +26,32 @@ namespace vsim {
 // charging any object-fetch I/O to `stats`.
 using ExactDistanceFn = std::function<double(int id, IoStats* stats)>;
 
+// What a refinement produced: the exact distance (`exact`), or -- when
+// a cheap bound already proved the exact distance greater than the
+// loop's prune threshold -- a lower bound on it that is itself above
+// the threshold, so the candidate cannot enter the answer either way.
+struct Refinement {
+  double distance = 0.0;
+  bool exact = true;
+};
+
+// Refines the stored object `id`. `prune_above` is the loop's current
+// threshold: the k-th best distance once k candidates are known
+// (+infinity before), or eps for range queries. The function may
+// return an inexact Refinement only with a distance > prune_above.
+using RefineFn =
+    std::function<Refinement(int id, double prune_above, IoStats* stats)>;
+
 struct MultiStepStats {
-  size_t candidates_refined = 0;  // exact distance evaluations
+  size_t candidates_refined = 0;  // refine calls
   size_t filter_hits = 0;         // candidates produced by the filter
-  // Wall time spent inside exact_distance calls (the refinement stage);
-  // the caller's total elapsed time minus this is the filter stage.
+  // Refinements that computed the exact distance (Kuhn-Munkres solves
+  // for the minimal matching distance); the rest were ruled out by the
+  // refine function's bound. Equals candidates_refined for
+  // ExactDistanceFn callers.
+  size_t hungarian_invocations = 0;
+  // Wall time spent inside refine calls (the refinement stage); the
+  // caller's total elapsed time minus this is the filter stage.
   double refine_seconds = 0.0;
 };
 
@@ -41,11 +62,27 @@ struct MultiStepStats {
 std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
                                    const FeatureVector& filter_query,
                                    double filter_scale, int k,
+                                   const RefineFn& refine,
+                                   IoStats* stats = nullptr,
+                                   MultiStepStats* msstats = nullptr);
+
+// The same loop with a plain exact-distance function (never prunes).
+std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
+                                   const FeatureVector& filter_query,
+                                   double filter_scale, int k,
                                    const ExactDistanceFn& exact_distance,
                                    IoStats* stats = nullptr,
                                    MultiStepStats* msstats = nullptr);
 
-// Multi-step eps-range query: filter with eps / filter_scale, refine.
+// Multi-step eps-range query: filter with eps / filter_scale, refine
+// with prune threshold eps.
+std::vector<int> MultiStepRange(const XTree& filter_index,
+                                const FeatureVector& filter_query,
+                                double filter_scale, double eps,
+                                const RefineFn& refine,
+                                IoStats* stats = nullptr,
+                                MultiStepStats* msstats = nullptr);
+
 std::vector<int> MultiStepRange(const XTree& filter_index,
                                 const FeatureVector& filter_query,
                                 double filter_scale, double eps,
@@ -68,14 +105,13 @@ struct BoundedCandidate {
 // ranking cursor. filter_hits counts candidates popped before the stop.
 std::vector<Neighbor> SortedBoundKnn(
     const std::vector<BoundedCandidate>& candidates, int k,
-    const ExactDistanceFn& exact_distance, IoStats* stats = nullptr,
+    const RefineFn& refine, IoStats* stats = nullptr,
     MultiStepStats* msstats = nullptr);
 
 // Range counterpart: refine every candidate whose lower bound is
 // <= eps (candidates need not be sorted).
 std::vector<int> BoundedRange(const std::vector<BoundedCandidate>& candidates,
-                              double eps,
-                              const ExactDistanceFn& exact_distance,
+                              double eps, const RefineFn& refine,
                               IoStats* stats = nullptr,
                               MultiStepStats* msstats = nullptr);
 

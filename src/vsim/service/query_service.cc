@@ -348,6 +348,9 @@ StatusOr<ServiceResponse> QueryService::RunRequest(
                                 opt.approx_level);
       break;
   }
+  // A failed store read during refinement fails the request: no partial
+  // answer is returned or cached.
+  VSIM_RETURN_NOT_OK(response.cost.status);
 
   if (cache_.enabled()) {
     cache_.Insert(key, CachedResult{response.neighbors, response.ids});

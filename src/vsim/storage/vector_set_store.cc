@@ -36,22 +36,19 @@ void Serialize(const VectorSet& set, char* out) {
   }
 }
 
-StatusOr<VectorSet> Deserialize(const char* data, size_t bytes) {
+// Decodes a record payload into `*out` (see VectorSetStore::GetFlat).
+StatusOr<FlatVectorSet> Deserialize(const char* data, size_t bytes,
+                                    std::vector<double>* out) {
   if (bytes < 4) return Status::Internal("corrupt vector set record");
   const uint16_t n = ReadU16(data);
   const uint16_t dim = ReadU16(data + 2);
-  if (bytes != 4 + static_cast<size_t>(n) * dim * sizeof(double)) {
+  const size_t values = static_cast<size_t>(n) * dim;
+  if (bytes != 4 + values * sizeof(double)) {
     return Status::Internal("vector set record size mismatch");
   }
-  VectorSet set;
-  const char* p = data + 4;
-  for (uint16_t i = 0; i < n; ++i) {
-    FeatureVector v(dim);
-    std::memcpy(v.data(), p, dim * sizeof(double));
-    p += dim * sizeof(double);
-    set.vectors.push_back(std::move(v));
-  }
-  return set;
+  out->resize(values);
+  if (values > 0) std::memcpy(out->data(), data + 4, values * sizeof(double));
+  return FlatVectorSet{out->data(), n, dim};
 }
 
 }  // namespace
@@ -141,7 +138,9 @@ StatusOr<int> VectorSetStore::Append(const VectorSet& set) {
   return static_cast<int>(directory_.size()) - 1;
 }
 
-StatusOr<VectorSet> VectorSetStore::Get(int id, IoStats* stats) const {
+StatusOr<FlatVectorSet> VectorSetStore::GetFlat(int id,
+                                                std::vector<double>* buffer,
+                                                IoStats* stats) const {
   if (id < 0 || static_cast<size_t>(id) >= directory_.size()) {
     return Status::OutOfRange("object id out of range");
   }
@@ -156,7 +155,19 @@ StatusOr<VectorSet> VectorSetStore::Get(int id, IoStats* stats) const {
     if (missed) stats->AddPageAccesses(1);
     stats->AddBytesRead(ref.bytes);
   }
-  return Deserialize(handle.data() + ref.offset, ref.bytes);
+  return Deserialize(handle.data() + ref.offset, ref.bytes, buffer);
+}
+
+StatusOr<VectorSet> VectorSetStore::Get(int id, IoStats* stats) const {
+  std::vector<double> values;
+  VSIM_ASSIGN_OR_RETURN(FlatVectorSet flat, GetFlat(id, &values, stats));
+  VectorSet set;
+  set.vectors.reserve(flat.size);
+  for (size_t i = 0; i < flat.size; ++i) {
+    const double* v = flat.data + i * flat.dim;
+    set.vectors.emplace_back(v, v + flat.dim);
+  }
+  return set;
 }
 
 Status VectorSetStore::Flush() { return pool_->FlushAll(); }

@@ -42,9 +42,17 @@ class VectorSetStore {
   // Fails if the serialized record exceeds the page payload capacity.
   StatusOr<int> Append(const VectorSet& set);
 
-  // Loads a stored vector set. If `stats` is given, one page access is
-  // charged when THIS call missed the buffer pool (plus the record's
-  // bytes) -- cache hits are free, unlike the paper's flat simulation.
+  // Decodes stored vector set `id` into `*buffer` in the flat layout
+  // and returns a view of it (valid until the buffer is next changed).
+  // The buffer is resized to the set's size * dim doubles; its capacity
+  // is reused, so a buffer kept across calls decodes without
+  // allocating. If `stats` is given, one page access is charged when
+  // THIS call missed the buffer pool (plus the record's bytes) -- cache
+  // hits are free, unlike the paper's flat simulation.
+  StatusOr<FlatVectorSet> GetFlat(int id, std::vector<double>* buffer,
+                                  IoStats* stats = nullptr) const;
+
+  // Loads a stored vector set (GetFlat into a fresh VectorSet).
   StatusOr<VectorSet> Get(int id, IoStats* stats = nullptr) const;
 
   Status Flush();

@@ -6,6 +6,7 @@
 // buffer pool => no concurrent disk-backed serving); the suite runs
 // under TSan in CI (tools/check_tsan.sh).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -214,6 +215,39 @@ TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
                                            << " level=" << level;
     }
   }
+}
+
+TEST(DiskServingTest, FailedStoreReadFailsTheRequestWithoutAborting) {
+  // The store file is truncated under a pool smaller than the store, so
+  // refinement's page reads fail mid-query. The request must fail with
+  // the read's status: no abort, no partial answer, nothing cached.
+  StatusOr<CadDatabase> db = BuildDb(120);
+  ASSERT_TRUE(db.ok());
+  const int n = static_cast<int>(db->size());
+  const std::string path = TempPath("ds_truncated.vsstore");
+  // RAM sets kept, so the query itself needs no store read: the failure
+  // happens inside the engine's refinement, not in query hydration.
+  StatusOr<std::shared_ptr<const DbSnapshot>> snap =
+      DbSnapshot::CreateDiskBacked(std::move(*db), path, 1, IoCostParams{}, 2,
+                                   /*keep_ram_sets=*/true);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  ASSERT_EQ(::truncate(path.c_str(), 0), 0);
+
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(*snap, options);  // result cache on
+  ServiceRequest request;
+  request.object_id = 0;
+  request.strategy = QueryStrategy::kVectorSetFilter;
+  request.options.k = n;  // refines every object: most pages must be read
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    StatusOr<ServiceResponse> response = service.Execute(request);
+    ASSERT_FALSE(response.ok()) << "attempt " << attempt;
+    EXPECT_EQ(response.status().code(), StatusCode::kIOError)
+        << response.status().ToString();
+  }
+  const obs::QueryTrace trace = service.flight_recorder().Snapshot(1)[0];
+  EXPECT_EQ(trace.status_code, static_cast<uint8_t>(StatusCode::kIOError));
 }
 
 TEST(DiskServingTest, RamResidentSnapshotExposesNoPoolSeries) {

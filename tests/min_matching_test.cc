@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "vsim/common/rng.h"
 #include "vsim/distance/lp.h"
@@ -148,6 +151,107 @@ TEST(MinMatchingTest, SquaredEuclideanWithSqrtObeysDefinition) {
   opt.sqrt_of_total = true;
   // Optimal pairing: both pairs at squared distance 1 -> sqrt(2).
   EXPECT_NEAR(MinimalMatchingDistance(a, b, opt), std::sqrt(2.0), 1e-12);
+}
+
+// --- The flat core (also run with VSIM_KERNELS=scalar by the
+// kernel_force_scalar CTest, so every kernel set is covered) ---------
+
+FlatVectorSet Flat(const VectorSet& set, std::vector<double>* buffer) {
+  buffer->resize(set.size() * set.dim());
+  return FlattenInto(set, buffer->data());
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Cardinalities covering empty sets, the paper's k = 7, unequal pairs
+// and sets past the 16-vector stack capacity (heap scratch).
+constexpr int kCardinalities[] = {0, 1, 3, 7, 7, 12, 16, 17, 24};
+
+TEST(FlatMatchingTest, EqualsDetailedDistanceBitForBit) {
+  Rng rng(41);
+  std::vector<double> fa, fb;
+  for (int ca : kCardinalities) {
+    for (int cb : kCardinalities) {
+      const VectorSet a = RandomSet(rng, ca, 6);
+      const VectorSet b = RandomSet(rng, cb, 6);
+      const double detailed =
+          MinimalMatchingDistanceDetailed(a, b, MinMatchingOptions{}).distance;
+      EXPECT_EQ(Bits(VectorSetDistance(Flat(a, &fa), Flat(b, &fb))),
+                Bits(detailed))
+          << "|a|=" << ca << " |b|=" << cb;
+      EXPECT_EQ(Bits(VectorSetDistance(a, b)), Bits(detailed));
+    }
+  }
+}
+
+TEST(FlatMatchingTest, EveryGroundAndWeightMatchesDetailed) {
+  Rng rng(42);
+  std::vector<double> fa, fb;
+  MinMatchingOptions manhattan;
+  manhattan.ground = GroundDistance::kManhattan;
+  MinMatchingOptions squared_sqrt;
+  squared_sqrt.ground = GroundDistance::kSquaredEuclidean;
+  squared_sqrt.sqrt_of_total = true;
+  MinMatchingOptions shifted;
+  shifted.omega = {0.5, -0.25, 0.0, 1.0, 0.0, 0.0};
+  for (const MinMatchingOptions& opt : {manhattan, squared_sqrt, shifted}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const VectorSet a = RandomSet(rng, rng.NextBounded(20), 6);
+      const VectorSet b = RandomSet(rng, rng.NextBounded(20), 6);
+      const double detailed = MinimalMatchingDistanceDetailed(a, b, opt).distance;
+      EXPECT_EQ(Bits(MinimalMatchingDistance(Flat(a, &fa), Flat(b, &fb), opt)),
+                Bits(detailed));
+      EXPECT_EQ(Bits(MinimalMatchingDistance(a, b, opt)), Bits(detailed));
+    }
+  }
+}
+
+TEST(FlatMatchingTest, RowMinimumPruneReturnsBoundAboveThreshold) {
+  // With a threshold, the core either solves (and returns the exact
+  // distance, bit for bit) or returns a bound that exceeds the
+  // threshold without exceeding the exact distance -- so a k-NN or
+  // range loop decides every candidate exactly as with the solve.
+  Rng rng(43);
+  std::vector<double> fa, fb;
+  int pruned = 0, solved_count = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const VectorSet a = RandomSet(rng, 1 + rng.NextBounded(18), 6);
+    const VectorSet b = RandomSet(rng, 1 + rng.NextBounded(18), 6);
+    const FlatVectorSet va = Flat(a, &fa), vb = Flat(b, &fb);
+    const double exact = VectorSetDistance(va, vb);
+    for (double scale : {0.25, 0.5, 0.9, 1.0, 2.0}) {
+      const double threshold = exact * scale;
+      bool solved = false;
+      const double got = VectorSetDistance(va, vb, threshold, &solved);
+      if (solved) {
+        ++solved_count;
+        EXPECT_EQ(Bits(got), Bits(exact));
+      } else {
+        ++pruned;
+        EXPECT_GT(got, threshold);
+        EXPECT_LE(got, exact);
+        EXPECT_LT(scale, 1.0) << "pruned at a threshold >= the distance";
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0);
+  EXPECT_GT(solved_count, 0);
+}
+
+TEST(FlatMatchingTest, EmptySetsNeverPrune) {
+  std::vector<double> fa, fb;
+  const VectorSet empty;
+  bool solved = false;
+  EXPECT_EQ(VectorSetDistance(Flat(empty, &fa), Flat(empty, &fb), -1.0,
+                              &solved),
+            0.0);
+  EXPECT_TRUE(solved);
+  Rng rng(44);
+  const VectorSet a = RandomSet(rng, 4, 6);
+  double weights = 0.0;
+  for (const FeatureVector& v : a.vectors) weights += EuclideanNorm(v);
+  EXPECT_EQ(Bits(VectorSetDistance(Flat(a, &fa), Flat(empty, &fb))),
+            Bits(weights));
 }
 
 }  // namespace

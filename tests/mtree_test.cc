@@ -136,6 +136,49 @@ TEST(MTreeTest, WorksWithVectorSetsAndMatchingDistance) {
   }
 }
 
+TEST(MTreeDuplicatesTest, ManyCopiesOfFewSetsSplitWithinCapacity) {
+  // Duplicates are equidistant from both pivots of a split; they must
+  // be shared out between the two nodes, not all sent to one side.
+  Rng rng(26);
+  MTreeOptions opts;
+  opts.node_capacity = 8;
+  MTree<VectorSet> tree(
+      [](const VectorSet& a, const VectorSet& b) {
+        return VectorSetDistance(a, b);
+      },
+      opts);
+  std::vector<VectorSet> distinct;
+  for (int i = 0; i < 4; ++i) {
+    VectorSet s;
+    for (int v = 0; v < 5; ++v) {
+      FeatureVector f(6);
+      for (double& x : f) x = rng.Uniform(-1, 1);
+      s.vectors.push_back(std::move(f));
+    }
+    distinct.push_back(std::move(s));
+  }
+  constexpr int kCopies = 100;
+  std::vector<int> group_of;
+  for (int copy = 0; copy < kCopies; ++copy) {
+    for (int g = 0; g < static_cast<int>(distinct.size()); ++g) {
+      tree.Insert(distinct[g], static_cast<int>(group_of.size()));
+      group_of.push_back(g);
+    }
+  }
+  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+  // Every node holds at least two entries, so a tree over n objects
+  // has fewer than n nodes; a chain of near-empty splits has ~n.
+  EXPECT_LT(tree.node_count(), group_of.size() / 2);
+  EXPECT_LE(tree.height(), 6);
+  // k-NN still equals brute force: the k nearest of a copy are copies.
+  const auto got = tree.KnnQuery(distinct[2], 10);
+  ASSERT_EQ(got.size(), 10u);
+  for (const Neighbor& n : got) {
+    EXPECT_EQ(group_of[n.id], 2);
+    EXPECT_EQ(n.distance, 0.0);
+  }
+}
+
 TEST(MTreeTest, HeightIsLogarithmic) {
   Rng rng(25);
   const auto pts = RandomPoints(rng, 3000, 2);

@@ -26,6 +26,21 @@ struct World {
       return VectorSetDistance(query, sets[id]);
     };
   }
+
+  // The engine's refinement shape: the flat core with the row-minimum
+  // prune against the loop's threshold.
+  RefineFn PruningRefineFor(const VectorSet& query) const {
+    return [this, &query](int id, double prune_above, IoStats* stats) {
+      if (stats != nullptr) stats->AddPageAccesses(1);
+      std::vector<double> q(query.size() * query.dim());
+      std::vector<double> c(sets[id].size() * sets[id].dim());
+      Refinement r;
+      r.distance = VectorSetDistance(FlattenInto(query, q.data()),
+                                     FlattenInto(sets[id], c.data()),
+                                     prune_above, &r.exact);
+      return r;
+    };
+  }
 };
 
 World MakeWorld(int count, uint64_t seed) {
@@ -137,6 +152,68 @@ TEST(ScanBaselineTest, KnnAndRangeMatchReference) {
   for (int id : range) {
     EXPECT_LE(VectorSetDistance(w.sets[3], w.sets[id]), 0.5 + 1e-12);
   }
+}
+
+TEST(MultiStepPruneTest, PruningRefineMatchesExactKnnAndSkipsSolves) {
+  // A refine function that may return a bound above the threshold
+  // leaves the answer, the filter hits and the refinement count
+  // unchanged; only the exact solves drop.
+  World w = MakeWorld(500, 107);
+  size_t refined = 0, solves = 0;
+  for (int qi = 0; qi < 60; ++qi) {
+    for (int k : {1, 5, 10}) {
+      MultiStepStats plain, pruned;
+      IoStats plain_io, pruned_io;
+      const auto expect =
+          MultiStepKnn(*w.index, w.centroids[qi], w.k, k,
+                       w.ExactFor(w.sets[qi]), &plain_io, &plain);
+      const auto got =
+          MultiStepKnn(*w.index, w.centroids[qi], w.k, k,
+                       w.PruningRefineFor(w.sets[qi]), &pruned_io, &pruned);
+      ASSERT_EQ(got, expect) << "query " << qi << " k " << k;
+      EXPECT_EQ(pruned.filter_hits, plain.filter_hits);
+      EXPECT_EQ(pruned.candidates_refined, plain.candidates_refined);
+      EXPECT_EQ(plain.hungarian_invocations, plain.candidates_refined);
+      EXPECT_LE(pruned.hungarian_invocations, pruned.candidates_refined);
+      EXPECT_EQ(pruned_io.page_accesses(), plain_io.page_accesses());
+      refined += pruned.candidates_refined;
+      solves += pruned.hungarian_invocations;
+    }
+  }
+  EXPECT_LT(solves, refined);
+}
+
+TEST(MultiStepPruneTest, PruningRefineMatchesExactRange) {
+  World w = MakeWorld(400, 108);
+  Rng rng(9);
+  size_t refined = 0, solves = 0;
+  for (int q = 0; q < 30; ++q) {
+    const int qi = static_cast<int>(rng.NextBounded(w.sets.size()));
+    const double eps = rng.Uniform(0.3, 1.5);
+    MultiStepStats plain, pruned;
+    const auto expect = MultiStepRange(*w.index, w.centroids[qi], w.k, eps,
+                                       w.ExactFor(w.sets[qi]), nullptr, &plain);
+    const auto got =
+        MultiStepRange(*w.index, w.centroids[qi], w.k, eps,
+                       w.PruningRefineFor(w.sets[qi]), nullptr, &pruned);
+    EXPECT_EQ(got, expect);
+    EXPECT_EQ(pruned.candidates_refined, plain.candidates_refined);
+    refined += pruned.candidates_refined;
+    solves += pruned.hungarian_invocations;
+  }
+  EXPECT_LT(solves, refined);
+}
+
+TEST(MultiStepPruneTest, NoPruningBeforeTheHeapIsFull) {
+  // With k >= the collection size the heap never fills, the threshold
+  // stays +infinity, and every refinement is a solve.
+  World w = MakeWorld(40, 109);
+  MultiStepStats ms;
+  const auto got = MultiStepKnn(*w.index, w.centroids[0], w.k, 40,
+                                w.PruningRefineFor(w.sets[0]), nullptr, &ms);
+  EXPECT_EQ(got.size(), 40u);
+  EXPECT_EQ(ms.candidates_refined, 40u);
+  EXPECT_EQ(ms.hungarian_invocations, ms.candidates_refined);
 }
 
 TEST(MultiStepKnnTest, KLargerThanDatabase) {

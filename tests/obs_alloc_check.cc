@@ -1,22 +1,31 @@
-// Allocation-freedom check for the observability record paths
-// (registered as CTest `obs_alloc_check`): global operator new/delete
-// are replaced with counting hooks, and the hot record paths --
-// SpanArena build, RenderSpanTree, SpanRing::Record, and
-// FlightRecorder::Record -- must execute with ZERO allocations. This
-// is the "allocation asserted via counting hook" acceptance criterion:
-// a future change that sneaks a std::string or vector resize into a
-// record path fails this binary, not a profiler session in production.
+// Allocation-freedom check for the per-request hot paths (registered
+// as CTest `obs_alloc_check`): global operator new/delete are replaced
+// with counting hooks, and these paths must execute with ZERO
+// allocations:
+//   - the observability record paths: SpanArena build, RenderSpanTree,
+//     SpanRing::Record, and FlightRecorder::Record;
+//   - the refinement paths: a 7x7 VectorSetDistance (the paper's
+//     cardinality, Kuhn-Munkres included) and one store-record decode
+//     (VectorSetStore::GetFlat) into a reused buffer.
+// A future change that sneaks a std::string or vector resize into one
+// of them fails this binary, not a profiler session in production.
 //
 // Deliberately a standalone binary (not part of vsim_tests): gtest
 // allocates freely in its own machinery, which would force the hooks
 // to discriminate call sites instead of counting globally.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "vsim/distance/min_matching.h"
 #include "vsim/obs/flight_recorder.h"
 #include "vsim/obs/query_trace.h"
 #include "vsim/obs/span.h"
+#include "vsim/storage/vector_set_store.h"
 
 namespace {
 
@@ -126,6 +135,44 @@ int main() {
   Check(ring.recorded() == 256, "span ring recorded");
   Check(!ring.Snapshot(4).empty(), "span ring snapshot");
   Check(!recorder.Snapshot(4, true).empty(), "slow ring snapshot");
+
+  // --- refinement: one 7x7 minimal matching --------------------------
+  vsim::VectorSet a, b;
+  for (int i = 0; i < 7; ++i) {
+    a.vectors.push_back({0.1 * i, 1.0, 0.5, 0.3, 0.2 * i, 0.7});
+    b.vectors.push_back({0.7, 0.15 * i, 0.4, 0.9 - 0.1 * i, 0.3, 0.25});
+  }
+  double distance = vsim::VectorSetDistance(a, b);  // resolves the kernels
+  g_counting = true;
+  for (int i = 0; i < 64; ++i) distance += vsim::VectorSetDistance(a, b);
+  g_counting = false;
+  CheckNoAllocations("7x7 VectorSetDistance");
+  Check(distance > 0.0, "matching distance computed");
+
+  // --- refinement: one store-record decode into a reused buffer ------
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string path = std::string(tmp != nullptr ? tmp : "/tmp") +
+                           "/obs_alloc_check_" + std::to_string(getpid()) +
+                           ".vspg";
+  {
+    vsim::StatusOr<vsim::VectorSetStore> store =
+        vsim::VectorSetStore::Create(path);
+    Check(store.ok() && store->Append(a).ok() && store->Append(b).ok(),
+          "store built");
+    if (store.ok()) {
+      std::vector<double> buffer;
+      vsim::IoStats stats;
+      // Warm-up: pulls the page into the pool and sizes the buffer.
+      Check(store->GetFlat(1, &buffer, &stats).ok(), "store warm-up read");
+      g_counting = true;
+      const bool decoded = store->GetFlat(1, &buffer, &stats).ok();
+      g_counting = false;
+      CheckNoAllocations("store record decode into a reused buffer");
+      Check(decoded && buffer.size() == 42 && buffer[6] == b.vectors[1][0],
+            "store record decoded");
+    }
+  }
+  std::remove(path.c_str());
 
   if (failures == 0) {
     std::printf("obs_alloc_check: PASS\n");

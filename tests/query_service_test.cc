@@ -391,7 +391,10 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   EXPECT_GE(t.approx_pruned, t.filter_hits);
   EXPECT_GE(t.filter_hits, t.candidates_refined);
   EXPECT_GE(t.candidates_refined, static_cast<uint64_t>(k));
-  EXPECT_EQ(t.hungarian_invocations, t.candidates_refined);
+  // Only real Kuhn-Munkres solves count: a refinement whose row-minimum
+  // bound already exceeds the current k-th distance skips the solve.
+  EXPECT_LE(t.hungarian_invocations, t.candidates_refined);
+  EXPECT_EQ(t.hungarian_invocations, response->cost.hungarian_invocations);
   EXPECT_EQ(t.candidates_refined, response->cost.candidates_refined);
   EXPECT_GT(t.total_seconds, 0.0);
   EXPECT_GE(t.total_seconds, t.queue_seconds + t.cpu_seconds - 1e-9);
@@ -410,6 +413,50 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
             std::string::npos);
   EXPECT_NE(text.find("vsim_requests_completed_total 1\n"),
             std::string::npos);
+}
+
+TEST_F(QueryServiceTest, HungarianInvocationsCountOnlyKuhnMunkresSolves) {
+  // k >= corpus size: the multi-step heap never fills, the prune
+  // threshold never applies, and every refinement is a solve.
+  {
+    QueryServiceOptions options;
+    options.cache_bytes = 0;
+    QueryService service(db_, engine_, options);
+    ServiceRequest request;
+    request.object_id = 3;
+    request.options.k = static_cast<int>(db_->size());
+    request.strategy = QueryStrategy::kVectorSetFilter;
+    ASSERT_TRUE(service.Execute(request).ok());
+    const obs::QueryTrace t = service.flight_recorder().Snapshot(1)[0];
+    EXPECT_EQ(t.candidates_refined, db_->size());
+    EXPECT_EQ(t.hungarian_invocations, t.candidates_refined);
+  }
+  // A duplicate-heavy corpus (every part four times over): the exact
+  // copies fill the heap at distance 0 or close to it, after which the
+  // row-minimum bound rules candidates out without a solve.
+  Dataset ds = MakeCarDataset(10, 99);
+  const std::vector<CadObject> originals = ds.objects;
+  for (int copy = 1; copy < 4; ++copy) {
+    ds.objects.insert(ds.objects.end(), originals.begin(), originals.end());
+  }
+  StatusOr<CadDatabase> dup = CadDatabase::FromDataset(ds, db_->options(), 0);
+  ASSERT_TRUE(dup.ok());
+  QueryServiceOptions options;
+  options.cache_bytes = 0;
+  QueryService service(DbSnapshot::Create(std::move(*dup), 1), options);
+  uint64_t refined = 0, solves = 0;
+  for (int id = 0; id < static_cast<int>(ds.size()); ++id) {
+    ServiceRequest request;
+    request.object_id = id;
+    request.options.k = 6;
+    request.strategy = QueryStrategy::kVectorSetFilter;
+    ASSERT_TRUE(service.Execute(request).ok());
+    const obs::QueryTrace t = service.flight_recorder().Snapshot(1)[0];
+    EXPECT_LE(t.hungarian_invocations, t.candidates_refined);
+    refined += t.candidates_refined;
+    solves += t.hungarian_invocations;
+  }
+  EXPECT_LT(solves, refined);
 }
 
 TEST_F(QueryServiceTest, CompletedRequestPublishesServiceSpanTree) {

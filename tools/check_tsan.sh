@@ -11,8 +11,10 @@
 # concurrent scrapes, flight-recorder seqlock rings, span-tree seqlock
 # rings under concurrent writers, the SIGPROF sampling profiler's
 # handler-vs-collector ring, the Chrome trace exporter over snapshots,
-# the cross-layer trace-propagation pipeline, IoStats counters), and
-# the concurrent storage stack (sharded
+# the cross-layer trace-propagation pipeline, IoStats counters), the
+# pruned refinement path (flat matching core, multi-step prune, M-tree
+# duplicate splits, engine-vs-plain equivalence on RAM and disk
+# snapshots), and the concurrent storage stack (sharded
 # buffer pool stress/tiering, SharedMutex, PagedFile positioned I/O,
 # disk-backed serving end-to-end). Any data race aborts with a non-zero
 # exit.
@@ -41,6 +43,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target vsim_tests
 # edges and reports the reversal as an inversion.
 TSAN_OPTIONS="halt_on_error=1:detect_deadlocks=1:second_deadlock_stack=1" \
     "$BUILD_DIR/tests/vsim_tests" \
-    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:Sketch*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
+    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:Sketch*:MultiStepPrune*:FlatMatching*:MTreeDuplicates*:RefinementEquivalence*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
 
 echo "TSan: service stress + snapshot-swap + net server + observability + storage stack + deadlock-detector suites clean"
