@@ -1,10 +1,15 @@
 // Ablation G: the page-cache effect the paper's simulation ignores.
 // The paper (Section 5.4) concedes that its one-page-per-candidate I/O
 // simulation "does not take the idea of page caches into account". We
-// store all vector sets in a real paged file behind an LRU buffer pool
-// and repeat the Table-2 filter workload with growing pool sizes: page
-// accesses are charged only on actual misses.
+// store all vector sets in a real paged file behind the sharded CLOCK
+// buffer pool and repeat the Table-2 filter workload with growing pool
+// sizes: page accesses are charged only on actual misses. Two layouts
+// of the same records are compared: id order (the paper's unclustered
+// object file; ids carry no spatial meaning) and the centroid X-tree's
+// leaf order (what DbSnapshot::CreateDiskBacked writes), in which one
+// query's candidates share pages.
 #include <cstdio>
+#include <numeric>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -44,45 +49,57 @@ int main() {
     flat += cost;
   }
 
-  TablePrinter table({"buffer pool", "pages charged", "I/O time",
-                      "vs flat simulation"});
-  table.AddRow({"none (paper's simulation)",
+  std::vector<int> id_order(db.size());
+  std::iota(id_order.begin(), id_order.end(), 0);
+  const struct {
+    const char* name;
+    std::vector<int> order;
+  } layouts[] = {{"id order (unclustered)", id_order},
+                 {"X-tree leaf order", engine.centroid_index().LeafOrder()}};
+
+  TablePrinter table({"buffer pool", "store layout", "pages charged",
+                      "I/O time", "vs flat simulation"});
+  table.AddRow({"none (paper's simulation)", "-",
                 std::to_string(flat.io.page_accesses()),
                 TablePrinter::Num(flat.IoSeconds(), 2) + " s", "1.00x"});
 
   for (size_t pool_pages : {4ul, 16ul, 64ul, 256ul}) {
-    StatusOr<VectorSetStore> store =
-        VectorSetStore::Create(store_path, page_size, pool_pages);
-    if (!store.ok()) {
-      std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-      return 1;
-    }
-    for (size_t i = 0; i < db.size(); ++i) {
-      StatusOr<int> id = store->Append(db.object(static_cast<int>(i)).vector_set);
-      if (!id.ok()) {
-        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
+    for (const auto& layout : layouts) {
+      StatusOr<VectorSetStore> store =
+          VectorSetStore::Create(store_path, page_size, pool_pages);
+      Status st = store.status();
+      for (size_t i = 0; st.ok() && i < layout.order.size(); ++i) {
+        const int id = layout.order[i];
+        st = store->Append(id, db.object(id).vector_set);
+      }
+      if (st.ok()) st = store->Flush();
+      if (!st.ok()) {
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return 1;
       }
+      engine.AttachStore(&*store);
+      QueryCost cached;
+      for (int id : queries) {
+        QueryCost cost;
+        engine.Knn(QueryStrategy::kVectorSetFilter, id, 10, &cost);
+        cached += cost;
+      }
+      engine.AttachStore(nullptr);
+      const double ratio = static_cast<double>(cached.io.page_accesses()) /
+                           static_cast<double>(flat.io.page_accesses());
+      table.AddRow({std::to_string(pool_pages) + " pages", layout.name,
+                    std::to_string(cached.io.page_accesses()),
+                    TablePrinter::Num(cached.IoSeconds(), 2) + " s",
+                    TablePrinter::Num(ratio, 2) + "x"});
+      std::remove(store_path.c_str());
     }
-    engine.AttachStore(&*store);
-    QueryCost cached;
-    for (int id : queries) {
-      QueryCost cost;
-      engine.Knn(QueryStrategy::kVectorSetFilter, id, 10, &cost);
-      cached += cost;
-    }
-    engine.AttachStore(nullptr);
-    const double ratio = static_cast<double>(cached.io.page_accesses()) /
-                         static_cast<double>(flat.io.page_accesses());
-    table.AddRow({std::to_string(pool_pages) + " pages",
-                  std::to_string(cached.io.page_accesses()),
-                  TablePrinter::Num(cached.IoSeconds(), 2) + " s",
-                  TablePrinter::Num(ratio, 2) + "x"});
-    std::remove(store_path.c_str());
   }
   table.Print();
   std::printf("\nWith a warm cache the filter step's random accesses "
               "collapse onto the hot pages, closing much of its I/O gap "
-              "to the sequential scan (cf. Table 2).\n");
+              "to the sequential scan (cf. Table 2); laying the store "
+              "out in the filter's leaf order packs each query's "
+              "candidates onto few pages, so far smaller pools "
+              "suffice.\n");
   return 0;
 }

@@ -32,8 +32,12 @@ int main(int argc, char** argv) {
   const int k_covers = db->options().num_covers;
 
   // --- Persist everything to disk -----------------------------------
+  // The store's records follow the centroid tree's leaf order, so the
+  // candidates of one query -- neighbours in centroid space -- share
+  // pages; every record carries its object id, so reads stay by id.
   const std::string tree_path = "/tmp/vsim_disk_demo.tree";
   const std::string store_path = "/tmp/vsim_disk_demo.store";
+  std::vector<int> leaf_order;
   {
     XTree centroid_tree(6);
     std::vector<FeatureVector> centroids;
@@ -44,13 +48,14 @@ int main(int argc, char** argv) {
     }
     if (!centroid_tree.BulkLoad(centroids, ids).ok()) return 1;
     if (!DiskXTree::Write(centroid_tree, tree_path).ok()) return 1;
+    leaf_order = centroid_tree.LeafOrder();
   }
   {
     StatusOr<VectorSetStore> writer =
         VectorSetStore::Create(store_path, 4096, 8);
     if (!writer.ok()) return 1;
-    for (int i = 0; i < static_cast<int>(db->size()); ++i) {
-      if (!writer->Append(db->object(i).vector_set).ok()) return 1;
+    for (int id : leaf_order) {
+      if (!writer->Append(id, db->object(id).vector_set).ok()) return 1;
     }
     if (!writer->Flush().ok()) return 1;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <numeric>
 
 #include "vsim/common/stopwatch.h"
 #include "vsim/distance/lp.h"
@@ -178,6 +179,20 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
   st = centroid_vafile_->Build(centroids, ids);
   assert(st.ok());
   (void)st;
+  scan_order_ = std::move(ids);
+}
+
+void QueryEngine::AttachStore(const VectorSetStore* store) {
+  // Same ids as the database, each exactly once (the store refuses
+  // duplicate ids, so a full page order is a permutation of them).
+  assert(store == nullptr || (store->size() == db_->size() &&
+                              store->page_order().size() == db_->size()));
+  store_ = store;
+  if (store != nullptr) {
+    scan_order_ = store->page_order();
+  } else {
+    std::iota(scan_order_.begin(), scan_order_.end(), 0);
+  }
 }
 
 std::vector<BoundedCandidate> QueryEngine::ApproxFilterCandidates(
@@ -253,8 +268,8 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       break;
     }
     case QueryStrategy::kVectorSetScan: {
-      result = ScanKnn(static_cast<int>(db_->size()), k, scan_bytes_,
-                       params_.page_size_bytes, refiner.Exact(), &local.io);
+      result = ScanKnn(scan_order_, k, scan_bytes_, params_.page_size_bytes,
+                       refiner.Exact(), &local.io);
       local.candidates_refined = db_->size();
       local.filter_hits = db_->size();  // no filter: everything qualifies
       local.hungarian_invocations = db_->size();
@@ -407,7 +422,7 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       break;
     }
     case QueryStrategy::kVectorSetScan: {
-      result = ScanRange(static_cast<int>(db_->size()), eps, scan_bytes_,
+      result = ScanRange(scan_order_, eps, scan_bytes_,
                          params_.page_size_bytes, refiner.Exact(), &local.io);
       local.candidates_refined = db_->size();
       local.filter_hits = db_->size();  // no filter: everything qualifies

@@ -171,13 +171,14 @@ class QueryEngine {
   const XTree& centroid_index() const { return *centroid_index_; }
   const XTree& one_vector_index() const { return *one_vector_index_; }
 
-  // Attaches a disk-backed vector-set store (must hold the same objects
-  // in the same order as the database). When attached, refinement
+  // Attaches a disk-backed vector-set store (must hold the same ids as
+  // the database, in any record order). When attached, refinement
   // fetches candidates through the store's buffer pool: page accesses
   // are charged only on actual cache misses, instead of the flat
-  // one-page-per-candidate simulation. `store` must outlive the engine;
-  // pass nullptr to detach.
-  void AttachStore(VectorSetStore* store) { store_ = store; }
+  // one-page-per-candidate simulation; the scan strategy visits objects
+  // in the store's page order, so it reads each page once. `store` must
+  // outlive the engine; pass nullptr to detach.
+  void AttachStore(const VectorSetStore* store);
 
  private:
   // The approximate pre-filter: prunes by sketch overlap, bounds the
@@ -199,7 +200,10 @@ class QueryEngine {
   std::vector<kernels::SetSketch> sketches_;
   std::unique_ptr<MTree<VectorSet>> mtree_;
   std::unique_ptr<VaFile> centroid_vafile_;  // quantized centroid filter
-  VectorSetStore* store_ = nullptr;          // optional disk-backed fetches
+  const VectorSetStore* store_ = nullptr;    // optional disk-backed fetches
+  // The scan strategy's visiting order: the attached store's page
+  // order, else ids ascending.
+  std::vector<int> scan_order_;
 };
 
 }  // namespace vsim

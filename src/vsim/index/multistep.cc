@@ -157,17 +157,17 @@ void ChargeSequentialScan(size_t scan_bytes, size_t page_size,
 
 }  // namespace
 
-std::vector<Neighbor> ScanKnn(int count, int k, size_t scan_bytes,
-                              size_t page_size,
+std::vector<Neighbor> ScanKnn(const std::vector<int>& order, int k,
+                              size_t scan_bytes, size_t page_size,
                               const ExactDistanceFn& exact_distance,
                               IoStats* stats) {
   ChargeSequentialScan(scan_bytes, page_size, stats);
-  std::vector<Neighbor> all;
-  all.reserve(count);
-  for (int id = 0; id < count; ++id) {
+  const int count = static_cast<int>(order.size());
+  std::vector<Neighbor> all(count);
+  for (int id : order) {
     // Object bytes already charged by the sequential read: pass no
     // stats to the distance evaluation.
-    all.push_back({id, exact_distance(id, nullptr)});
+    all[id] = {id, exact_distance(id, nullptr)};
   }
   const int kk = std::min<int>(k, count);
   std::partial_sort(all.begin(), all.begin() + kk, all.end(),
@@ -178,15 +178,16 @@ std::vector<Neighbor> ScanKnn(int count, int k, size_t scan_bytes,
   return all;
 }
 
-std::vector<int> ScanRange(int count, double eps, size_t scan_bytes,
-                           size_t page_size,
+std::vector<int> ScanRange(const std::vector<int>& order, double eps,
+                           size_t scan_bytes, size_t page_size,
                            const ExactDistanceFn& exact_distance,
                            IoStats* stats) {
   ChargeSequentialScan(scan_bytes, page_size, stats);
   std::vector<int> result;
-  for (int id = 0; id < count; ++id) {
+  for (int id : order) {
     if (exact_distance(id, nullptr) <= eps) result.push_back(id);
   }
+  std::sort(result.begin(), result.end());
   return result;
 }
 

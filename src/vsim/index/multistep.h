@@ -115,16 +115,21 @@ std::vector<int> BoundedRange(const std::vector<BoundedCandidate>& candidates,
                               IoStats* stats = nullptr,
                               MultiStepStats* msstats = nullptr);
 
-// Baselines: sequential scan over `count` objects (ids 0..count-1).
+// Baselines: sequential scan over the objects 0..n-1, visited in
+// `order` (a permutation of them: the file's record order, so that a
+// disk-backed scan reads each page once). The answer is assembled in
+// id order whatever the visiting order, so it never depends on the
+// layout -- not even among exact distance ties at the k boundary.
 // `scan_bytes` is the total size of the scanned file; its pages are
 // charged once per query (sequential read).
-std::vector<Neighbor> ScanKnn(int count, int k, size_t scan_bytes,
-                              size_t page_size,
+std::vector<Neighbor> ScanKnn(const std::vector<int>& order, int k,
+                              size_t scan_bytes, size_t page_size,
                               const ExactDistanceFn& exact_distance,
                               IoStats* stats = nullptr);
 
-std::vector<int> ScanRange(int count, double eps, size_t scan_bytes,
-                           size_t page_size,
+// Ids within `eps`, ascending.
+std::vector<int> ScanRange(const std::vector<int>& order, double eps,
+                           size_t scan_bytes, size_t page_size,
                            const ExactDistanceFn& exact_distance,
                            IoStats* stats = nullptr);
 

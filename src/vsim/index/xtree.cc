@@ -578,6 +578,25 @@ Status XTree::Validate() const {
   return Status::OK();
 }
 
+std::vector<int> XTree::LeafOrder() const {
+  std::vector<int> order;
+  order.reserve(count_);
+  std::vector<int> stack{root_};
+  while (!stack.empty()) {
+    const Node& node = nodes_[stack.back()];
+    stack.pop_back();
+    if (node.leaf) {
+      for (const Entry& e : node.entries) order.push_back(e.id);
+    } else {
+      // Children pushed last-first so the first child is expanded next.
+      for (auto it = node.entries.rbegin(); it != node.entries.rend(); ++it) {
+        stack.push_back(it->child);
+      }
+    }
+  }
+  return order;
+}
+
 int XTree::height() const {
   int h = 1;
   int current = root_;

@@ -100,6 +100,13 @@ class XTree {
 
   RankingCursor Rank(const FeatureVector& query, IoStats* stats = nullptr) const;
 
+  // Every stored id in depth-first leaf order (leaves left to right,
+  // entries in node order). For a bulk-loaded tree this is the STR
+  // packing order, in which consecutive ids are spatial neighbours:
+  // DbSnapshot::CreateDiskBacked writes the vector-set store in the
+  // centroid filter's leaf order so one query's candidates share pages.
+  std::vector<int> LeafOrder() const;
+
   // Persistence: writes/reads the exact tree structure (nodes, boxes,
   // supernode multiples, split history) in a versioned little-endian
   // format, so an index built once can be reused across sessions.

@@ -28,22 +28,19 @@ StatusOr<std::shared_ptr<const DbSnapshot>> DbSnapshot::CreateDiskBacked(
   auto owned_db = std::make_unique<CadDatabase>(std::move(db));
   snapshot->db_ = owned_db.get();
 
-  // Materialize the store file: same objects in the same order as the
-  // database, so stored ids line up with engine ids.
+  auto owned_engine = std::make_unique<QueryEngine>(snapshot->db_, params);
+  // Materialize the store file in the centroid filter's leaf order: the
+  // candidates of one query are neighbours in centroid space, so they
+  // share pages and the buffer pool holds a query's working set.
+  // Records carry their object ids; Flush checks each id was written
+  // exactly once.
   VSIM_ASSIGN_OR_RETURN(VectorSetStore store,
                         VectorSetStore::Create(store_path, 4096, pool_pages));
-  for (size_t i = 0; i < snapshot->db_->size(); ++i) {
-    VSIM_ASSIGN_OR_RETURN(
-        int id,
-        store.Append(snapshot->db_->object(static_cast<int>(i)).vector_set));
-    if (id != static_cast<int>(i)) {
-      return Status::Internal("store id drifted from database id");
-    }
+  for (int id : owned_engine->centroid_index().LeafOrder()) {
+    VSIM_RETURN_NOT_OK(store.Append(id, snapshot->db_->object(id).vector_set));
   }
   VSIM_RETURN_NOT_OK(store.Flush());
   snapshot->owned_store_ = std::make_unique<VectorSetStore>(std::move(store));
-
-  auto owned_engine = std::make_unique<QueryEngine>(snapshot->db_, params);
   owned_engine->AttachStore(snapshot->owned_store_.get());
   snapshot->engine_ = owned_engine.get();
   snapshot->owned_engine_ = std::move(owned_engine);

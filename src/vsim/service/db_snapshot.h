@@ -54,9 +54,11 @@ class DbSnapshot {
 
   // Owning constructor for disk-backed serving: like Create, but also
   // writes every object's vector set into a fresh VectorSetStore file
-  // at `store_path` (`pool_pages` frames of sharded buffer pool) and
-  // attaches it to the engine, so refinement fetches candidates through
-  // real page I/O instead of the flat per-candidate simulation. The
+  // at `store_path` (`pool_pages` frames of sharded buffer pool), in the
+  // centroid filter's X-tree leaf order so that one query's candidates
+  // share pages, and attaches it to the engine, so refinement fetches
+  // candidates through real page I/O instead of the flat per-candidate
+  // simulation. The
   // snapshot owns the store; it is serveable concurrently exactly like
   // a RAM-resident snapshot (the pool's fetch path is thread-safe).
   //

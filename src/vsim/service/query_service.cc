@@ -464,7 +464,6 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
     response.value().trace_hi = context.trace_hi;
     response.value().trace_lo = context.trace_lo;
     stats_.completed.fetch_add(1, std::memory_order_relaxed);
-    stats_.latency.Record(latency);
     trace.generation = r.generation;
     trace.cache_hit = r.cache_hit ? 1 : 0;
     trace.cpu_seconds = r.cost.cpu_seconds;

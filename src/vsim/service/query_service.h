@@ -234,7 +234,7 @@ class QueryService {
 
   int num_threads() const { return pool_.num_threads(); }
   ServiceStatsSnapshot Stats() const {
-    return stats_.Snapshot(cache_.stats());
+    return stats_.Snapshot(cache_.stats(), *latency_hist_);
   }
   const ResultCache& cache() const { return cache_; }
   void PrintStats(std::FILE* out = stdout) const {

@@ -1,6 +1,7 @@
-// Lock-free serving metrics: atomic request counters plus a fixed
-// geometric-bucket latency histogram (no allocation, no locks on the
-// record path), printable as a TablePrinter table.
+// Lock-free serving counters (no allocation, no locks on the record
+// path), printable together with the request-latency percentiles of the
+// metrics registry's vsim_request_latency_seconds histogram as a
+// TablePrinter table.
 #ifndef VSIM_SERVICE_SERVICE_STATS_H_
 #define VSIM_SERVICE_SERVICE_STATS_H_
 
@@ -14,11 +15,6 @@
 
 namespace vsim {
 
-// The latency histogram is the generalized obs::Histogram (geometric
-// buckets over seconds, lock-free record path); the alias keeps the
-// service-layer name that predates the observability module.
-using LatencyHistogram = obs::Histogram;
-
 struct ServiceStatsSnapshot {
   uint64_t submitted = 0;
   uint64_t completed = 0;
@@ -26,6 +22,8 @@ struct ServiceStatsSnapshot {
   uint64_t timed_out = 0;  // deadline passed before execution
   uint64_t failed = 0;     // invalid requests etc.
   uint64_t snapshot_swaps = 0;  // reindex publications (SwapSnapshot)
+  // Every request that reached a worker, failed and timed-out ones
+  // included (the registry histogram's population).
   double latency_mean_s = 0.0;
   double latency_p50_s = 0.0;
   double latency_p95_s = 0.0;
@@ -33,8 +31,8 @@ struct ServiceStatsSnapshot {
   ResultCacheStats cache;
 };
 
-// Thread-safety: every member is a relaxed atomic (or the lock-free
-// histogram above); any thread may record, any thread may snapshot.
+// Thread-safety: every member is a relaxed atomic; any thread may
+// record, any thread may snapshot.
 // Documented GUARDED_BY exclusion: there is no mutex here by design --
 // the record path must stay allocation- and lock-free -- so the
 // thread-safety analysis has nothing to check; std::atomic provides
@@ -47,9 +45,10 @@ class ServiceStats {
   std::atomic<uint64_t> timed_out{0};
   std::atomic<uint64_t> failed{0};
   std::atomic<uint64_t> snapshot_swaps{0};
-  LatencyHistogram latency;
 
-  ServiceStatsSnapshot Snapshot(const ResultCacheStats& cache) const {
+  // `latency` is the registry's request-latency histogram.
+  ServiceStatsSnapshot Snapshot(const ResultCacheStats& cache,
+                                const obs::Histogram& latency) const {
     ServiceStatsSnapshot s;
     s.submitted = submitted.load(std::memory_order_relaxed);
     s.completed = completed.load(std::memory_order_relaxed);

@@ -264,7 +264,7 @@ TEST(CachePoolConcurrentStoreTest, StoreGetIsConcurrentlySafe) {
       s.vectors.push_back(std::move(f));
     }
     originals.push_back(s);
-    ASSERT_TRUE(store->Append(s).ok());
+    ASSERT_TRUE(store->Append(i, s).ok());
   }
   ASSERT_TRUE(store->Flush().ok());
 

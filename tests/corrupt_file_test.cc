@@ -5,8 +5,11 @@
 // hangs, runaway allocations or out-of-bounds reads. Complements
 // parser_robustness_test.cc (random garbage): mutations of valid files
 // exercise the deep, past-the-magic parsing paths that garbage rarely
-// reaches. The whole file doubles as a regression corpus for the
-// UBSan/ASan stages of tools/check_static.sh.
+// reaches. Hand-built store files each break exactly one rule of the
+// store format (a duplicate, missing or out-of-range object id; the
+// layout written before records carried their ids) and must fail Open.
+// The whole file doubles as a regression corpus for the UBSan/ASan
+// stages of tools/check_static.sh.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include "vsim/data/dataset.h"
 #include "vsim/index/disk_xtree.h"
 #include "vsim/index/xtree.h"
+#include "vsim/storage/paged_file.h"
 #include "vsim/storage/vector_set_store.h"
 
 namespace vsim {
@@ -53,7 +57,7 @@ std::vector<char> MakeValidStoreFile(const std::string& path) {
       for (double& d : vec) d = rng.NextDouble();
       set.vectors.push_back(std::move(vec));
     }
-    EXPECT_TRUE(store->Append(set).ok());
+    EXPECT_TRUE(store->Append(i, set).ok());
   }
   EXPECT_TRUE(store->Flush().ok());
   return ReadFile(path);
@@ -67,6 +71,112 @@ void ExerciseStore(const std::string& path) {
   for (int id = 0; id < static_cast<int>(store->size()); ++id) {
     (void)store->Get(id);  // any status; must not crash
   }
+}
+
+void PutLE(std::vector<char>* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(v >> (8 * i)));
+  }
+}
+
+// One vector-set payload: [u16 n = 1][u16 dim = 6][6 doubles].
+std::vector<char> OneVectorPayload(double value) {
+  std::vector<char> payload;
+  PutLE(&payload, 1, 2);
+  PutLE(&payload, 6, 2);
+  for (int i = 0; i < 6; ++i) {
+    const char* bytes = reinterpret_cast<const char*>(&value);
+    payload.insert(payload.end(), bytes, bytes + sizeof(double));
+  }
+  return payload;
+}
+
+// Hand-builds a PagedFile whose data pages are `pages` (each padded to
+// the page size), bypassing VectorSetStore's writer and its checks.
+void WriteRawPages(const std::string& path,
+                   const std::vector<std::vector<char>>& pages) {
+  StatusOr<PagedFile> file = PagedFile::Create(path, 512);
+  ASSERT_TRUE(file.ok());
+  for (std::vector<char> page : pages) {
+    StatusOr<PageId> id = file->Allocate();
+    ASSERT_TRUE(id.ok());
+    page.resize(512, 0);
+    ASSERT_TRUE(file->Write(*id, page.data()).ok());
+  }
+  ASSERT_TRUE(file->Sync().ok());
+}
+
+// A store in the current layout: a header page ("VSSTOR01", u32 object
+// count) and one data page holding a record per entry of `ids`
+// ([u32 id][u16 payload bytes][payload]).
+void WriteRawStore(const std::string& path, uint32_t objects,
+                   const std::vector<uint32_t>& ids) {
+  std::vector<char> header = {'V', 'S', 'S', 'T', 'O', 'R', '0', '1'};
+  PutLE(&header, objects, 4);
+  std::vector<char> data;
+  PutLE(&data, ids.size(), 2);
+  for (uint32_t id : ids) {
+    const std::vector<char> payload = OneVectorPayload(id);
+    PutLE(&data, id, 4);
+    PutLE(&data, payload.size(), 2);
+    data.insert(data.end(), payload.begin(), payload.end());
+  }
+  WriteRawPages(path, {header, data});
+}
+
+TEST(CorruptFileTest, HandBuiltStoreOpensInItsRecordOrder) {
+  // The hand-built layout is the real one: the failure cases below
+  // differ from this file only in the field they name.
+  const std::string path = TempPath("raw_ok.vspg");
+  WriteRawStore(path, 3, {2, 0, 1});
+  StatusOr<VectorSetStore> store = VectorSetStore::Open(path, 4);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(store->page_order(), (std::vector<int>{2, 0, 1}));
+  for (int id = 0; id < 3; ++id) {
+    StatusOr<VectorSet> set = store->Get(id);
+    ASSERT_TRUE(set.ok());
+    EXPECT_EQ(set->vectors[0][0], static_cast<double>(id));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptFileTest, StoreWithDuplicateIdFailsToOpen) {
+  const std::string path = TempPath("raw_dup.vspg");
+  WriteRawStore(path, 3, {2, 0, 2});
+  EXPECT_FALSE(VectorSetStore::Open(path, 4).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CorruptFileTest, StoreWithMissingIdFailsToOpen) {
+  const std::string path = TempPath("raw_missing.vspg");
+  WriteRawStore(path, 3, {2, 0});
+  EXPECT_FALSE(VectorSetStore::Open(path, 4).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CorruptFileTest, StoreWithOutOfRangeIdFailsToOpen) {
+  const std::string path = TempPath("raw_range.vspg");
+  WriteRawStore(path, 3, {2, 0, 3});
+  EXPECT_FALSE(VectorSetStore::Open(path, 4).ok());
+  WriteRawStore(path, 3, {2, 0, 0xffffffffu});
+  EXPECT_FALSE(VectorSetStore::Open(path, 4).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CorruptFileTest, StoreWrittenBeforeRecordsCarriedIdsFailsToOpen) {
+  // The earlier layout: no store header page, data from page 1 on, each
+  // record [u16 payload bytes][payload] with the id implied by position.
+  const std::string path = TempPath("raw_old.vspg");
+  std::vector<char> data;
+  PutLE(&data, 3, 2);
+  for (int id = 0; id < 3; ++id) {
+    const std::vector<char> payload = OneVectorPayload(id);
+    PutLE(&data, payload.size(), 2);
+    data.insert(data.end(), payload.begin(), payload.end());
+  }
+  WriteRawPages(path, {data});
+  EXPECT_FALSE(VectorSetStore::Open(path, 4).ok());
+  std::remove(path.c_str());
 }
 
 TEST(CorruptFileTest, TruncatedStoreFilesFailCleanly) {
@@ -108,6 +218,30 @@ TEST(CorruptFileTest, BitFlippedStoreFilesFailCleanly) {
     WriteFile(path, mutated);
     ExerciseStore(path);
   }
+  // Targeted: every byte of every record's object id (data pages from
+  // page 2; records [u32 id][u16 payload bytes][payload]). A flipped id
+  // lands out of range or on another record's id.
+  size_t id_fields = 0;
+  for (size_t page_start = 2 * 512; page_start + 512 <= valid.size();
+       page_start += 512) {
+    const auto byte = [&](size_t at) {
+      return static_cast<size_t>(static_cast<unsigned char>(valid[at]));
+    };
+    const size_t records = byte(page_start) | byte(page_start + 1) << 8;
+    size_t offset = page_start + 2;
+    for (size_t r = 0; r < records; ++r, ++id_fields) {
+      for (size_t b = 0; b < 4; ++b) {
+        std::vector<char> mutated = valid;
+        mutated[offset + b] = static_cast<char>(mutated[offset + b] ^
+                                                (1 + rng.NextBounded(255)));
+        WriteFile(path, mutated);
+        EXPECT_FALSE(VectorSetStore::Open(path, 4).ok())
+            << "id byte " << b << " of the record at " << offset;
+      }
+      offset += 6 + (byte(offset + 4) | byte(offset + 5) << 8);
+    }
+  }
+  EXPECT_EQ(id_fields, 30u);
   std::remove(path.c_str());
 }
 

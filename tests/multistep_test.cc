@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 
 #include "vsim/common/rng.h"
 #include "vsim/distance/centroid_filter.h"
@@ -137,8 +139,9 @@ TEST(ScanBaselineTest, KnnAndRangeMatchReference) {
   World w = MakeWorld(300, 105);
   const auto exact = w.ExactFor(w.sets[3]);
   IoStats io;
-  const auto knn = ScanKnn(static_cast<int>(w.sets.size()), 7, 4096 * 10, 4096,
-                           exact, &io);
+  std::vector<int> order(w.sets.size());
+  std::iota(order.begin(), order.end(), 0);
+  const auto knn = ScanKnn(order, 7, 4096 * 10, 4096, exact, &io);
   EXPECT_EQ(knn.size(), 7u);
   EXPECT_EQ(io.page_accesses(), 10u);  // sequential pages charged once
   for (size_t i = 1; i < knn.size(); ++i) {
@@ -147,10 +150,38 @@ TEST(ScanBaselineTest, KnnAndRangeMatchReference) {
   EXPECT_EQ(knn[0].id, 3);  // self-distance zero
 
   IoStats io2;
-  const auto range = ScanRange(static_cast<int>(w.sets.size()), 0.5,
-                               4096 * 10, 4096, exact, &io2);
+  const auto range = ScanRange(order, 0.5, 4096 * 10, 4096, exact, &io2);
   for (int id : range) {
     EXPECT_LE(VectorSetDistance(w.sets[3], w.sets[id]), 0.5 + 1e-12);
+  }
+}
+
+TEST(ScanBaselineTest, VisitingOrderNeverReachesTheAnswer) {
+  // Coarsely quantized distances force many exact ties at the k
+  // boundary: the answer must still not depend on the order in which
+  // the scan visits the objects (a disk-backed scan visits them in the
+  // store's page order).
+  World w = MakeWorld(200, 107);
+  const auto exact = w.ExactFor(w.sets[5]);
+  const ExactDistanceFn tied = [&](int id, IoStats* stats) {
+    return std::floor(exact(id, stats) * 2.0) / 2.0;
+  };
+  std::vector<int> ids(w.sets.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  const auto knn = ScanKnn(ids, 9, 4096, 4096, tied);
+  const auto range = ScanRange(ids, 1.0, 4096, 4096, tied);
+  ASSERT_EQ(knn.size(), 9u);
+  // The premise: the 10th nearest ties with the 9th.
+  ASSERT_EQ(ScanKnn(ids, 10, 4096, 4096, tied)[9].distance, knn[8].distance);
+  ASSERT_TRUE(std::is_sorted(range.begin(), range.end()));
+  std::vector<int> order = ids;
+  Rng rng(108);
+  for (int round = 0; round < 5; ++round) {
+    for (size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.NextBounded(i + 1)]);
+    }
+    EXPECT_EQ(ScanKnn(order, 9, 4096, 4096, tied), knn);
+    EXPECT_EQ(ScanRange(order, 1.0, 4096, 4096, tied), range);
   }
 }
 

@@ -157,7 +157,8 @@ int main() {
   {
     vsim::StatusOr<vsim::VectorSetStore> store =
         vsim::VectorSetStore::Create(path);
-    Check(store.ok() && store->Append(a).ok() && store->Append(b).ok(),
+    Check(store.ok() && store->Append(0, a).ok() &&
+              store->Append(1, b).ok(),
           "store built");
     if (store.ok()) {
       std::vector<double> buffer;

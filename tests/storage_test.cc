@@ -251,9 +251,7 @@ TEST(VectorSetStoreTest, AppendGetRoundTrip) {
   std::vector<VectorSet> originals;
   for (int i = 0; i < 100; ++i) {
     originals.push_back(RandomSet(rng));
-    StatusOr<int> id = store->Append(originals.back());
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(*id, i);
+    ASSERT_TRUE(store->Append(i, originals.back()).ok());
   }
   EXPECT_EQ(store->size(), 100u);
   for (int i = 0; i < 100; ++i) {
@@ -276,7 +274,7 @@ TEST(VectorSetStoreTest, PersistsAcrossReopen) {
     ASSERT_TRUE(store.ok());
     for (int i = 0; i < 40; ++i) {
       originals.push_back(RandomSet(rng));
-      ASSERT_TRUE(store->Append(originals.back()).ok());
+      ASSERT_TRUE(store->Append(i, originals.back()).ok());
     }
     ASSERT_TRUE(store->Flush().ok());
   }
@@ -301,7 +299,7 @@ TEST(VectorSetStoreTest, CacheMissesChargedHitsFree) {
   ASSERT_TRUE(store.ok());
   Rng rng(11);
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(store->Append(RandomSet(rng)).ok());
+    ASSERT_TRUE(store->Append(i, RandomSet(rng)).ok());
   }
   // Repeatedly fetch the same object: only the first access misses.
   IoStats stats;
@@ -322,9 +320,18 @@ TEST(VectorSetStoreTest, RejectsOversizedRecordAndBadIds) {
   for (int i = 0; i < 20; ++i) {
     huge.vectors.push_back(FeatureVector(6, 1.0));
   }
-  EXPECT_FALSE(store->Append(huge).ok());  // 20*48+4 > 256-4
+  EXPECT_FALSE(store->Append(0, huge).ok());  // 20*48+10 > 256-2
   EXPECT_FALSE(store->Get(0).ok());
   EXPECT_FALSE(store->Get(-1).ok());
+  VectorSet small;
+  small.vectors.push_back(FeatureVector(6, 1.0));
+  EXPECT_FALSE(store->Append(-1, small).ok());
+  ASSERT_TRUE(store->Append(1, small).ok());
+  EXPECT_FALSE(store->Append(1, small).ok());  // already stored
+  EXPECT_FALSE(store->Get(0).ok());            // not stored (yet)
+  EXPECT_FALSE(store->Flush().ok());           // id 0 is missing
+  ASSERT_TRUE(store->Append(0, small).ok());
+  EXPECT_TRUE(store->Flush().ok());
   std::remove(path.c_str());
 }
 
@@ -333,11 +340,37 @@ TEST(VectorSetStoreTest, EmptySetRoundTrips) {
   StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 512, 2);
   ASSERT_TRUE(store.ok());
   VectorSet empty;
-  StatusOr<int> id = store->Append(empty);
-  ASSERT_TRUE(id.ok());
-  StatusOr<VectorSet> got = store->Get(*id);
+  ASSERT_TRUE(store->Append(0, empty).ok());
+  StatusOr<VectorSet> got = store->Get(0);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->empty());
+  std::remove(path.c_str());
+}
+
+TEST(VectorSetStoreTest, RecordsInAnyOrderStayAddressedById) {
+  const std::string path = TempPath("store6.vspg");
+  Rng rng(13);
+  std::vector<VectorSet> originals;
+  for (int i = 0; i < 50; ++i) originals.push_back(RandomSet(rng));
+  // A permutation of the ids: records are laid out in this order.
+  std::vector<int> order;
+  for (int i = 0; i < 50; ++i) order.push_back((i * 17) % 50);
+  {
+    StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 512, 4);
+    ASSERT_TRUE(store.ok());
+    for (int id : order) ASSERT_TRUE(store->Append(id, originals[id]).ok());
+    EXPECT_EQ(store->page_order(), order);
+    ASSERT_TRUE(store->Flush().ok());
+  }
+  StatusOr<VectorSetStore> reopened = VectorSetStore::Open(path, 4);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->page_order(), order);
+  ASSERT_EQ(reopened->size(), 50u);
+  for (int id = 0; id < 50; ++id) {
+    StatusOr<VectorSet> got = reopened->Get(id);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->vectors, originals[id].vectors) << id;
+  }
   std::remove(path.c_str());
 }
 

@@ -14,9 +14,11 @@
 # the cross-layer trace-propagation pipeline, IoStats counters), the
 # pruned refinement path (flat matching core, multi-step prune, M-tree
 # duplicate splits, engine-vs-plain equivalence on RAM and disk
-# snapshots), and the concurrent storage stack (sharded
-# buffer pool stress/tiering, SharedMutex, PagedFile positioned I/O,
-# disk-backed serving end-to-end). Any data race aborts with a non-zero
+# snapshots, the leaf-order store layout and the page-order scan), and
+# the concurrent storage stack (sharded buffer pool stress/tiering,
+# SharedMutex, PagedFile positioned I/O, the vector-set store's
+# id-carrying records and their corrupt-file cases, disk-backed serving
+# end-to-end). Any data race aborts with a non-zero
 # exit.
 #
 # Usage: tools/check_tsan.sh [build-dir]
@@ -43,6 +45,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target vsim_tests
 # edges and reports the reversal as an inversion.
 TSAN_OPTIONS="halt_on_error=1:detect_deadlocks=1:second_deadlock_stack=1" \
     "$BUILD_DIR/tests/vsim_tests" \
-    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:Sketch*:MultiStepPrune*:FlatMatching*:MTreeDuplicates*:RefinementEquivalence*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
+    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:Sketch*:MultiStepPrune*:FlatMatching*:MTreeDuplicates*:RefinementEquivalence*:ScanBaseline*:VectorSetStore*:CorruptFile*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
 
 echo "TSan: service stress + snapshot-swap + net server + observability + storage stack + deadlock-detector suites clean"

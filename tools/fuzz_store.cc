@@ -1,14 +1,17 @@
 // libFuzzer harness for the disk store open path: PagedFile header
-// validation, the VectorSetStore directory-rebuild scan (page/record
-// headers) and vector-set record deserialization
+// validation, the VectorSetStore store-header check and id-directory
+// rebuild scan (page/record headers, each object id exactly once) and
+// vector-set record deserialization
 // (src/vsim/storage/vector_set_store.cc).
 //
 // The contract under attack mirrors the VSNP codec harness
-// (tools/fuzz_vsnp.cc): an arbitrary .vsimdb byte string must produce
-// a clean Status error or a well-formed store -- never a crash, hang,
-// out-of-bounds page read or runaway allocation. This is exactly the
-// surface a hostile or corrupted database file hits at `vsim serve
-// --store` startup.
+// (tools/fuzz_vsnp.cc): an arbitrary .vspg byte string must produce a
+// clean Status error or a well-formed store -- never a crash, hang,
+// out-of-bounds page read or runaway allocation. This is the surface a
+// hostile or corrupted store file hits in VectorSetStore::Open. (`vsim
+// serve --store` does not open an existing store: it writes a fresh one
+// through DbSnapshot::CreateDiskBacked.) The deterministic corrupt-file
+// cases for the same parser live in tests/corrupt_file_test.cc.
 //
 // The harness materializes the input as a store file (the storage
 // stack's parsers read through PagedFile, which wants a real fd),
@@ -39,7 +42,7 @@ namespace {
 // loop, and -jobs=N forks separate processes.
 const std::string& ScratchPath() {
   static const std::string* path = new std::string(
-      "/tmp/vsim_fuzz_store_" + std::to_string(getpid()) + ".vsimdb");
+      "/tmp/vsim_fuzz_store_" + std::to_string(getpid()) + ".vspg");
   return *path;
 }
 

@@ -873,8 +873,9 @@ int CmdServe(const Flags& flags) {
   sopts.slow_trace_seconds = slow_query_ms * 1e-3;
 
   // --store: serve disk-backed. The database's vector sets are written
-  // into a VectorSetStore file and every refinement fetch goes through
-  // the sharded buffer pool (vsim_cache_pool_* series appear in the
+  // into a fresh VectorSetStore file, in the centroid filter's X-tree
+  // leaf order, and every refinement fetch goes through the sharded
+  // buffer pool (vsim_cache_pool_* series appear in the
   // stats exposition). Concurrency-safe: the pool serves all worker
   // threads at once.
   std::shared_ptr<const DbSnapshot> snapshot;
