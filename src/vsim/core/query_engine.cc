@@ -10,7 +10,6 @@
 #include "vsim/distance/centroid_filter.h"
 #include "vsim/distance/min_matching.h"
 #include "vsim/features/orientation.h"
-#include "vsim/kernels/kernels.h"
 
 namespace vsim {
 
@@ -42,8 +41,7 @@ void FinishStageAttribution(QueryStrategy strategy, double elapsed,
 }
 
 // The one refinement closure behind every vector-set strategy that
-// refines through the engine (filter, approximate filter, scan,
-// VA-file). It flattens the query once, decodes each candidate into a
+// refines through the engine (filter, scan, VA-file). It flattens the query once, decodes each candidate into a
 // reused flat buffer -- from the store through the buffer pool when one
 // is attached, else from the RAM-resident set -- and computes the
 // minimal matching distance with the row-minimum prune, so refinement
@@ -154,8 +152,6 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
   std::vector<int> ids;
   centroids.reserve(db_->size());
   cover_vectors.reserve(db_->size());
-  centroid_block_.reserve(db_->size() * static_cast<size_t>(dim));
-  sketches_.reserve(db_->size());
   for (int id = 0; id < static_cast<int>(db_->size()); ++id) {
     const ObjectRepr& repr = db_->object(id);
     centroids.push_back(repr.centroid);
@@ -163,11 +159,6 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
     ids.push_back(id);
     mtree_->Insert(repr.vector_set, id);
     scan_bytes_ += repr.VectorSetBytes();
-    // Approximate pre-filter state: the contiguous centroid block for
-    // the batched distance kernel, and one sketch per stored set.
-    centroid_block_.insert(centroid_block_.end(), repr.centroid.begin(),
-                           repr.centroid.end());
-    sketches_.push_back(kernels::SketchVectorSet(repr.vector_set));
   }
   Status st = centroid_index_->BulkLoad(centroids, ids);
   assert(st.ok());
@@ -195,44 +186,14 @@ void QueryEngine::AttachStore(const VectorSetStore* store) {
   }
 }
 
-std::vector<BoundedCandidate> QueryEngine::ApproxFilterCandidates(
-    const ObjectRepr& query, int approx_level, size_t* examined) const {
-  const size_t n = db_->size();
-  const size_t dim = query.centroid.size();
-  const kernels::SetSketch query_sketch =
-      kernels::SketchVectorSet(query.vector_set);
-  const int threshold = kernels::SketchOverlapThreshold(approx_level);
-  // One batched kernel call bounds every stored set; the block scan is
-  // RAM-resident snapshot state, so no index I/O is charged -- that is
-  // the stage's latency win under the paper's cost model.
-  std::vector<double> bounds(n);
-  kernels::Active().centroid_distance_batch(
-      query.centroid.data(), centroid_block_.data(), n, dim, bounds.data());
-  std::vector<BoundedCandidate> candidates;
-  candidates.reserve(n);
-  const double scale = static_cast<double>(num_covers_);
-  for (size_t id = 0; id < n; ++id) {
-    // Empty signatures (empty sets) carry no evidence: never pruned.
-    if (!query_sketch.empty() && !sketches_[id].empty() &&
-        kernels::SketchOverlap(query_sketch, sketches_[id]) < threshold) {
-      continue;
-    }
-    candidates.push_back({static_cast<int>(id), bounds[id] * scale});
-  }
-  *examined = n;
-  return candidates;
-}
-
 std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy, int query_id,
-                                       int k, QueryCost* cost,
-                                       int approx_level) const {
-  return Knn(strategy, db_->object(query_id), k, cost, approx_level);
+                                       int k, QueryCost* cost) const {
+  return Knn(strategy, db_->object(query_id), k, cost);
 }
 
 std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
                                        const ObjectRepr& query, int k,
-                                       QueryCost* cost,
-                                       int approx_level) const {
+                                       QueryCost* cost) const {
   QueryCost local;
   Stopwatch watch;
   std::vector<Neighbor> result;
@@ -245,22 +206,9 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
     }
     case QueryStrategy::kVectorSetFilter: {
       MultiStepStats ms;
-      if (approx_level > 0) {
-        size_t examined = 0;
-        std::vector<BoundedCandidate> candidates =
-            ApproxFilterCandidates(query, approx_level, &examined);
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const BoundedCandidate& a, const BoundedCandidate& b) {
-                    return a.bound < b.bound;
-                  });
-        result = SortedBoundKnn(candidates, k, refine, &local.io, &ms);
-        local.approx_pruned = examined;
-      } else {
-        result = MultiStepKnn(*centroid_index_, query.centroid,
-                              static_cast<double>(num_covers_), k, refine,
-                              &local.io, &ms);
-        local.approx_pruned = ms.filter_hits;
-      }
+      result = MultiStepKnn(*centroid_index_, query.centroid,
+                            static_cast<double>(num_covers_), k, refine,
+                            &local.io, &ms);
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
       local.hungarian_invocations = ms.hungarian_invocations;
@@ -293,10 +241,6 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       local.hungarian_invocations = refined;
       break;
     }
-  }
-  if (strategy != QueryStrategy::kVectorSetFilter) {
-    // No approx stage on this strategy: degenerate invariant chain.
-    local.approx_pruned = local.filter_hits;
   }
   if (!refiner.status().ok()) {
     local.status = refiner.status();
@@ -332,8 +276,7 @@ std::vector<std::vector<Neighbor>> QueryEngine::KnnJoin(
 std::vector<Neighbor> QueryEngine::InvariantKnn(QueryStrategy strategy,
                                                 const ObjectRepr& query,
                                                 int k, bool with_reflections,
-                                                QueryCost* cost,
-                                                int approx_level) const {
+                                                QueryCost* cost) const {
   QueryCost total;
   const std::vector<Mat3>& group =
       with_reflections ? CubeRotationsWithReflections() : CubeRotations();
@@ -343,8 +286,7 @@ std::vector<Neighbor> QueryEngine::InvariantKnn(QueryStrategy strategy,
     oriented.vector_set = TransformVectorSet(query.vector_set, m);
     oriented.centroid = ExtendedCentroid(oriented.vector_set, num_covers_);
     QueryCost one;
-    const std::vector<Neighbor> hits =
-        Knn(strategy, oriented, k, &one, approx_level);
+    const std::vector<Neighbor> hits = Knn(strategy, oriented, k, &one);
     total += one;
     for (const Neighbor& n : hits) {
       auto [it, inserted] = best_by_object.emplace(n.id, n.distance);
@@ -368,8 +310,7 @@ std::vector<int> QueryEngine::InvariantRange(QueryStrategy strategy,
                                              const ObjectRepr& query,
                                              double eps,
                                              bool with_reflections,
-                                             QueryCost* cost,
-                                             int approx_level) const {
+                                             QueryCost* cost) const {
   QueryCost total;
   const std::vector<Mat3>& group =
       with_reflections ? CubeRotationsWithReflections() : CubeRotations();
@@ -379,8 +320,7 @@ std::vector<int> QueryEngine::InvariantRange(QueryStrategy strategy,
     oriented.vector_set = TransformVectorSet(query.vector_set, m);
     oriented.centroid = ExtendedCentroid(oriented.vector_set, num_covers_);
     QueryCost one;
-    const std::vector<int> hits =
-        Range(strategy, oriented, eps, &one, approx_level);
+    const std::vector<int> hits = Range(strategy, oriented, eps, &one);
     total += one;
     merged.insert(merged.end(), hits.begin(), hits.end());
   }
@@ -393,8 +333,7 @@ std::vector<int> QueryEngine::InvariantRange(QueryStrategy strategy,
 
 std::vector<int> QueryEngine::Range(QueryStrategy strategy,
                                     const ObjectRepr& query, double eps,
-                                    QueryCost* cost,
-                                    int approx_level) const {
+                                    QueryCost* cost) const {
   QueryCost local;
   Stopwatch watch;
   std::vector<int> result;
@@ -403,18 +342,9 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
   switch (strategy) {
     case QueryStrategy::kVectorSetFilter: {
       MultiStepStats ms;
-      if (approx_level > 0) {
-        size_t examined = 0;
-        const std::vector<BoundedCandidate> candidates =
-            ApproxFilterCandidates(query, approx_level, &examined);
-        result = BoundedRange(candidates, eps, refine, &local.io, &ms);
-        local.approx_pruned = examined;
-      } else {
-        result = MultiStepRange(*centroid_index_, query.centroid,
-                                static_cast<double>(num_covers_), eps, refine,
-                                &local.io, &ms);
-        local.approx_pruned = ms.filter_hits;
-      }
+      result = MultiStepRange(*centroid_index_, query.centroid,
+                              static_cast<double>(num_covers_), eps, refine,
+                              &local.io, &ms);
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
       local.hungarian_invocations = ms.hungarian_invocations;
@@ -452,10 +382,6 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       local.hungarian_invocations = refined;
       break;
     }
-  }
-  if (strategy != QueryStrategy::kVectorSetFilter) {
-    // No approx stage on this strategy: degenerate invariant chain.
-    local.approx_pruned = local.filter_hits;
   }
   if (!refiner.status().ok()) {
     local.status = refiner.status();

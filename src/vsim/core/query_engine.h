@@ -38,7 +38,6 @@
 #include "vsim/index/multistep.h"
 #include "vsim/index/vafile.h"
 #include "vsim/index/xtree.h"
-#include "vsim/kernels/sketch.h"
 #include "vsim/storage/vector_set_store.h"
 
 namespace vsim {
@@ -76,15 +75,6 @@ struct QueryCost {
   double filter_seconds = 0.0;
   double refine_seconds = 0.0;
 
-  // Candidates examined by the approximate sketch pre-filter stage
-  // (src/vsim/kernels/sketch.h): every one of them was subject to
-  // pruning, and filter_hits counts the survivors the exact Lemma-2
-  // filter then saw -- extending the invariant chain to
-  // approx_pruned >= filter_hits >= candidates_refined >= k. When the
-  // stage is off (approx level 0, or a strategy without the stage) it
-  // degenerates to filter_hits, keeping the chain intact.
-  size_t approx_pruned = 0;
-
   // Non-OK when a disk-backed store read failed during refinement; the
   // query's answer is then empty (never a partial one).
   Status status;
@@ -103,7 +93,6 @@ struct QueryCost {
     hungarian_invocations += o.hungarian_invocations;
     filter_seconds += o.filter_seconds;
     refine_seconds += o.refine_seconds;
-    approx_pruned += o.approx_pruned;
     if (status.ok()) status = o.status;
     return *this;
   }
@@ -118,27 +107,16 @@ class QueryEngine {
   // k-NN query with a stored object as the query (the paper queries
   // with 100 random database objects). With a store attached, a failed
   // candidate read yields an empty result and cost->status says why.
-  //
-  // `approx_level` (0 = exact .. kernels::kMaxApproxLevel) switches the
-  // kVectorSetFilter strategy onto the approximate pipeline: a sketch
-  // overlap prune over the per-set signatures built at construction,
-  // then batched centroid bounds over the contiguous centroid block,
-  // then the same optimal multi-step refinement. Results may miss true
-  // neighbors (the measured recall/latency trade, BENCH_kernels.json);
-  // other strategies ignore the knob.
   std::vector<Neighbor> Knn(QueryStrategy strategy, int query_id, int k,
-                            QueryCost* cost = nullptr,
-                            int approx_level = 0) const;
+                            QueryCost* cost = nullptr) const;
 
   // k-NN with an external query object.
   std::vector<Neighbor> Knn(QueryStrategy strategy, const ObjectRepr& query,
-                            int k, QueryCost* cost = nullptr,
-                            int approx_level = 0) const;
+                            int k, QueryCost* cost = nullptr) const;
 
   // eps-range query on the vector set model (filter+refine vs scan).
   std::vector<int> Range(QueryStrategy strategy, const ObjectRepr& query,
-                         double eps, QueryCost* cost = nullptr,
-                         int approx_level = 0) const;
+                         double eps, QueryCost* cost = nullptr) const;
 
   // k-NN join: for every stored object, its k nearest neighbors
   // (excluding itself). The workhorse behind similarity-graph
@@ -156,8 +134,7 @@ class QueryEngine {
   std::vector<Neighbor> InvariantKnn(QueryStrategy strategy,
                                      const ObjectRepr& query, int k,
                                      bool with_reflections,
-                                     QueryCost* cost = nullptr,
-                                     int approx_level = 0) const;
+                                     QueryCost* cost = nullptr) const;
 
   // Invariant eps-range query: objects whose Definition-2 invariant
   // distance to the query is <= eps (union of the per-orientation
@@ -165,8 +142,7 @@ class QueryEngine {
   std::vector<int> InvariantRange(QueryStrategy strategy,
                                   const ObjectRepr& query, double eps,
                                   bool with_reflections,
-                                  QueryCost* cost = nullptr,
-                                  int approx_level = 0) const;
+                                  QueryCost* cost = nullptr) const;
 
   const XTree& centroid_index() const { return *centroid_index_; }
   const XTree& one_vector_index() const { return *one_vector_index_; }
@@ -181,23 +157,12 @@ class QueryEngine {
   void AttachStore(const VectorSetStore* store);
 
  private:
-  // The approximate pre-filter: prunes by sketch overlap, bounds the
-  // survivors with one batched centroid-kernel call over the contiguous
-  // block, and reports how many candidates the stage examined.
-  std::vector<BoundedCandidate> ApproxFilterCandidates(
-      const ObjectRepr& query, int approx_level, size_t* examined) const;
-
   const CadDatabase* db_;
   IoCostParams params_;
   int num_covers_;
   size_t scan_bytes_ = 0;  // total size of the vector-set file
   std::unique_ptr<XTree> centroid_index_;    // 6-d extended centroids
   std::unique_ptr<XTree> one_vector_index_;  // 6k-d cover vectors
-  // Approximate pre-filter state (docs/KERNELS.md): the stored extended
-  // centroids flattened into one contiguous row-major block for the
-  // batched distance kernel, and one winner-take-all sketch per set.
-  std::vector<double> centroid_block_;
-  std::vector<kernels::SetSketch> sketches_;
   std::unique_ptr<MTree<VectorSet>> mtree_;
   std::unique_ptr<VaFile> centroid_vafile_;  // quantized centroid filter
   const VectorSetStore* store_ = nullptr;    // optional disk-backed fetches

@@ -19,10 +19,8 @@ namespace vsim {
 // `omega` means the origin. |X| must be <= k.
 //
 // The filter (lower-bound) distance itself -- k * ||ca - cb||_2 over
-// extended centroids -- lives in the kernel API:
-// kernels::CentroidFilterBound for one pair, the batched
-// centroid_distance_batch kernel for candidate blocks (docs/KERNELS.md
-// -- the old free-standing CentroidFilterDistance helper is gone).
+// extended centroids -- is kernels::CentroidFilterBound for one pair;
+// the filter step ranks candidates through the centroid X-tree.
 FeatureVector ExtendedCentroid(const VectorSet& set, int k,
                                const FeatureVector& omega = {});
 

@@ -20,27 +20,38 @@ Refinement Refine(const RefineFn& refine, int id, double prune_above,
   return r;
 }
 
-// The optimal multi-step k-NN loop (Seidl & Kriegel) behind both k-NN
-// entry points. `source` yields candidates in ascending lower-bound
-// order: HasNext(), NextBound() (the next candidate's bound, already
-// scaled) and Take() (its id).
-template <typename Source>
-std::vector<Neighbor> OptimalKnn(Source& source, int k, const RefineFn& refine,
-                                 IoStats* stats, MultiStepStats* msstats) {
+RefineFn NeverPrune(const ExactDistanceFn& exact_distance) {
+  return [&exact_distance](int id, double, IoStats* stats) {
+    return Refinement{exact_distance(id, stats), true};
+  };
+}
+
+}  // namespace
+
+// The optimal multi-step k-NN loop (Seidl & Kriegel): the ranking
+// cursor yields candidates in ascending filter distance, and the loop
+// stops as soon as the next scaled filter distance exceeds the current
+// k-th exact distance.
+std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
+                                   const FeatureVector& filter_query,
+                                   double filter_scale, int k,
+                                   const RefineFn& refine, IoStats* stats,
+                                   MultiStepStats* msstats) {
+  XTree::RankingCursor cursor = filter_index.Rank(filter_query, stats);
   // Max-heap of the k best exact distances seen so far.
   std::vector<Neighbor> best;  // kept heapified, largest distance on top
   auto cmp = [](const Neighbor& a, const Neighbor& b) {
     return a.distance < b.distance;
   };
   MultiStepStats local;
-  while (k > 0 && source.HasNext()) {
+  while (k > 0 && cursor.HasNext()) {
     const bool full = static_cast<int>(best.size()) == k;
     const double threshold =
         full ? best.front().distance : std::numeric_limits<double>::infinity();
-    if (source.NextBound() > threshold) {
+    if (cursor.NextDistance() * filter_scale > threshold) {
       break;  // optimal stopping condition (Seidl & Kriegel)
     }
-    const int id = source.Take();
+    const int id = cursor.Next().id;
     ++local.filter_hits;
     const Refinement r = Refine(refine, id, threshold, stats, &local);
     if (!full) {
@@ -57,29 +68,6 @@ std::vector<Neighbor> OptimalKnn(Source& source, int k, const RefineFn& refine,
   return best;
 }
 
-RefineFn NeverPrune(const ExactDistanceFn& exact_distance) {
-  return [&exact_distance](int id, double, IoStats* stats) {
-    return Refinement{exact_distance(id, stats), true};
-  };
-}
-
-}  // namespace
-
-std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
-                                   const FeatureVector& filter_query,
-                                   double filter_scale, int k,
-                                   const RefineFn& refine, IoStats* stats,
-                                   MultiStepStats* msstats) {
-  struct RankingSource {
-    XTree::RankingCursor cursor;
-    double scale;
-    bool HasNext() { return cursor.HasNext(); }
-    double NextBound() { return cursor.NextDistance() * scale; }
-    int Take() { return cursor.Next().id; }
-  } source{filter_index.Rank(filter_query, stats), filter_scale};
-  return OptimalKnn(source, k, refine, stats, msstats);
-}
-
 std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
                                    const FeatureVector& filter_query,
                                    double filter_scale, int k,
@@ -87,19 +75,6 @@ std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
                                    IoStats* stats, MultiStepStats* msstats) {
   return MultiStepKnn(filter_index, filter_query, filter_scale, k,
                       NeverPrune(exact_distance), stats, msstats);
-}
-
-std::vector<Neighbor> SortedBoundKnn(
-    const std::vector<BoundedCandidate>& candidates, int k,
-    const RefineFn& refine, IoStats* stats, MultiStepStats* msstats) {
-  struct SortedSource {
-    const std::vector<BoundedCandidate>& candidates;
-    size_t next = 0;
-    bool HasNext() const { return next < candidates.size(); }
-    double NextBound() const { return candidates[next].bound; }
-    int Take() { return candidates[next++].id; }
-  } source{candidates};
-  return OptimalKnn(source, k, refine, stats, msstats);
 }
 
 std::vector<int> MultiStepRange(const XTree& filter_index,
@@ -130,22 +105,6 @@ std::vector<int> MultiStepRange(const XTree& filter_index,
                         NeverPrune(exact_distance), stats, msstats);
 }
 
-std::vector<int> BoundedRange(const std::vector<BoundedCandidate>& candidates,
-                              double eps, const RefineFn& refine,
-                              IoStats* stats, MultiStepStats* msstats) {
-  MultiStepStats local;
-  std::vector<int> result;
-  for (const BoundedCandidate& candidate : candidates) {
-    if (candidate.bound > eps) continue;
-    ++local.filter_hits;
-    if (Refine(refine, candidate.id, eps, stats, &local).distance <= eps) {
-      result.push_back(candidate.id);
-    }
-  }
-  if (msstats != nullptr) *msstats = local;
-  return result;
-}
-
 namespace {
 
 void ChargeSequentialScan(size_t scan_bytes, size_t page_size,
@@ -161,6 +120,7 @@ std::vector<Neighbor> ScanKnn(const std::vector<int>& order, int k,
                               size_t scan_bytes, size_t page_size,
                               const ExactDistanceFn& exact_distance,
                               IoStats* stats) {
+  if (k <= 0) return {};
   ChargeSequentialScan(scan_bytes, page_size, stats);
   const int count = static_cast<int>(order.size());
   std::vector<Neighbor> all(count);

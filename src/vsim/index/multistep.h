@@ -90,38 +90,14 @@ std::vector<int> MultiStepRange(const XTree& filter_index,
                                 IoStats* stats = nullptr,
                                 MultiStepStats* msstats = nullptr);
 
-// A candidate with a precomputed lower bound on its exact distance
-// (already scaled: `bound` <= exact distance). The approximate
-// pre-filter pipeline produces these from the batched centroid kernel
-// after the sketch prune (src/vsim/kernels/, docs/KERNELS.md).
-struct BoundedCandidate {
-  int id;
-  double bound;
-};
-
-// Optimal multi-step k-NN over candidates whose lower bounds are
-// already computed and sorted ascending by `bound`. Same stopping rule
-// as MultiStepKnn, with the bound list standing in for the X-tree
-// ranking cursor. filter_hits counts candidates popped before the stop.
-std::vector<Neighbor> SortedBoundKnn(
-    const std::vector<BoundedCandidate>& candidates, int k,
-    const RefineFn& refine, IoStats* stats = nullptr,
-    MultiStepStats* msstats = nullptr);
-
-// Range counterpart: refine every candidate whose lower bound is
-// <= eps (candidates need not be sorted).
-std::vector<int> BoundedRange(const std::vector<BoundedCandidate>& candidates,
-                              double eps, const RefineFn& refine,
-                              IoStats* stats = nullptr,
-                              MultiStepStats* msstats = nullptr);
-
 // Baselines: sequential scan over the objects 0..n-1, visited in
 // `order` (a permutation of them: the file's record order, so that a
 // disk-backed scan reads each page once). The answer is assembled in
 // id order whatever the visiting order, so it never depends on the
 // layout -- not even among exact distance ties at the k boundary.
 // `scan_bytes` is the total size of the scanned file; its pages are
-// charged once per query (sequential read).
+// charged once per query (sequential read). k <= 0 yields an empty
+// answer, as in MultiStepKnn.
 std::vector<Neighbor> ScanKnn(const std::vector<int>& order, int k,
                               size_t scan_bytes, size_t page_size,
                               const ExactDistanceFn& exact_distance,

@@ -128,6 +128,10 @@ std::vector<Neighbor> VaFile::MultiStepKnn(const FeatureVector& query,
                                            const ExactDistanceFn& exact,
                                            IoStats* stats,
                                            size_t* refined) const {
+  if (k <= 0) {
+    if (refined != nullptr) *refined = 0;
+    return {};
+  }
   ChargeApproximationScan(stats);
   std::vector<VaCandidate> candidates(ids_.size());
   for (size_t i = 0; i < ids_.size(); ++i) {

@@ -52,7 +52,7 @@ class VaFile {
   // minimal matching distance with the stored points being extended
   // centroids): `filter_scale` * (Euclidean lower bound from the
   // approximation) must lower-bound `exact_distance`. Optimal stopping
-  // as in Seidl & Kriegel.
+  // as in Seidl & Kriegel; k <= 0 yields an empty answer.
   std::vector<Neighbor> MultiStepKnn(const FeatureVector& query,
                                      double filter_scale, int k,
                                      const ExactDistanceFn& exact_distance,

@@ -1,9 +1,10 @@
 // Kernel dispatch: resolve the fastest implementation the CPU can
 // execute once, allow tests/operators to pin a variant, and provide
-// the batch-of-one convenience bound.
+// the single-pair centroid filter bound.
 #include "vsim/kernels/kernels.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -15,19 +16,16 @@ namespace {
 
 constexpr KernelSet kScalar = {
     "scalar",
-    &internal::CentroidDistanceBatchScalar,
     &internal::CostMatrixBuildScalar,
 };
 
 constexpr KernelSet kPortable = {
     "portable",
-    &internal::CentroidDistanceBatchPortable,
     &internal::CostMatrixBuildPortable,
 };
 
 constexpr KernelSet kAvx2 = {
     "avx2",
-    &internal::CentroidDistanceBatchAvx2,
     &internal::CostMatrixBuildAvx2,
 };
 
@@ -73,10 +71,12 @@ const KernelSet& Active() {
 double CentroidFilterBound(const FeatureVector& ca, const FeatureVector& cb,
                            double k) {
   assert(ca.size() == cb.size());
-  double distance = 0.0;
-  Active().centroid_distance_batch(ca.data(), cb.data(), 1, ca.size(),
-                                   &distance);
-  return k * distance;
+  double acc = 0.0;
+  for (size_t d = 0; d < ca.size(); ++d) {
+    const double diff = ca[d] - cb[d];
+    acc += diff * diff;
+  }
+  return k * std::sqrt(acc);
 }
 
 }  // namespace vsim::kernels

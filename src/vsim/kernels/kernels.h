@@ -1,11 +1,10 @@
 // Batched distance kernels behind one dispatching API (docs/KERNELS.md).
 //
-// Every hot distance loop in the tree -- the 6-d centroid bounds of the
-// Lemma-2 filter step and the ground-distance block of the minimal
-// matching cost matrix -- goes through a `KernelSet`: a table of
-// function pointers resolved once at startup. Three implementations
-// ship in separate translation units so each can carry its own
-// optimization flags:
+// The hot distance loop of refinement -- the ground-distance block of
+// the minimal matching cost matrix -- goes through a `KernelSet`: a
+// table of function pointers resolved once at startup. Three
+// implementations ship in separate translation units so each can carry
+// its own optimization flags:
 //
 //   scalar    the semantics-defining reference. Compiled with
 //             auto-vectorization disabled, so "scalar vs SIMD" in the
@@ -43,16 +42,6 @@ enum class GroundKind {
   kManhattan,         // L1
 };
 
-// One query vector against `count` candidate vectors stored as a
-// contiguous row-major block (candidate i occupies
-// candidates[i*dim .. i*dim+dim)). Writes the Euclidean distance of
-// each candidate to out[i]. This is the filter-step shape: one query
-// centroid against a block of stored extended centroids.
-using CentroidDistanceBatchFn = void (*)(const double* query,
-                                         const double* candidates,
-                                         size_t count, size_t dim,
-                                         double* out);
-
 // The full refinement cost block: all pairwise ground distances between
 // the m row vectors of `a` and the n column vectors of `b` (both
 // contiguous row-major, dim doubles per vector) in one call.
@@ -66,7 +55,6 @@ using CostMatrixBuildFn = void (*)(GroundKind ground, const double* a,
 
 struct KernelSet {
   const char* name;  // "scalar" | "portable" | "avx2"
-  CentroidDistanceBatchFn centroid_distance_batch;
   CostMatrixBuildFn cost_matrix_build;
 };
 
@@ -93,10 +81,10 @@ const KernelSet* ByName(const char* name);
 // BestAvailable().
 const KernelSet& Active();
 
-// Lemma-2 filter bound for a single centroid pair: k * ||ca - cb||_2.
-// The batch-of-one convenience that replaced the old free-standing
-// CentroidFilterDistance helper; cold paths and tests use it, hot
-// paths batch.
+// Lemma-2 filter bound for a single centroid pair: k * ||ca - cb||_2,
+// summed in dimension order like the scalar reference. Cold paths and
+// tests use it; the filter step itself ranks candidates through the
+// centroid X-tree (XTree::MinDistToBox), not through this helper.
 double CentroidFilterBound(const FeatureVector& ca, const FeatureVector& cb,
                            double k);
 

@@ -13,10 +13,6 @@
 //                against four contiguous columns -- 4 ground distances
 //                per dim-length FMA chain, no horizontal reductions in
 //                the inner loop.
-//   centroid     the paper's 6-d case is specialized: two candidates
-//                span exactly three 256-bit lanes, and one hadd yields
-//                both distances for a single paired sqrt. Other dims
-//                take the portable path.
 #include <cmath>
 
 #include "vsim/kernels/kernels_internal.h"
@@ -42,42 +38,6 @@ inline __m256d AbsPd(__m256d v) {
 }  // namespace
 
 bool Avx2CompiledIn() { return true; }
-
-void CentroidDistanceBatchAvx2(const double* query, const double* candidates,
-                               size_t count, size_t dim, double* out) {
-  if (dim != 6) {
-    CentroidDistanceBatchPortable(query, candidates, count, dim, out);
-    return;
-  }
-  // Replicate the 6-d query across a 12-double period: two candidates
-  // (12 doubles) are exactly three 256-bit loads.
-  const __m256d qa = _mm256_setr_pd(query[0], query[1], query[2], query[3]);
-  const __m256d qb = _mm256_setr_pd(query[4], query[5], query[0], query[1]);
-  const __m256d qc = _mm256_setr_pd(query[2], query[3], query[4], query[5]);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const double* c = candidates + i * 6;
-    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(c), qa);
-    const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(c + 4), qb);
-    const __m256d d2 = _mm256_sub_pd(_mm256_loadu_pd(c + 8), qc);
-    const __m256d s0 = _mm256_mul_pd(d0, d0);
-    const __m256d s1 = _mm256_mul_pd(d1, d1);
-    const __m256d s2 = _mm256_mul_pd(d2, d2);
-    // Candidate i:   s0[0..3] + s1[0..1];  candidate i+1: s1[2..3] + s2[0..3].
-    __m128d acc_a = _mm_add_pd(_mm256_castpd256_pd128(s0),
-                               _mm256_extractf128_pd(s0, 1));
-    acc_a = _mm_add_pd(acc_a, _mm256_castpd256_pd128(s1));
-    __m128d acc_b = _mm_add_pd(_mm256_castpd256_pd128(s2),
-                               _mm256_extractf128_pd(s2, 1));
-    acc_b = _mm_add_pd(acc_b, _mm256_extractf128_pd(s1, 1));
-    const __m128d pair = _mm_sqrt_pd(_mm_hadd_pd(acc_a, acc_b));
-    _mm_storeu_pd(out + i, pair);
-  }
-  if (i < count) {
-    CentroidDistanceBatchScalar(query, candidates + i * 6, count - i, 6,
-                                out + i);
-  }
-}
 
 void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
                          const double* b, size_t n, size_t dim, double* out,
@@ -163,11 +123,6 @@ void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
 namespace vsim::kernels::internal {
 
 bool Avx2CompiledIn() { return false; }
-
-void CentroidDistanceBatchAvx2(const double* query, const double* candidates,
-                               size_t count, size_t dim, double* out) {
-  CentroidDistanceBatchPortable(query, candidates, count, dim, out);
-}
 
 void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
                          const double* b, size_t n, size_t dim, double* out,

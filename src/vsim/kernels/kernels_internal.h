@@ -8,21 +8,14 @@
 
 namespace vsim::kernels::internal {
 
-void CentroidDistanceBatchScalar(const double* query, const double* candidates,
-                                 size_t count, size_t dim, double* out);
 void CostMatrixBuildScalar(GroundKind ground, const double* a, size_t m,
                            const double* b, size_t n, size_t dim, double* out,
                            size_t out_stride);
 
-void CentroidDistanceBatchPortable(const double* query,
-                                   const double* candidates, size_t count,
-                                   size_t dim, double* out);
 void CostMatrixBuildPortable(GroundKind ground, const double* a, size_t m,
                              const double* b, size_t n, size_t dim,
                              double* out, size_t out_stride);
 
-void CentroidDistanceBatchAvx2(const double* query, const double* candidates,
-                               size_t count, size_t dim, double* out);
 void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
                          const double* b, size_t n, size_t dim, double* out,
                          size_t out_stride);

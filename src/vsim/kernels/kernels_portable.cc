@@ -1,29 +1,14 @@
 // Portable SIMD kernels: the same loops as the scalar reference with
-// `#pragma omp simd` over the inner dimension and candidate axes.
-// Compiled at -O3 with -fopenmp-simd (no OpenMP runtime is linked; the
-// pragma only licenses vectorization), so this TU lowers to whatever
-// baseline vector ISA the target has -- SSE2 on stock x86-64, NEON on
-// aarch64 -- without any feature detection.
+// `#pragma omp simd` over the inner dimension. Compiled at -O3 with
+// -fopenmp-simd (no OpenMP runtime is linked; the pragma only licenses
+// vectorization), so this TU lowers to whatever baseline vector ISA the
+// target has -- SSE2 on stock x86-64, NEON on aarch64 -- without any
+// feature detection.
 #include <cmath>
 
 #include "vsim/kernels/kernels_internal.h"
 
 namespace vsim::kernels::internal {
-
-void CentroidDistanceBatchPortable(const double* query,
-                                   const double* candidates, size_t count,
-                                   size_t dim, double* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const double* c = candidates + i * dim;
-    double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = query[d] - c[d];
-      acc += diff * diff;
-    }
-    out[i] = std::sqrt(acc);
-  }
-}
 
 void CostMatrixBuildPortable(GroundKind ground, const double* a, size_t m,
                              const double* b, size_t n, size_t dim,

@@ -27,14 +27,6 @@ double GroundPair(GroundKind ground, const double* a, const double* b,
 
 }  // namespace
 
-void CentroidDistanceBatchScalar(const double* query, const double* candidates,
-                                 size_t count, size_t dim, double* out) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = GroundPair(GroundKind::kEuclidean, query, candidates + i * dim,
-                        dim);
-  }
-}
-
 void CostMatrixBuildScalar(GroundKind ground, const double* a, size_t m,
                            const double* b, size_t n, size_t dim, double* out,
                            size_t out_stride) {

@@ -17,6 +17,10 @@ constexpr uint8_t kNumQueryStrategies = 5;
 constexpr uint8_t kNumSpanNames =
     static_cast<uint8_t>(vsim::obs::kNumSpanNames);
 
+// Bytes per trace of the stats response's reserved block
+// (docs/PROTOCOL.md §7).
+constexpr size_t kReservedTraceBytes = 12;
+
 // --- little-endian append helpers ------------------------------------
 
 void PutU8(std::string* out, uint8_t v) {
@@ -106,6 +110,11 @@ class WireCursor {
     if (size_ - pos_ < n) return false;
     // vsim-lint: allow(wire-memcpy) the PayloadReader primitive; length is range-checked above
     std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return true;
+  }
+  bool Skip(size_t n) {
+    if (size_ - pos_ < n) return false;
     pos_ += n;
     return true;
   }
@@ -218,11 +227,11 @@ void AppendRequestFrame(uint64_t request_id, const ServiceRequest& request,
   PutF64(&payload, request.options.eps);
   PutF64(&payload, request.options.timeout_seconds);
   if (has_query) AppendObjectRepr(&payload, request.query);
-  // Trailing optional QueryOptions fields (same evolution rule as the
-  // info frame's feature_flags): decoders that predate them stop at the
-  // byte above and read approx_level = 0. The ObjectRepr block is
-  // self-terminating, so the trailing position is unambiguous.
-  PutU32(&payload, static_cast<uint32_t>(request.options.approx_level));
+  // Reserved u32 (docs/PROTOCOL.md §3): written as zero, kept so the
+  // trace block below stays at its offset for every peer. The
+  // ObjectRepr block is self-terminating, so the trailing position is
+  // unambiguous.
+  PutU32(&payload, 0);
   // Trailing trace context (docs/PROTOCOL.md §12): the distributed
   // trace identity this request belongs to, zero when untraced.
   // Decoders that predate the block stop above and mint server-side.
@@ -314,15 +323,10 @@ void AppendStatsResponseFrame(uint64_t request_id,
     PutU64(&payload, t.page_accesses);
     PutU64(&payload, t.bytes_read);
   }
-  // Trailing optional approx block (one record per trace, after all the
-  // fixed 112-byte records): decoders that predate it stop above and
-  // read approx_level = approx_pruned = 0. Keeping the fixed records
-  // unchanged is what spares a wire version bump.
-  for (size_t i = 0; i < traces; ++i) {
-    const obs::QueryTrace& t = response.traces[i];
-    PutU32(&payload, static_cast<uint32_t>(t.approx_level));
-    PutU64(&payload, t.approx_pruned);
-  }
+  // Reserved block (docs/PROTOCOL.md §7): 12 zero bytes per trace,
+  // after all the fixed 112-byte records, kept so the tracing blocks
+  // below stay at their offsets for every peer.
+  payload.append(traces * kReservedTraceBytes, '\0');
   // Trailing tracing blocks (docs/PROTOCOL.md §12), emitted in a fixed
   // order so truncation at any block boundary decodes as "absent":
   // (a) per-trace 16-byte trace ids, (b) span trees, (c) profiler text.
@@ -480,15 +484,11 @@ Status DecodeRequestPayload(const uint8_t* data, size_t size,
     }
     VSIM_RETURN_NOT_OK(DecodeObjectRepr(&c, &request->query));
   }
-  // Optional trailing QueryOptions fields: absent from peers that
-  // predate them (approx_level = 0 keeps the exact pipeline). Range
-  // validation happens in QueryService::Validate, not here.
-  request->options.approx_level = 0;
-  uint32_t approx_level = 0;
-  if (!c.Done()) {
-    if (!c.U32(&approx_level)) return Truncated("request");
-    request->options.approx_level = static_cast<int>(approx_level);
-  }
+  // Optional reserved u32 (docs/PROTOCOL.md §3): absent from the
+  // oldest peers; when present it must be whole, and its value is
+  // ignored. Range validation happens in QueryService::Validate, not
+  // here.
+  if (!c.Done() && !c.Skip(sizeof(uint32_t))) return Truncated("request");
   // Optional trailing trace context (docs/PROTOCOL.md §12): absent from
   // peers that predate it (the server mints an id of its own). The
   // three words travel together; a partial block is a truncation.
@@ -666,22 +666,12 @@ Status DecodeStatsResponsePayload(const uint8_t* data, size_t size,
     }
     response->traces.push_back(t);
   }
-  // Optional trailing approx block (u32 level + u64 pruned per trace):
-  // absent from peers that predate it, in which case every trace keeps
-  // its zero defaults.
-  if (!c.Done()) {
-    constexpr size_t kApproxRecordBytes = 12;
-    if (c.remaining() < static_cast<size_t>(n_traces) * kApproxRecordBytes) {
-      return Truncated("stats response");
-    }
-    for (uint32_t i = 0; i < n_traces; ++i) {
-      uint32_t approx_level;
-      obs::QueryTrace& t = response->traces[i];
-      if (!c.U32(&approx_level) || !c.U64(&t.approx_pruned)) {
-        return Truncated("stats trace");
-      }
-      t.approx_level = static_cast<int32_t>(approx_level);
-    }
+  // Optional reserved block (docs/PROTOCOL.md §7, 12 bytes per trace):
+  // absent from the oldest peers; when present it must be whole, and
+  // its contents are ignored.
+  if (!c.Done() &&
+      !c.Skip(static_cast<size_t>(n_traces) * kReservedTraceBytes)) {
+    return Truncated("stats response");
   }
   // Optional trailing tracing blocks (docs/PROTOCOL.md §12), each
   // absent from peers that predate it: (a) per-trace 16-byte trace

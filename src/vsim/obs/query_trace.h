@@ -49,21 +49,11 @@ struct QueryTrace {
   uint64_t page_accesses = 0;          // charged cost model (8 ms/page)
   uint64_t bytes_read = 0;             // charged cost model (200 ns/byte)
 
-  // Approximate pre-filter fields (docs/KERNELS.md). approx_level is
-  // the request's QueryOptions knob; approx_pruned counts candidates
-  // the sketch stage examined, extending the invariant chain to
-  // approx_pruned >= filter_hits >= candidates_refined. On the wire
-  // these travel as a tolerant trailing block of the stats response
-  // (docs/PROTOCOL.md): peers that predate them decode zero.
-  int32_t approx_level = 0;
-  uint32_t padding = 0;  // keep the struct in whole 64-bit words
-  uint64_t approx_pruned = 0;
-
   // Wire-propagated trace identity (obs/span.h, docs/PROTOCOL.md §12):
   // the 16-byte distributed trace id this request belongs to, zero when
-  // the client sent none and the server minted only a local trace. Like
-  // the approx block above, these travel as tolerant trailing data on
-  // the stats wire; older peers decode zero.
+  // the client sent none and the server minted only a local trace.
+  // These travel as tolerant trailing data on the stats wire; older
+  // peers decode zero.
   uint64_t trace_hi = 0;
   uint64_t trace_lo = 0;
 };

@@ -59,8 +59,6 @@ const char* SpanNameString(SpanName name) {
       return "admission";
     case SpanName::kQueue:
       return "queue";
-    case SpanName::kApproxPrune:
-      return "approx_prune";
     case SpanName::kFilter:
       return "filter";
     case SpanName::kRefine:

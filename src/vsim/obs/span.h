@@ -1,7 +1,7 @@
 // Hierarchical per-request span tracing (docs/OBSERVABILITY.md
 // "Tracing"): a bounded, allocation-free span tree recorded along the
-// serving pipeline -- accept, decode, admission, queue, approx-prune,
-// filter, refine, encode, flush -- each span carrying one paper-native
+// serving pipeline -- accept, decode, admission, queue, filter,
+// refine, encode, flush -- each span carrying one paper-native
 // counter, all spans sharing one 16-byte trace id that travels on the
 // VSNP wire (docs/PROTOCOL.md §12) so a remote query is attributable
 // end to end, and later across the Lemma-2 scatter-gather shards the
@@ -65,18 +65,20 @@ struct TraceContext {
 TraceContext MintTraceContext();
 
 // The span taxonomy (docs/OBSERVABILITY.md has the full table). Values
-// are part of the SpanRecord wire/ring encoding: append only.
+// are part of the SpanRecord wire/ring encoding: append only, and a
+// removed value stays retired -- never reused, still decodable.
 enum class SpanName : uint8_t {
-  kRequest = 0,      // service root: admission to completion
-  kAccept = 1,       // net: request frame read off the socket
-  kDecode = 2,       // net: payload decode
-  kAdmission = 3,    // service: admission-control check
-  kQueue = 4,        // service: admission-queue wait
-  kApproxPrune = 5,  // engine: sketch pre-filter (counter: approx_pruned)
-  kFilter = 6,       // engine: Lemma-2 filter (counter: filter_hits)
-  kRefine = 7,       // engine: exact refinement (counter: hungarian runs)
-  kEncode = 8,       // net: response frame encode
-  kFlush = 9,        // net: response bytes onto the socket
+  kRequest = 0,    // service root: admission to completion
+  kAccept = 1,     // net: request frame read off the socket
+  kDecode = 2,     // net: payload decode
+  kAdmission = 3,  // service: admission-control check
+  kQueue = 4,      // service: admission-queue wait
+  // 5 is retired (a former engine pre-filter stage): never emitted, but
+  // span trees from older peers may carry it.
+  kFilter = 6,  // engine: Lemma-2 filter (counter: filter_hits)
+  kRefine = 7,  // engine: exact refinement (counter: hungarian runs)
+  kEncode = 8,  // net: response frame encode
+  kFlush = 9,   // net: response bytes onto the socket
 };
 inline constexpr int kNumSpanNames = 10;
 

@@ -69,9 +69,6 @@ void QueryService::RegisterMetrics() {
   refine_stage_hist_ = metrics_.RegisterHistogram(
       "vsim_refine_stage_seconds",
       "CPU time in the refinement stage (exact minimal matching)");
-  approx_pruned_total_ = metrics_.RegisterCounter(
-      "vsim_approx_pruned_total",
-      "Candidates examined by the approximate sketch pre-filter");
   filter_hits_total_ = metrics_.RegisterCounter(
       "vsim_filter_hits_total",
       "Candidates produced by the filter step across all queries");
@@ -183,7 +180,6 @@ void QueryService::RecordTrace(const obs::QueryTrace& trace) {
   if (trace.cache_hit != 0) return;  // hits skipped the pipeline
   filter_stage_hist_->Record(trace.filter_seconds);
   refine_stage_hist_->Record(trace.refine_seconds);
-  approx_pruned_total_->Increment(trace.approx_pruned);
   filter_hits_total_->Increment(trace.filter_hits);
   candidates_refined_total_->Increment(trace.candidates_refined);
   hungarian_total_->Increment(trace.hungarian_invocations);
@@ -226,8 +222,8 @@ Status QueryService::Validate(const ServiceRequest& request,
                               const CadDatabase& db) const {
   const bool invariant_kind = request.kind == QueryKind::kInvariantKnn ||
                               request.kind == QueryKind::kInvariantRange;
-  // The knob surface (k, eps, timeout, approx level) has exactly one
-  // validation point: ValidateQueryOptions in service/request_parse.h.
+  // The knob surface (k, eps, timeout) has exactly one validation
+  // point: ValidateQueryOptions in service/request_parse.h.
   VSIM_RETURN_NOT_OK(ValidateQueryOptions(request.kind, request.options));
   if (invariant_kind && request.strategy == QueryStrategy::kOneVectorXTree) {
     return Status::InvalidArgument(
@@ -276,7 +272,6 @@ ResultCacheKey QueryService::MakeKey(const ServiceRequest& request,
   key.strategy = static_cast<uint8_t>(request.strategy);
   key.invariance =
       invariant_kind ? (request.with_reflections ? 2 : 1) : 0;
-  key.approx_level = static_cast<uint8_t>(request.options.approx_level);
   key.k = knn_kind ? request.options.k : 0;
   key.eps = knn_kind ? 0.0 : request.options.eps;
   return key;
@@ -328,24 +323,22 @@ StatusOr<ServiceResponse> QueryService::RunRequest(
   const QueryOptions& opt = request.options;
   switch (request.kind) {
     case QueryKind::kKnn:
-      response.neighbors = engine.Knn(request.strategy, query, opt.k,
-                                      &response.cost, opt.approx_level);
+      response.neighbors =
+          engine.Knn(request.strategy, query, opt.k, &response.cost);
       break;
     case QueryKind::kRange:
-      response.ids = engine.Range(request.strategy, query, opt.eps,
-                                  &response.cost, opt.approx_level);
+      response.ids =
+          engine.Range(request.strategy, query, opt.eps, &response.cost);
       break;
     case QueryKind::kInvariantKnn:
       response.neighbors =
           engine.InvariantKnn(request.strategy, query, opt.k,
-                              request.with_reflections, &response.cost,
-                              opt.approx_level);
+                              request.with_reflections, &response.cost);
       break;
     case QueryKind::kInvariantRange:
       response.ids =
           engine.InvariantRange(request.strategy, query, opt.eps,
-                                request.with_reflections, &response.cost,
-                                opt.approx_level);
+                                request.with_reflections, &response.cost);
       break;
   }
   // A failed store read during refinement fails the request: no partial
@@ -399,12 +392,8 @@ void QueryService::PublishSpans(const obs::TraceContext& context,
     if (filter_end > end_ns) filter_end = end_ns;
     uint64_t refine_start = end_ns > refine_ns ? end_ns - refine_ns : end_ns;
     if (refine_start < filter_end) refine_start = filter_end;
-    const int filter = arena.Add(obs::SpanName::kFilter, root_id, pickup_ns,
-                                 filter_end, trace.filter_hits);
-    if (trace.approx_level > 0) {
-      arena.Add(obs::SpanName::kApproxPrune, arena.span_id(filter), pickup_ns,
-                pickup_ns, trace.approx_pruned);
-    }
+    arena.Add(obs::SpanName::kFilter, root_id, pickup_ns, filter_end,
+              trace.filter_hits);
     arena.Add(obs::SpanName::kRefine, root_id, refine_start, end_ns,
               trace.hungarian_invocations);
   }
@@ -429,7 +418,6 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
   trace.strategy = static_cast<uint8_t>(request.strategy);
   trace.k = request.options.k;
   trace.eps = request.options.eps;
-  trace.approx_level = request.options.approx_level;
   trace.queue_seconds = static_cast<double>(pickup_ns - submitted_ns) * 1e-9;
   // Adopt the wire-propagated trace identity, or mint one so local
   // callers still get correlatable span trees.
@@ -469,7 +457,6 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
     trace.cpu_seconds = r.cost.cpu_seconds;
     trace.filter_seconds = r.cost.filter_seconds;
     trace.refine_seconds = r.cost.refine_seconds;
-    trace.approx_pruned = r.cost.approx_pruned;
     trace.filter_hits = r.cost.filter_hits;
     trace.candidates_refined = r.cost.candidates_refined;
     trace.hungarian_invocations = r.cost.hungarian_invocations;
@@ -489,11 +476,16 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
 namespace {
 
 // Deadline resolution shared by both submission forms: 0 means "no
-// deadline", represented as kNoDeadlineNs.
+// deadline", represented as kNoDeadlineNs, and so does a deadline past
+// the uint64_t nanosecond range (casting such a double is undefined).
+// NaN also maps to kNoDeadlineNs here; validation then rejects it.
 uint64_t DeadlineForNs(double timeout_seconds, uint64_t submitted_ns) {
-  return timeout_seconds > 0.0
-             ? submitted_ns + static_cast<uint64_t>(timeout_seconds * 1e9)
-             : kNoDeadlineNs;
+  if (!(timeout_seconds > 0.0)) return kNoDeadlineNs;
+  const double timeout_ns = timeout_seconds * 1e9;
+  if (!(timeout_ns < static_cast<double>(kNoDeadlineNs - submitted_ns))) {
+    return kNoDeadlineNs;
+  }
+  return submitted_ns + static_cast<uint64_t>(timeout_ns);
 }
 
 }  // namespace

@@ -68,33 +68,20 @@ enum class QueryKind {
 
 const char* QueryKindName(QueryKind kind);
 
-// The per-request knob surface, gathered into one versioned struct
-// instead of parallel positional parameters threaded through
-// QueryService / Client / the CLI. Validation lives in exactly one
-// place -- ValidateQueryOptions() in service/request_parse.h -- and the
-// wire encoding in net/protocol.cc appends new fields as tolerant
-// trailing data, so old peers keep decoding (docs/PROTOCOL.md).
-//
-// kQueryOptionsVersion is bumped whenever a field is added; it is a
-// source-level evolution marker (tests pin the field set per version),
-// not a wire tag -- the wire stays versionless by the trailing-field
-// rule.
-inline constexpr int kQueryOptionsVersion = 1;
-
+// The per-request knob surface, gathered into one struct instead of
+// parallel positional parameters threaded through QueryService /
+// Client / the CLI. Validation lives in exactly one place --
+// ValidateQueryOptions() in service/request_parse.h -- and the wire
+// encoding in net/protocol.cc appends new fields as tolerant trailing
+// data, so old peers keep decoding (docs/PROTOCOL.md).
 struct QueryOptions {
   int k = 10;        // k-NN kinds
   double eps = 0.0;  // range kinds
 
-  // 0 = no deadline. The deadline is checked when a worker picks the
-  // request up; execution itself is not interrupted.
+  // 0 = no deadline, and so is a timeout too long for the service's
+  // nanosecond clock (e.g. +inf). The deadline is checked when a worker
+  // picks the request up; execution itself is not interrupted.
   double timeout_seconds = 0.0;
-
-  // Approximate pre-filter aggressiveness for the kVectorSetFilter
-  // strategy: 0 = exact (paper-faithful pipeline), 1..
-  // kernels::kMaxApproxLevel trade recall for latency via the sketch
-  // prune + batched centroid bounds (docs/KERNELS.md). Other
-  // strategies ignore the knob.
-  int approx_level = 0;
 };
 
 // A request is a plain value: safe to copy between threads, no
@@ -316,7 +303,6 @@ class QueryService {
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* filter_stage_hist_ = nullptr;
   obs::Histogram* refine_stage_hist_ = nullptr;
-  obs::Counter* approx_pruned_total_ = nullptr;
   obs::Counter* filter_hits_total_ = nullptr;
   obs::Counter* candidates_refined_total_ = nullptr;
   obs::Counter* hungarian_total_ = nullptr;

@@ -1,9 +1,6 @@
 #include "vsim/service/request_parse.h"
 
-#include <exception>
 #include <string>
-
-#include "vsim/kernels/sketch.h"
 
 namespace vsim {
 
@@ -106,39 +103,15 @@ Status ValidateQueryOptions(QueryKind kind, const QueryOptions& options) {
   if (is_knn && options.k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
-  if (!is_knn && options.eps < 0.0) {
+  // Written as !(x >= 0) so that NaN, which compares false with
+  // everything, is rejected too.
+  if (!is_knn && !(options.eps >= 0.0)) {
     return Status::InvalidArgument("eps must be >= 0");
   }
-  if (options.timeout_seconds < 0.0) {
+  if (!(options.timeout_seconds >= 0.0)) {
     return Status::InvalidArgument("timeout_seconds must be >= 0");
   }
-  if (options.approx_level < 0 ||
-      options.approx_level > kernels::kMaxApproxLevel) {
-    return Status::InvalidArgument(
-        "approx_level must be in [0, " +
-        std::to_string(kernels::kMaxApproxLevel) + "]");
-  }
   return Status::OK();
-}
-
-StatusOr<int> ParseApproxLevel(const std::string& text) {
-  size_t consumed = 0;
-  int level = 0;
-  try {
-    level = std::stoi(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != text.size() || text.empty()) {
-    return Status::InvalidArgument("approx level must be an integer: '" +
-                                   text + "'");
-  }
-  if (level < 0 || level > kernels::kMaxApproxLevel) {
-    return Status::InvalidArgument(
-        "approx level must be in [0, " +
-        std::to_string(kernels::kMaxApproxLevel) + "]");
-  }
-  return level;
 }
 
 }  // namespace vsim

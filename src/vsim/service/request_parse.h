@@ -49,18 +49,15 @@ const char* CoverSearchNames();
 StatusOr<ModelType> ParseModelType(const std::string& name);
 const char* ModelTypeNames();
 
-// --- QueryOptions (the versioned per-request knob struct declared next
-// to ServiceRequest in query_service.h). This is the single validation
-// point for the knob surface: QueryService::Validate, the wire decoder
-// and the CLI all route through it, so bounds live in exactly one
-// place. Checks the knobs relevant to `kind` (k >= 1 for k-NN kinds,
-// eps >= 0 for range kinds) plus the kind-independent ones
-// (timeout_seconds >= 0, approx_level in [0, kernels::kMaxApproxLevel]).
+// --- QueryOptions (the per-request knob struct declared next to
+// ServiceRequest in query_service.h). This is the single validation
+// point for the knob surface: QueryService::Validate and the CLI's
+// `query` and `classify` commands route through it, so bounds live in
+// exactly one place. The wire decoder does not validate: it hands
+// decoded options to the service, which does. Checks the knobs relevant
+// to `kind` (k >= 1 for k-NN kinds, eps >= 0 for range kinds) plus the
+// kind-independent timeout_seconds >= 0; NaN fails both comparisons.
 Status ValidateQueryOptions(QueryKind kind, const QueryOptions& options);
-
-// Parses a decimal approx level and bounds it like ValidateQueryOptions
-// does (the CLI's --approx flag parser).
-StatusOr<int> ParseApproxLevel(const std::string& text);
 
 }  // namespace vsim
 

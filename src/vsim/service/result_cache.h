@@ -5,8 +5,7 @@
 // the cache without touching the engine at all.
 //
 // Keys combine a 64-bit digest of the query's feature payload with the
-// full query shape (kind, strategy, k / eps, invariance flags, approx
-// level) AND the
+// full query shape (kind, strategy, k / eps, invariance flags) AND the
 // database snapshot's generation; two requests collide only if every
 // field including the digest matches. Tagging keys with the generation
 // is what makes snapshot swaps safe without a stop-the-world flush: a
@@ -49,7 +48,6 @@ struct ResultCacheKey {
   uint8_t kind = 0;        // QueryKind underlying value
   uint8_t strategy = 0;    // QueryStrategy underlying value
   uint8_t invariance = 0;  // 0 none, 1 rotations, 2 rotations+reflections
-  uint8_t approx_level = 0;  // approximate pre-filter level (QueryOptions)
   int32_t k = 0;           // k-NN parameter, 0 for range queries
   double eps = 0.0;        // range parameter, 0 for k-NN
 
@@ -60,8 +58,7 @@ struct ResultCacheKeyHash {
   size_t operator()(const ResultCacheKey& key) const {
     uint64_t h = key.digest;
     h = Fnv1aHash(&key.generation, sizeof(key.generation), h);
-    const uint32_t shape = (static_cast<uint32_t>(key.approx_level) << 24) |
-                           (static_cast<uint32_t>(key.kind) << 16) |
+    const uint32_t shape = (static_cast<uint32_t>(key.kind) << 16) |
                            (static_cast<uint32_t>(key.strategy) << 8) |
                            key.invariance;
     h = Fnv1aHash(&shape, sizeof(shape), h);

@@ -179,8 +179,7 @@ TEST(DiskServingTest, KeepRamSetsRetainsCopiesAndReportsGaugeNonZero) {
 TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   // Demotion must be invisible to service clients: every stored-id
   // query over the demoted snapshot (the query hydrated back from the
-  // store) matches the RAM-resident reference, for both exact and
-  // approximate levels.
+  // store) matches the RAM-resident reference.
   StatusOr<CadDatabase> ram_db = BuildDb();
   ASSERT_TRUE(ram_db.ok());
   const QueryEngine ram_engine(&*ram_db);
@@ -200,20 +199,15 @@ TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   const int n = static_cast<int>(ram_db->size());
   const int k = 5;
   for (int id = 0; id < n; ++id) {
-    for (int level : {0, 1}) {
-      ServiceRequest request;
-      request.object_id = id;
-      request.strategy = QueryStrategy::kVectorSetFilter;
-      request.options.k = k;
-      request.options.approx_level = level;
-      StatusOr<ServiceResponse> response = service.Execute(request);
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      QueryCost cost;
-      const std::vector<Neighbor> want = ram_engine.Knn(
-          QueryStrategy::kVectorSetFilter, id, k, &cost, level);
-      EXPECT_EQ(response->neighbors, want) << "id=" << id
-                                           << " level=" << level;
-    }
+    ServiceRequest request;
+    request.object_id = id;
+    request.strategy = QueryStrategy::kVectorSetFilter;
+    request.options.k = k;
+    StatusOr<ServiceResponse> response = service.Execute(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const std::vector<Neighbor> want =
+        ram_engine.Knn(QueryStrategy::kVectorSetFilter, id, k);
+    EXPECT_EQ(response->neighbors, want) << "id=" << id;
   }
 }
 

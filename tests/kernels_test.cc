@@ -4,9 +4,8 @@
 // relative tolerance on random doubles (the AVX2 cost-matrix kernel
 // reassociates the dimension reduction, so bit-exactness is only
 // guaranteed where every intermediate is exact). Plus the dispatch
-// surface: ByName round-trips, VSIM_KERNELS is honored via ForceScalar
-// CTest runs, and the sketch pre-filter is deterministic with monotone
-// thresholds.
+// surface: ByName round-trips, and VSIM_KERNELS is honored via
+// ForceScalar CTest runs.
 #include "vsim/kernels/kernels.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "vsim/common/rng.h"
 #include "vsim/distance/centroid_filter.h"
 #include "vsim/distance/min_matching.h"
-#include "vsim/kernels/sketch.h"
 
 namespace vsim::kernels {
 namespace {
@@ -29,55 +27,6 @@ std::vector<const KernelSet*> AllVariants() {
                                             &BestAvailable()};
   if (const KernelSet* avx2 = ByName("avx2")) variants.push_back(avx2);
   return variants;
-}
-
-// Integer coordinates in a small range: squared differences, their sums
-// and the square roots of perfect squares are all exactly
-// representable, so every variant must agree bit-for-bit.
-TEST(KernelEquivalenceTest, CentroidBatchExactOnIntegerGrid) {
-  for (size_t dim : {1u, 2u, 3u, 6u, 7u, 13u}) {
-    for (size_t count : {0u, 1u, 2u, 3u, 5u, 8u, 65u}) {
-      std::vector<double> query(dim), block(count * dim);
-      Rng rng(dim * 131 + count);
-      for (double& x : query) x = static_cast<double>(rng.UniformInt(-8, 8));
-      for (double& x : block) x = static_cast<double>(rng.UniformInt(-8, 8));
-      std::vector<double> ref(count);
-      ForceScalar().centroid_distance_batch(query.data(), block.data(),
-                                             count, dim, ref.data());
-      for (const KernelSet* ks : AllVariants()) {
-        std::vector<double> out(count, -1.0);
-        ks->centroid_distance_batch(query.data(), block.data(), count, dim,
-                                    out.data());
-        for (size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(out[i], ref[i])
-              << ks->name << " dim=" << dim << " count=" << count
-              << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, CentroidBatchRandomDoublesWithinUlps) {
-  Rng rng(7);
-  const size_t dim = 6, count = 257;
-  std::vector<double> query(dim), block(count * dim);
-  for (double& x : query) x = rng.Uniform(-3, 3);
-  for (double& x : block) x = rng.Uniform(-3, 3);
-  std::vector<double> ref(count);
-  ForceScalar().centroid_distance_batch(query.data(), block.data(), count,
-                                         dim, ref.data());
-  for (const KernelSet* ks : AllVariants()) {
-    std::vector<double> out(count);
-    ks->centroid_distance_batch(query.data(), block.data(), count, dim,
-                                out.data());
-    for (size_t i = 0; i < count; ++i) {
-      // sqrt of an FMA-reassociated 6-term sum: a handful of ulps.
-      EXPECT_NEAR(out[i], ref[i], 8 * std::abs(ref[i]) *
-                                      std::numeric_limits<double>::epsilon())
-          << ks->name << " i=" << i;
-    }
-  }
 }
 
 TEST(KernelEquivalenceTest, CostMatrixExactOnIntegerGrid) {
@@ -200,86 +149,10 @@ VectorSet RandomSet(Rng& rng, int count, int dim) {
   return s;
 }
 
-TEST(SketchTest, DeterministicAndSelfOverlapIsFull) {
-  Rng rng(11);
-  const VectorSet s = RandomSet(rng, 5, 6);
-  const SetSketch a = SketchVectorSet(s);
-  const SetSketch b = SketchVectorSet(s);
-  EXPECT_EQ(a.words[0], b.words[0]);
-  EXPECT_EQ(a.words[1], b.words[1]);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(SketchOverlap(a, b), kSketchActiveBits);
-}
-
-TEST(SketchTest, ExactlyActiveBitsSet) {
-  Rng rng(13);
-  for (int trial = 0; trial < 10; ++trial) {
-    const SetSketch s = SketchVectorSet(RandomSet(rng, 1 + trial % 7, 6));
-    const int bits = SketchOverlap(s, s);
-    EXPECT_EQ(bits, kSketchActiveBits);
-  }
-}
-
-TEST(SketchTest, EmptySetSketchIsEmpty) {
-  EXPECT_TRUE(SketchVectorSet(VectorSet{}).empty());
-}
-
-TEST(SketchTest, PermutationInvariant) {
-  Rng rng(17);
-  VectorSet s = RandomSet(rng, 6, 6);
-  VectorSet reversed;
-  for (auto it = s.vectors.rbegin(); it != s.vectors.rend(); ++it) {
-    reversed.vectors.push_back(*it);
-  }
-  const SetSketch a = SketchVectorSet(s);
-  const SetSketch b = SketchVectorSet(reversed);
-  EXPECT_EQ(a.words[0], b.words[0]);
-  EXPECT_EQ(a.words[1], b.words[1]);
-}
-
-TEST(SketchTest, ThresholdsMonotoneAndBounded) {
-  int prev = -1;
-  for (int level = 0; level <= kMaxApproxLevel; ++level) {
-    const int t = SketchOverlapThreshold(level);
-    EXPECT_GE(t, prev);
-    EXPECT_GE(t, 0);
-    EXPECT_LE(t, kSketchActiveBits);
-    prev = t;
-  }
-  EXPECT_EQ(SketchOverlapThreshold(0), 0);
-  // Out-of-range levels clamp instead of exploding.
-  EXPECT_EQ(SketchOverlapThreshold(-3), SketchOverlapThreshold(0));
-  EXPECT_EQ(SketchOverlapThreshold(99),
-            SketchOverlapThreshold(kMaxApproxLevel));
-}
-
-TEST(SketchTest, PerturbedSetOverlapsMoreThanRandomPair) {
-  // Statistical sanity of the locality property the prune relies on:
-  // a slightly perturbed copy should share far more winners with the
-  // original than an unrelated random set does (in expectation a
-  // random pair shares 32*32/128 = 8 bits). Averaged over trials to
-  // keep the assertion stable.
-  Rng rng(23);
-  double close_sum = 0.0, random_sum = 0.0;
-  const int trials = 50;
-  for (int t = 0; t < trials; ++t) {
-    VectorSet base = RandomSet(rng, 6, 6);
-    VectorSet near = base;
-    for (FeatureVector& v : near.vectors) {
-      for (double& x : v) x += rng.Uniform(-0.01, 0.01);
-    }
-    const VectorSet other = RandomSet(rng, 6, 6);
-    const SetSketch sb = SketchVectorSet(base);
-    close_sum += SketchOverlap(sb, SketchVectorSet(near));
-    random_sum += SketchOverlap(sb, SketchVectorSet(other));
-  }
-  EXPECT_GT(close_sum / trials, random_sum / trials + 8.0);
-}
-
 // The rewired min-matching still satisfies Lemma 2 end to end: the
 // kernel-built cost matrix feeds the same assignment solver, and the
-// kernel-computed filter bound must lower-bound its result -- under
-// every variant, since the scalar CTest rerun forces VSIM_KERNELS.
+// centroid filter bound must lower-bound its result -- under every
+// variant, since the scalar CTest rerun forces VSIM_KERNELS.
 TEST(KernelIntegrationTest, CentroidBoundStillLowerBoundsMatching) {
   Rng rng(29);
   const int k = 7;

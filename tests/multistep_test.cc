@@ -156,6 +156,23 @@ TEST(ScanBaselineTest, KnnAndRangeMatchReference) {
   }
 }
 
+TEST(ScanBaselineTest, NonPositiveKYieldsEmptyAnswer) {
+  // k <= 0 asks for nothing and gets nothing, as from MultiStepKnn; a
+  // negative count must never reach partial_sort or resize.
+  World w = MakeWorld(50, 106);
+  std::vector<int> order(w.sets.size());
+  std::iota(order.begin(), order.end(), 0);
+  for (int k : {0, -1}) {
+    EXPECT_TRUE(
+        ScanKnn(order, k, 4096, 4096, w.ExactFor(w.sets[0])).empty())
+        << "k=" << k;
+    EXPECT_TRUE(MultiStepKnn(*w.index, w.centroids[0], w.k, k,
+                             w.ExactFor(w.sets[0]))
+                    .empty())
+        << "k=" << k;
+  }
+}
+
 TEST(ScanBaselineTest, VisitingOrderNeverReachesTheAnswer) {
   // Coarsely quantized distances force many exact ties at the k
   // boundary: the answer must still not depend on the order in which

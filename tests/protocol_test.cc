@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,7 +32,6 @@ ServiceRequest MakeExternalRequest() {
   req.options.eps = 1.25;
   req.with_reflections = true;
   req.options.timeout_seconds = 0.75;
-  req.options.approx_level = 2;
   Rng rng(7);
   for (int v = 0; v < 3; ++v) {
     FeatureVector vec(6);
@@ -108,7 +108,6 @@ TEST(ProtocolTest, RequestWithExternalQueryRoundTrips) {
   EXPECT_EQ(out.options.eps, req.options.eps);
   EXPECT_EQ(out.with_reflections, req.with_reflections);
   EXPECT_EQ(out.options.timeout_seconds, req.options.timeout_seconds);
-  EXPECT_EQ(out.options.approx_level, req.options.approx_level);
   ASSERT_EQ(out.query.vector_set.size(), req.query.vector_set.size());
   for (size_t v = 0; v < req.query.vector_set.vectors.size(); ++v) {
     EXPECT_EQ(out.query.vector_set.vectors[v],
@@ -202,8 +201,6 @@ obs::QueryTrace MakeTrace(uint64_t id) {
   t.hungarian_invocations = 12;
   t.page_accesses = 88;
   t.bytes_read = 4096;
-  t.approx_level = 2;
-  t.approx_pruned = 250;
   return t;
 }
 
@@ -264,23 +261,21 @@ TEST(ProtocolTest, StatsResponseRoundTripsTextAndTraces) {
     EXPECT_EQ(b.hungarian_invocations, a.hungarian_invocations);
     EXPECT_EQ(b.page_accesses, a.page_accesses);
     EXPECT_EQ(b.bytes_read, a.bytes_read);
-    EXPECT_EQ(b.approx_level, a.approx_level);
-    EXPECT_EQ(b.approx_pruned, a.approx_pruned);
   }
 }
 
 // Trailing bytes the current request encoder emits after the
-// ObjectRepr: [approx_level u32][trace_hi u64][trace_lo u64]
-// [parent_span_id u64] (docs/PROTOCOL.md §12).
+// ObjectRepr: [reserved u32][trace_hi u64][trace_lo u64]
+// [parent_span_id u64] (docs/PROTOCOL.md §3, §12).
 constexpr size_t kRequestTraceBlockBytes = 3 * sizeof(uint64_t);
 constexpr size_t kRequestTrailingBytes =
     sizeof(uint32_t) + kRequestTraceBlockBytes;
 
 TEST(ProtocolTest, LegacyRequestWithoutApproxLevelDecodesToZero) {
-  // A pre-approx client's request payload stops right after the
-  // ObjectRepr; the tolerant decode must yield approx_level 0 (exact
-  // search) and an empty trace context, mirroring the feature_flags
-  // evolution pattern.
+  // The oldest clients' request payload stops right after the
+  // ObjectRepr, before the reserved u32; the tolerant decode must yield
+  // the same options and an empty trace context, mirroring the
+  // feature_flags evolution pattern. A slot cut short is a truncation.
   const ServiceRequest req = MakeExternalRequest();
   std::string buffer;
   AppendRequestFrame(31, req, &buffer);
@@ -290,14 +285,20 @@ TEST(ProtocolTest, LegacyRequestWithoutApproxLevelDecodesToZero) {
       0, frames[0].payload.size() - kRequestTrailingBytes);
   ServiceRequest out;
   ASSERT_TRUE(DecodeRequestPayload(Bytes(legacy), legacy.size(), &out).ok());
-  EXPECT_EQ(out.options.approx_level, 0);
   EXPECT_FALSE(out.trace.valid());
   EXPECT_EQ(out.options.k, req.options.k);
+  EXPECT_EQ(out.options.eps, req.options.eps);
+  EXPECT_EQ(out.options.timeout_seconds, req.options.timeout_seconds);
   ASSERT_EQ(out.query.vector_set.size(), req.query.vector_set.size());
+
+  const std::string partial = frames[0].payload.substr(
+      0, frames[0].payload.size() - kRequestTrailingBytes + 2);
+  EXPECT_FALSE(
+      DecodeRequestPayload(Bytes(partial), partial.size(), &out).ok());
 }
 
 TEST(ProtocolTest, LegacyRequestWithoutTraceContextDecodesToZero) {
-  // A pre-tracing client stops after approx_level; the trace block is
+  // A pre-tracing client stops after the reserved slot; the trace block is
   // optional and its absence must read back as the zero (invalid)
   // context, never an error.
   ServiceRequest req = MakeExternalRequest();
@@ -318,29 +319,30 @@ TEST(ProtocolTest, LegacyRequestWithoutTraceContextDecodesToZero) {
   EXPECT_EQ(full.trace.trace_lo, req.trace.trace_lo);
   EXPECT_EQ(full.trace.parent_span_id, req.trace.parent_span_id);
 
-  // Pre-tracing truncation (approx_level kept) decodes with zeros.
+  // Pre-tracing truncation (reserved slot kept) decodes with zeros.
   const std::string legacy = frames[0].payload.substr(
       0, frames[0].payload.size() - kRequestTraceBlockBytes);
   ServiceRequest out;
   ASSERT_TRUE(DecodeRequestPayload(Bytes(legacy), legacy.size(), &out).ok());
-  EXPECT_EQ(out.options.approx_level, req.options.approx_level);
+  EXPECT_EQ(out.options.k, req.options.k);
   EXPECT_FALSE(out.trace.valid());
   EXPECT_EQ(out.trace.parent_span_id, 0u);
 }
 
 // Sizes of the optional trailing blocks a current stats encoder emits
 // after the fixed trace records, newest block last (docs/PROTOCOL.md
-// §12): per-trace approx records, per-trace 16-byte trace ids, the
-// span-tree block, the profiler text block.
-constexpr size_t kApproxRecordBytes = sizeof(uint32_t) + sizeof(uint64_t);
+// §7, §12): the per-trace 12-byte reserved block, per-trace 16-byte
+// trace ids, the span-tree block, the profiler text block.
+constexpr size_t kReservedRecordBytes = 12;
 constexpr size_t kTraceIdRecordBytes = 2 * sizeof(uint64_t);
 size_t EmptySpanBlockBytes() { return sizeof(uint32_t); }
 size_t EmptyProfileBlockBytes() { return sizeof(uint32_t); }
 
 TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
-  // A pre-approx server's stats payload ends after the fixed trace
-  // records; every trailing block (approx, trace ids, span trees,
-  // profile) is optional and their absence must read back as zeros.
+  // The oldest servers' stats payload ends after the fixed trace
+  // records; every trailing block (reserved, trace ids, span trees,
+  // profile) is optional and their absence must read back as zeros. A
+  // reserved block cut short is a truncation.
   StatsResponse resp;
   resp.metrics_text = "vsim_requests_completed_total 1\n";
   resp.traces.push_back(MakeTrace(201));
@@ -350,7 +352,7 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
   const std::vector<RawFrame> frames = SplitFrames(buffer);
   ASSERT_EQ(frames.size(), 1u);
   const size_t trailing =
-      resp.traces.size() * (kApproxRecordBytes + kTraceIdRecordBytes) +
+      resp.traces.size() * (kReservedRecordBytes + kTraceIdRecordBytes) +
       EmptySpanBlockBytes() + EmptyProfileBlockBytes();
   const std::string legacy =
       frames[0].payload.substr(0, frames[0].payload.size() - trailing);
@@ -359,20 +361,23 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutApproxBlockDecodesToZero) {
       DecodeStatsResponsePayload(Bytes(legacy), legacy.size(), &out).ok());
   ASSERT_EQ(out.traces.size(), 2u);
   for (const obs::QueryTrace& t : out.traces) {
-    EXPECT_EQ(t.approx_level, 0);
-    EXPECT_EQ(t.approx_pruned, 0u);
     EXPECT_EQ(t.trace_hi, 0u);
     EXPECT_EQ(t.trace_lo, 0u);
     EXPECT_EQ(t.filter_hits, 37u);  // fixed records still decode fully
   }
   EXPECT_TRUE(out.span_trees.empty());
   EXPECT_TRUE(out.profile_text.empty());
+
+  const std::string partial = frames[0].payload.substr(
+      0, legacy.size() + resp.traces.size() * kReservedRecordBytes - 1);
+  EXPECT_FALSE(
+      DecodeStatsResponsePayload(Bytes(partial), partial.size(), &out).ok());
 }
 
 TEST(ProtocolTest, LegacyStatsResponseWithoutSpanBlocksDecodesEmpty) {
-  // A server that knows approx but not tracing stops after the approx
-  // block: trace ids read as zero, span trees and profile text as
-  // empty -- tolerant trailing-field evolution, no version bump.
+  // A server that predates tracing stops after the reserved block:
+  // trace ids read as zero, span trees and profile text as empty --
+  // tolerant trailing-field evolution, no version bump.
   StatsResponse resp;
   resp.metrics_text = "x 1\n";
   resp.traces.push_back(MakeTrace(301));
@@ -390,8 +395,8 @@ TEST(ProtocolTest, LegacyStatsResponseWithoutSpanBlocksDecodesEmpty) {
   ASSERT_TRUE(
       DecodeStatsResponsePayload(Bytes(legacy), legacy.size(), &out).ok());
   ASSERT_EQ(out.traces.size(), 1u);
-  EXPECT_EQ(out.traces[0].approx_level, 2);  // approx block still present
-  EXPECT_EQ(out.traces[0].trace_hi, 0u);     // trace ids truncated away
+  EXPECT_EQ(out.traces[0].filter_hits, 37u);
+  EXPECT_EQ(out.traces[0].trace_hi, 0u);  // trace ids truncated away
   EXPECT_EQ(out.traces[0].trace_lo, 0u);
   EXPECT_TRUE(out.span_trees.empty());
   EXPECT_TRUE(out.profile_text.empty());
@@ -450,6 +455,151 @@ TEST(ProtocolTest, StatsResponseRoundTripsSpanTreesAndProfile) {
     EXPECT_EQ(got.spans[i].name, tree.spans[i].name);
   }
   EXPECT_EQ(out.profile_text, resp.profile_text);
+}
+
+// Little-endian field writer for hand-built frames.
+void PutLe(std::string* out, uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(value >> (8 * i)));
+  }
+}
+
+void PutFrameHeader(std::string* out, FrameType type, uint64_t request_id,
+                    size_t payload_bytes) {
+  PutLe(out, kWireMagic, 4);
+  PutLe(out, kWireVersion, 2);
+  PutLe(out, static_cast<uint8_t>(type), 1);
+  PutLe(out, kFlagFinal, 1);
+  PutLe(out, request_id, 8);
+  PutLe(out, payload_bytes, 4);
+}
+
+TEST(ProtocolTest, NonZeroReservedStatsBlockIsIgnored) {
+  // An older server fills the reserved block (docs/PROTOCOL.md §7) with
+  // a u32 and a u64 per trace, and its span trees may carry the retired
+  // span name 5. Both must decode, with the trace ids and span trees
+  // behind the block intact.
+  StatsResponse resp;
+  resp.metrics_text = "x 1\n";
+  resp.traces.push_back(MakeTrace(501));
+  resp.traces.push_back(MakeTrace(502));
+  resp.traces[0].trace_hi = 0xa1;
+  resp.traces[0].trace_lo = 0xa2;
+  resp.traces[1].trace_hi = 0xb1;
+  resp.traces[1].trace_lo = 0xb2;
+  obs::SpanTreeRecord tree{};
+  tree.trace_hi = 0xa1;
+  tree.trace_lo = 0xa2;
+  tree.query_trace_id = 501;
+  tree.span_count = 2;
+  tree.spans[0].span_id = 5;
+  tree.spans[0].start_ns = 100;
+  tree.spans[0].end_ns = 900;
+  tree.spans[0].name = static_cast<uint8_t>(obs::SpanName::kRequest);
+  tree.spans[1].span_id = 6;
+  tree.spans[1].parent_span_id = 5;
+  tree.spans[1].start_ns = 200;
+  tree.spans[1].end_ns = 200;
+  tree.spans[1].counter = 300;
+  tree.spans[1].name = 5;  // retired: an older server's pre-filter span
+  resp.span_trees.push_back(tree);
+  std::string buffer;
+  AppendStatsResponseFrame(16, resp, &buffer);
+  std::vector<RawFrame> frames = SplitFrames(buffer);
+  ASSERT_EQ(frames.size(), 1u);
+  std::string& payload = frames[0].payload;
+  constexpr size_t kFixedTraceRecordBytes = 112;
+  const size_t reserved_at = sizeof(uint32_t) + resp.metrics_text.size() +
+                             sizeof(uint32_t) +
+                             resp.traces.size() * kFixedTraceRecordBytes;
+  std::string older;
+  for (size_t i = 0; i < resp.traces.size(); ++i) {
+    PutLe(&older, 2, 4);    // what a level-2 request recorded
+    PutLe(&older, 300, 8);  // and the candidates its stage examined
+  }
+  ASSERT_EQ(payload.substr(reserved_at, older.size()),
+            std::string(older.size(), '\0'));
+  payload.replace(reserved_at, older.size(), older);
+
+  StatsResponse out;
+  ASSERT_TRUE(
+      DecodeStatsResponsePayload(Bytes(payload), payload.size(), &out).ok());
+  ASSERT_EQ(out.traces.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(out.traces[i].trace_id, resp.traces[i].trace_id);
+    EXPECT_EQ(out.traces[i].bytes_read, resp.traces[i].bytes_read);
+    EXPECT_EQ(out.traces[i].trace_hi, resp.traces[i].trace_hi);
+    EXPECT_EQ(out.traces[i].trace_lo, resp.traces[i].trace_lo);
+  }
+  ASSERT_EQ(out.span_trees.size(), 1u);
+  const obs::SpanTreeRecord& got = out.span_trees[0];
+  EXPECT_EQ(got.trace_hi, tree.trace_hi);
+  EXPECT_EQ(got.trace_lo, tree.trace_lo);
+  EXPECT_EQ(got.query_trace_id, tree.query_trace_id);
+  ASSERT_EQ(got.span_count, 2u);
+  for (uint32_t i = 0; i < got.span_count; ++i) {
+    EXPECT_EQ(got.spans[i].span_id, tree.spans[i].span_id);
+    EXPECT_EQ(got.spans[i].parent_span_id, tree.spans[i].parent_span_id);
+    EXPECT_EQ(got.spans[i].counter, tree.spans[i].counter);
+    EXPECT_EQ(got.spans[i].name, tree.spans[i].name);
+  }
+}
+
+TEST(ProtocolTest, EncodersWriteReservedSlotsAsZero) {
+  // Both reserved slots are written as zeros, pinned byte for byte
+  // against frames built by hand from docs/PROTOCOL.md §3 and §7.
+  ServiceRequest req;
+  req.kind = QueryKind::kRange;
+  req.strategy = QueryStrategy::kVectorSetScan;
+  req.object_id = 17;
+  req.options.k = 10;
+  req.options.eps = 0.5;
+  req.options.timeout_seconds = 0.25;
+  req.trace = {0x11, 0x22, 0x33};
+  std::string payload;
+  PutLe(&payload, static_cast<uint8_t>(QueryKind::kRange), 1);
+  PutLe(&payload, static_cast<uint8_t>(QueryStrategy::kVectorSetScan), 1);
+  PutLe(&payload, 0, 1);  // with_reflections
+  PutLe(&payload, 0, 1);  // has_query
+  PutLe(&payload, 17, 4);
+  PutLe(&payload, 10, 4);
+  PutLe(&payload, std::bit_cast<uint64_t>(0.5), 8);
+  PutLe(&payload, std::bit_cast<uint64_t>(0.25), 8);
+  PutLe(&payload, 0, 4);  // reserved u32
+  PutLe(&payload, 0x11, 8);
+  PutLe(&payload, 0x22, 8);
+  PutLe(&payload, 0x33, 8);
+  std::string want;
+  PutFrameHeader(&want, FrameType::kRequest, 41, payload.size());
+  want += payload;
+  std::string got;
+  AppendRequestFrame(41, req, &got);
+  EXPECT_EQ(got, want);
+
+  StatsResponse resp;
+  resp.metrics_text = "m 1\n";
+  obs::QueryTrace trace{};
+  trace.trace_id = 9;
+  trace.trace_hi = 0x44;
+  trace.trace_lo = 0x55;
+  resp.traces.push_back(trace);
+  payload.clear();
+  PutLe(&payload, resp.metrics_text.size(), 4);
+  payload += resp.metrics_text;
+  PutLe(&payload, 1, 4);  // one trace
+  PutLe(&payload, 9, 8);  // trace_id; every other fixed field is zero
+  payload.append(112 - 8, '\0');
+  payload.append(12, '\0');  // reserved block
+  PutLe(&payload, 0x44, 8);
+  PutLe(&payload, 0x55, 8);
+  PutLe(&payload, 0, 4);  // no span trees
+  PutLe(&payload, 0, 4);  // no profile text
+  want.clear();
+  PutFrameHeader(&want, FrameType::kStatsResponse, 42, payload.size());
+  want += payload;
+  got.clear();
+  AppendStatsResponseFrame(42, resp, &got);
+  EXPECT_EQ(got, want);
 }
 
 TEST(ProtocolTest, StatsRequestRoundTripsSpanAndProfileFields) {

@@ -7,7 +7,6 @@
 #include "vsim/data/dataset.h"
 #include "vsim/distance/lp.h"
 #include "vsim/distance/min_matching.h"
-#include "vsim/kernels/sketch.h"
 
 namespace vsim {
 namespace {
@@ -94,85 +93,6 @@ TEST_F(QueryEngineTest, CostAccountingIsPopulated) {
   EXPECT_GE(cost.cpu_seconds, 0.0);
   EXPECT_GT(cost.TotalSeconds(), 0.0);
   EXPECT_GT(cost.IoSeconds(), 0.0);
-}
-
-// Distance-based recall@k: an approximate neighbor counts as a hit if
-// it is at least as close as the exact k-th neighbor (id matching would
-// punish arbitrary orderings of exact ties).
-double RecallAtK(const std::vector<Neighbor>& exact,
-                 const std::vector<Neighbor>& approx) {
-  if (exact.empty()) return 1.0;
-  const double kth = exact.back().distance + 1e-9;
-  int hits = 0;
-  for (const Neighbor& a : approx) {
-    if (a.distance <= kth) ++hits;
-  }
-  return static_cast<double>(hits) / exact.size();
-}
-
-TEST_F(QueryEngineTest, ApproxLevelOneMeetsRecallFloor) {
-  // The contract the per-request knob sells: level 1 keeps mean
-  // recall@10 at or above 0.95 on a paper-style workload (the same
-  // floor BENCH_kernels.json reports on the CarLike/AircraftLike
-  // sweeps). Exercised over every stored object, not a lucky sample.
-  const int k = 10;
-  const int n = static_cast<int>(db_->size());
-  double recall_sum = 0.0;
-  for (int query = 0; query < n; ++query) {
-    const auto exact = engine_->Knn(QueryStrategy::kVectorSetFilter, query, k);
-    const auto approx =
-        engine_->Knn(QueryStrategy::kVectorSetFilter, query, k, nullptr, 1);
-    ASSERT_EQ(approx.size(), exact.size()) << "query " << query;
-    recall_sum += RecallAtK(exact, approx);
-  }
-  EXPECT_GE(recall_sum / n, 0.95);
-}
-
-TEST_F(QueryEngineTest, ApproxLevelZeroIsExactAndChainDegenerates) {
-  QueryCost exact_cost, approx_cost;
-  const auto exact =
-      engine_->Knn(QueryStrategy::kVectorSetFilter, 7, 10, &exact_cost, 0);
-  const auto at_zero =
-      engine_->Knn(QueryStrategy::kVectorSetFilter, 7, 10, &approx_cost, 0);
-  EXPECT_EQ(at_zero, exact);
-  // Stage off: approx_pruned degenerates to filter_hits.
-  EXPECT_EQ(exact_cost.approx_pruned, exact_cost.filter_hits);
-}
-
-TEST_F(QueryEngineTest, ApproxStageAccountingExtendsInvariantChain) {
-  const int k = 10;
-  for (int level = 1; level <= kernels::kMaxApproxLevel; ++level) {
-    QueryCost cost;
-    const auto got =
-        engine_->Knn(QueryStrategy::kVectorSetFilter, 13, k, &cost, level);
-    ASSERT_EQ(got.size(), static_cast<size_t>(k)) << "level " << level;
-    // The stage examined the whole database, then the exact stages saw
-    // only survivors: approx_pruned >= filter_hits >= refined >= k.
-    EXPECT_EQ(cost.approx_pruned, db_->size()) << "level " << level;
-    EXPECT_GE(cost.approx_pruned, cost.filter_hits) << "level " << level;
-    EXPECT_GE(cost.filter_hits, cost.candidates_refined) << "level " << level;
-    EXPECT_GE(cost.candidates_refined, static_cast<size_t>(k))
-        << "level " << level;
-  }
-  // Higher levels prune at least as hard (thresholds are monotone), so
-  // the exact filter sees monotonically non-increasing survivor sets.
-  QueryCost c1, c3;
-  engine_->Knn(QueryStrategy::kVectorSetFilter, 13, k, &c1, 1);
-  engine_->Knn(QueryStrategy::kVectorSetFilter, 13, k, &c3, 3);
-  EXPECT_LE(c3.filter_hits, c1.filter_hits);
-}
-
-TEST_F(QueryEngineTest, ApproxLevelIgnoredByNonFilterStrategies) {
-  for (QueryStrategy strategy :
-       {QueryStrategy::kVectorSetScan, QueryStrategy::kVectorSetMTree,
-        QueryStrategy::kVectorSetVaFilter}) {
-    QueryCost cost;
-    const auto exact = engine_->Knn(strategy, 21, 5);
-    const auto got = engine_->Knn(strategy, 21, 5, &cost, 2);
-    EXPECT_EQ(got, exact) << QueryStrategyName(strategy);
-    EXPECT_EQ(cost.approx_pruned, cost.filter_hits)
-        << QueryStrategyName(strategy);
-  }
 }
 
 TEST_F(QueryEngineTest, RangeQueriesAgreeAcrossStrategies) {

@@ -4,10 +4,13 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "vsim/data/dataset.h"
+#include "vsim/net/protocol.h"
 
 namespace vsim {
 namespace {
@@ -384,11 +387,6 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   EXPECT_EQ(t.status_code, 0);
   EXPECT_EQ(t.cache_hit, 0);
   EXPECT_EQ(t.generation, response->generation);
-  // Approx stage off (level 0): approx_pruned degenerates to
-  // filter_hits, keeping the extended chain intact.
-  EXPECT_EQ(t.approx_level, 0);
-  EXPECT_EQ(t.approx_pruned, t.filter_hits);
-  EXPECT_GE(t.approx_pruned, t.filter_hits);
   EXPECT_GE(t.filter_hits, t.candidates_refined);
   EXPECT_GE(t.candidates_refined, static_cast<uint64_t>(k));
   // Only real Kuhn-Munkres solves count: a refinement whose row-minimum
@@ -582,64 +580,72 @@ TEST_F(QueryServiceTest, CallerTraceContextFlowsToSpanTreeAndEcho) {
   EXPECT_TRUE(root_found);
 }
 
-TEST_F(QueryServiceTest, ApproxKnobFlowsToTraceWithExtendedChain) {
-  // The per-request knob end to end: QueryOptions.approx_level switches
-  // the filter strategy onto the sketch pre-filter pipeline, the trace
-  // reports the level, and the extended Lemma-2 invariant chain
-  // approx_pruned >= filter_hits >= candidates_refined >= k holds (the
-  // approx stage examines every stored object, then the exact stages
-  // see only survivors).
-  QueryServiceOptions options;
-  options.cache_bytes = 0;
-  QueryService service(db_, engine_, options);
-  const int k = 3;
-  ServiceRequest request;
-  request.object_id = 2;
-  request.options.k = k;
-  request.options.approx_level = 1;
-  request.strategy = QueryStrategy::kVectorSetFilter;
-  StatusOr<ServiceResponse> response = service.Execute(request);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-
-  const std::vector<obs::QueryTrace> traces =
-      service.flight_recorder().Snapshot(1);
-  ASSERT_EQ(traces.size(), 1u);
-  const obs::QueryTrace& t = traces[0];
-  EXPECT_EQ(t.status_code, 0);
-  EXPECT_EQ(t.approx_level, 1);
-  EXPECT_EQ(t.approx_pruned, db_->size());  // stage examined everything
-  EXPECT_GE(t.approx_pruned, t.filter_hits);
-  EXPECT_GE(t.filter_hits, t.candidates_refined);
-  EXPECT_GE(t.candidates_refined, static_cast<uint64_t>(k));
-  const std::string text = service.metrics().TextExposition();
-  EXPECT_NE(text.find("vsim_approx_pruned_total " +
-                      std::to_string(t.approx_pruned) + "\n"),
-            std::string::npos);
-
-  // Out-of-range level is rejected at the single validation point.
-  request.options.approx_level = 99;
-  StatusOr<ServiceResponse> rejected = service.Execute(request);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(QueryServiceTest, ApproxLevelSplitsCacheKey) {
-  // An exact result must never be replayed to an approximate request or
-  // vice versa: the approx level is part of the cache key.
+TEST_F(QueryServiceTest, NanEpsRangeRequestIsRejectedWithoutCacheInsert) {
+  // NaN passes an `eps < 0` check, and as a cache key it can never hit
+  // (NaN != NaN), so each such request would run a full refinement and
+  // leave a dead entry behind. Validation must stop it first.
   QueryServiceOptions options;
   options.cache_bytes = 4 << 20;
   QueryService service(db_, engine_, options);
   ServiceRequest request;
-  request.object_id = 4;
-  request.options.k = 3;
-  ASSERT_TRUE(service.Execute(request).ok());
-  request.options.approx_level = 2;
-  StatusOr<ServiceResponse> other = service.Execute(request);
-  ASSERT_TRUE(other.ok());
-  EXPECT_FALSE(other->cache_hit);
-  StatusOr<ServiceResponse> replay = service.Execute(request);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay->cache_hit);
+  request.kind = QueryKind::kRange;
+  request.object_id = 3;
+  request.options.eps = std::numeric_limits<double>::quiet_NaN();
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    StatusOr<ServiceResponse> response = service.Execute(request);
+    ASSERT_FALSE(response.ok());
+    EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service.cache().stats().insertions, 0u);
+}
+
+TEST_F(QueryServiceTest, TimeoutBeyondTheClockMeansNoDeadline) {
+  // A timeout whose nanosecond deadline overflows uint64_t (+inf, or
+  // merely huge) is no deadline at all, not an already-expired one.
+  QueryServiceOptions options;
+  options.cache_bytes = 0;
+  QueryService service(db_, engine_, options);
+  for (double timeout : {std::numeric_limits<double>::infinity(), 1e300}) {
+    ServiceRequest request;
+    request.object_id = 5;
+    request.options.k = 3;
+    request.options.timeout_seconds = timeout;
+    StatusOr<ServiceResponse> response = service.Execute(request);
+    ASSERT_TRUE(response.ok()) << timeout << ": "
+                               << response.status().ToString();
+    EXPECT_EQ(response->neighbors,
+              engine_->Knn(QueryStrategy::kVectorSetFilter, 5, 3));
+  }
+}
+
+TEST_F(QueryServiceTest, NonZeroReservedRequestSlotGetsTheExactAnswer) {
+  // Clients from before the reserved u32 (docs/PROTOCOL.md §3) put an
+  // approximate pre-filter level there (e.g. 2). The slot decodes, its
+  // value is ignored, and the answer is the exact one.
+  QueryServiceOptions options;
+  options.cache_bytes = 0;
+  QueryService service(db_, engine_, options);
+  ServiceRequest request;
+  request.object_id = 6;
+  request.options.k = 4;
+  std::string frame;
+  net::AppendRequestFrame(1, request, &frame);
+  // The reserved u32 sits right before the 24-byte trace block.
+  const size_t slot = frame.size() - 3 * sizeof(uint64_t) - sizeof(uint32_t);
+  ASSERT_EQ(frame.substr(slot, 4), std::string(4, '\0'));
+  frame[slot] = 2;
+  ServiceRequest decoded;
+  ASSERT_TRUE(net::DecodeRequestPayload(
+                  reinterpret_cast<const uint8_t*>(frame.data()) +
+                      net::kFrameHeaderBytes,
+                  frame.size() - net::kFrameHeaderBytes, &decoded)
+                  .ok());
+  StatusOr<ServiceResponse> older = service.Execute(decoded);
+  StatusOr<ServiceResponse> exact = service.Execute(request);
+  ASSERT_TRUE(older.ok()) << older.status().ToString();
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(older->neighbors, exact->neighbors);
+  EXPECT_EQ(older->neighbors.size(), 4u);
 }
 
 TEST_F(QueryServiceTest, CacheHitTraceSkipsStageCounters) {

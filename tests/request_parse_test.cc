@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +99,56 @@ TEST(RequestParseTest, UnknownNamesFailWithValidSpellings) {
     // The error must teach the right spelling, not just reject.
     EXPECT_NE(status.message().find("valid:"), std::string::npos)
         << status.ToString();
+  }
+}
+
+TEST(RequestParseTest, ValidateQueryOptionsRejectsNegativeAndNan) {
+  // Each kind checks its own knobs plus the timeout. NaN compares false
+  // with everything, so it must fail the checks, not slip through them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    QueryKind kind;
+    int k;
+    double eps;
+    double timeout;
+    bool valid;
+  };
+  const Case cases[] = {
+      {QueryKind::kKnn, 10, 0.0, 0.0, true},
+      {QueryKind::kKnn, 0, 0.0, 0.0, false},
+      {QueryKind::kKnn, -1, 0.0, 0.0, false},
+      {QueryKind::kKnn, 10, nan, 0.0, true},  // eps is not a k-NN knob
+      {QueryKind::kKnn, 10, 0.0, -1.0, false},
+      {QueryKind::kKnn, 10, 0.0, nan, false},
+      {QueryKind::kKnn, 10, 0.0, inf, true},
+      {QueryKind::kInvariantKnn, 1, 0.0, 0.0, true},
+      {QueryKind::kInvariantKnn, -3, 0.0, 0.0, false},
+      {QueryKind::kInvariantKnn, 1, 0.0, nan, false},
+      {QueryKind::kRange, 0, 0.0, 0.0, true},  // k is not a range knob
+      {QueryKind::kRange, 0, 0.5, inf, true},
+      {QueryKind::kRange, 0, -0.5, 0.0, false},
+      {QueryKind::kRange, 0, -inf, 0.0, false},
+      {QueryKind::kRange, 0, nan, 0.0, false},
+      {QueryKind::kRange, 0, 0.5, -1.0, false},
+      {QueryKind::kRange, 0, 0.5, nan, false},
+      {QueryKind::kInvariantRange, 0, 0.5, 0.0, true},
+      {QueryKind::kInvariantRange, 0, -1e-9, 0.0, false},
+      {QueryKind::kInvariantRange, 0, nan, 0.0, false},
+      {QueryKind::kInvariantRange, 0, 0.5, nan, false},
+  };
+  for (const Case& c : cases) {
+    QueryOptions options;
+    options.k = c.k;
+    options.eps = c.eps;
+    options.timeout_seconds = c.timeout;
+    const Status status = ValidateQueryOptions(c.kind, options);
+    EXPECT_EQ(status.ok(), c.valid)
+        << QueryKindName(c.kind) << " k=" << c.k << " eps=" << c.eps
+        << " timeout=" << c.timeout << ": " << status.ToString();
+    if (!c.valid) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    }
   }
 }
 

@@ -140,6 +140,26 @@ TEST(VaFileTest, DegenerateDimensionsHandled) {
   EXPECT_EQ(nn[0].id, 2);
 }
 
+TEST(VaFileTest, NonPositiveKYieldsEmptyAnswer) {
+  // k <= 0 asks for nothing: an empty answer and no refinements, never
+  // a read of the empty result heap.
+  Rng rng(56);
+  const auto pts = RandomPoints(rng, 40, 3);
+  VaFile va(3);
+  ASSERT_TRUE(va.Build(pts, Iota(40)).ok());
+  auto exact = [&](int id, IoStats*) {
+    return EuclideanDistance(pts[0], pts[id]);
+  };
+  for (int k : {0, -1}) {
+    size_t refined = 7;
+    EXPECT_TRUE(va.MultiStepKnn(pts[0], 1.0, k, exact, nullptr, &refined)
+                    .empty())
+        << "k=" << k;
+    EXPECT_EQ(refined, 0u) << "k=" << k;
+    EXPECT_TRUE(va.KnnQuery(pts[0], k).empty()) << "k=" << k;
+  }
+}
+
 TEST(VaFileTest, MultiStepWithExternalDistance) {
   // Stored points act as a filter for an external exact distance that is
   // 3x the Euclidean distance: filter_scale = 3 keeps the bound valid.

@@ -346,14 +346,14 @@ int CmdInfo(const Flags& flags) {
 
 int CmdQuery(const Flags& flags) {
   VSIM_CLI_CHECK_FLAGS(flags, "query",
-                       {"db", "id", "mesh", "k", "strategy", "invariant",
-                        "approx"});
+                       {"db", "id", "mesh", "k", "strategy", "invariant"});
   StatusOr<CadDatabase> db = OpenDb(flags);
   if (!db.ok()) return Fail(db.status());
-  const int k = flags.GetInt("k", 10);
-  StatusOr<int> approx_or = ParseApproxLevel(flags.Get("approx", "0"));
-  if (!approx_or.ok()) return UsageFail(approx_or.status());
-  const int approx = approx_or.value();
+  QueryOptions options;
+  options.k = flags.GetInt("k", 10);
+  const Status valid = ValidateQueryOptions(QueryKind::kKnn, options);
+  if (!valid.ok()) return UsageFail(valid);
+  const int k = options.k;
   StatusOr<QueryStrategy> strategy_or =
       ParseQueryStrategy(flags.Get("strategy", "filter"));
   if (!strategy_or.ok()) return UsageFail(strategy_or.status());
@@ -373,9 +373,9 @@ int CmdQuery(const Flags& flags) {
         ExtractObject({WeldVertices(*mesh)}, db->options());
     if (!repr.ok()) return Fail(repr.status());
     if (flags.Has("invariant")) {
-      result = engine.InvariantKnn(strategy, *repr, k, true, &cost, approx);
+      result = engine.InvariantKnn(strategy, *repr, k, true, &cost);
     } else {
-      result = engine.Knn(strategy, *repr, k, &cost, approx);
+      result = engine.Knn(strategy, *repr, k, &cost);
     }
     query_desc = mesh_path;
   } else {
@@ -384,10 +384,9 @@ int CmdQuery(const Flags& flags) {
       return Fail(Status::OutOfRange("--id out of range"));
     }
     if (flags.Has("invariant")) {
-      result = engine.InvariantKnn(strategy, db->object(id), k, true, &cost,
-                                   approx);
+      result = engine.InvariantKnn(strategy, db->object(id), k, true, &cost);
     } else {
-      result = engine.Knn(strategy, id, k, &cost, approx);
+      result = engine.Knn(strategy, id, k, &cost);
     }
     query_desc = "object " + std::to_string(id);
   }
@@ -412,7 +411,11 @@ int CmdClassify(const Flags& flags) {
   VSIM_CLI_CHECK_FLAGS(flags, "classify", {"db", "k", "invariant"});
   StatusOr<CadDatabase> db = OpenDb(flags);
   if (!db.ok()) return Fail(db.status());
-  const int k = flags.GetInt("k", 1);
+  QueryOptions options;
+  options.k = flags.GetInt("k", 1);
+  const Status valid = ValidateQueryOptions(QueryKind::kKnn, options);
+  if (!valid.ok()) return UsageFail(valid);
+  const int k = options.k;
   bool labeled = false;
   for (int label : db->labels()) labeled |= label >= 0;
   if (!labeled) {
@@ -1027,7 +1030,7 @@ int CmdRemoteQuery(const Flags& flags) {
   VSIM_CLI_CHECK_FLAGS(flags, "remote-query",
                        {"host", "port", "id", "mesh", "k", "kind",
                         "strategy", "eps", "invariant", "reflections",
-                        "timeout-ms", "approx"});
+                        "timeout-ms"});
   const int port = flags.GetInt("port", 0);
   if (port <= 0) {
     std::fprintf(stderr,
@@ -1036,7 +1039,7 @@ int CmdRemoteQuery(const Flags& flags) {
                  "[--kind knn|range|invariant-knn|invariant-range] "
                  "[--strategy filter|scan|mtree|vafile|onevector] "
                  "[--eps E] [--invariant] [--reflections] "
-                 "[--timeout-ms MS] [--approx L]\n");
+                 "[--timeout-ms MS]\n");
     return 2;
   }
 
@@ -1059,9 +1062,6 @@ int CmdRemoteQuery(const Flags& flags) {
   req.options.eps = flags.GetDouble("eps", 0.0);
   req.with_reflections = flags.Has("reflections");
   req.options.timeout_seconds = flags.GetDouble("timeout-ms", 0.0) * 1e-3;
-  StatusOr<int> approx = ParseApproxLevel(flags.Get("approx", "0"));
-  if (!approx.ok()) return UsageFail(approx.status());
-  req.options.approx_level = approx.value();
 
   const std::string host = flags.Get("host", "127.0.0.1");
   StatusOr<net::Client> client = net::Client::Connect(host, port);
@@ -1248,7 +1248,7 @@ int CmdStats(const Flags& flags) {
   for (const obs::QueryTrace& t : stats->traces) {
     std::printf(
         "  #%llu %s/%s gen %llu%s: total %.3f ms (queue %.3f, "
-        "filter %.3f, refine %.3f); %s%llu filter hits -> %llu refined, "
+        "filter %.3f, refine %.3f); %llu filter hits -> %llu refined, "
         "%llu hungarian, %llu pages / %llu bytes I/O%s\n",
         static_cast<unsigned long long>(t.trace_id),
         QueryKindName(static_cast<QueryKind>(t.kind)),
@@ -1257,11 +1257,6 @@ int CmdStats(const Flags& flags) {
         t.cache_hit ? " (cache hit)" : "",
         1e3 * t.total_seconds, 1e3 * t.queue_seconds,
         1e3 * t.filter_seconds, 1e3 * t.refine_seconds,
-        t.approx_level == 0
-            ? ""
-            : ("approx L" + std::to_string(t.approx_level) + " " +
-               std::to_string(t.approx_pruned) + " examined -> ")
-                  .c_str(),
         static_cast<unsigned long long>(t.filter_hits),
         static_cast<unsigned long long>(t.candidates_refined),
         static_cast<unsigned long long>(t.hungarian_invocations),
