@@ -4,10 +4,13 @@
 // store all vector sets in a real paged file behind the sharded CLOCK
 // buffer pool and repeat the Table-2 filter workload with growing pool
 // sizes: page accesses are charged only on actual misses. Two layouts
-// of the same records are compared: id order (the paper's unclustered
-// object file; ids carry no spatial meaning) and the centroid X-tree's
-// leaf order (what DbSnapshot::CreateDiskBacked writes), in which one
-// query's candidates share pages.
+// of the same records are compared on the per-object index
+// (SetGrouping::kNone): id order (the paper's unclustered object file;
+// ids carry no spatial meaning) and the centroid X-tree's leaf order,
+// in which one query's candidates share pages. A third row refines one
+// entry per distinct vector set over the layout DbSnapshot::
+// CreateDiskBacked writes: the sets' first records in leaf order, then
+// the other members' records.
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -25,7 +28,8 @@ int main() {
   opt.extract_histograms = false;
   const Dataset ds = bench::AircraftDataset(cfg);
   const CadDatabase db = bench::BuildDatabase(ds, opt);
-  QueryEngine engine(&db);
+  QueryEngine engine(&db, {}, SetGrouping::kNone);
+  QueryEngine grouped(&db);
 
   const std::string store_path = "/tmp/vsim_ablation_store.vspg";
   const size_t page_size = 4096;
@@ -53,9 +57,13 @@ int main() {
   std::iota(id_order.begin(), id_order.end(), 0);
   const struct {
     const char* name;
+    QueryEngine* engine;
     std::vector<int> order;
-  } layouts[] = {{"id order (unclustered)", id_order},
-                 {"X-tree leaf order", engine.centroid_index().LeafOrder()}};
+  } layouts[] = {
+      {"id order (unclustered)", &engine, id_order},
+      {"X-tree leaf order", &engine, engine.centroid_index().LeafOrder()},
+      {"one entry per set, first records in leaf order", &grouped,
+       grouped.StoreRecordOrder()}};
 
   TablePrinter table({"buffer pool", "store layout", "pages charged",
                       "I/O time", "vs flat simulation"});
@@ -77,14 +85,14 @@ int main() {
         std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return 1;
       }
-      engine.AttachStore(&*store);
+      layout.engine->AttachStore(&*store);
       QueryCost cached;
       for (int id : queries) {
         QueryCost cost;
-        engine.Knn(QueryStrategy::kVectorSetFilter, id, 10, &cost);
+        layout.engine->Knn(QueryStrategy::kVectorSetFilter, id, 10, &cost);
         cached += cost;
       }
-      engine.AttachStore(nullptr);
+      layout.engine->AttachStore(nullptr);
       const double ratio = static_cast<double>(cached.io.page_accesses()) /
                            static_cast<double>(flat.io.page_accesses());
       table.AddRow({std::to_string(pool_pages) + " pages", layout.name,

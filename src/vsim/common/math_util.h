@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace vsim {
 
@@ -26,6 +27,15 @@ T Clamp(T v, T lo, T hi) {
 inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 inline double Square(double x) { return x * x; }
+
+// The standard rounding-error factor gamma_n = n*u / (1 - n*u) for
+// binary64 (unit roundoff u = 2^-53): a result computed with n
+// rounded operations lies within a factor (1 +- gamma_n) of the exact
+// one (Higham, Accuracy and Stability of Numerical Algorithms, Sec. 3.1).
+inline double RoundingGamma(int n) {
+  const double nu = n * (std::numeric_limits<double>::epsilon() / 2);
+  return nu / (1.0 - nu);
+}
 
 }  // namespace vsim
 

@@ -1,7 +1,9 @@
 #include "vsim/core/query_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <numeric>
 
@@ -106,6 +108,35 @@ class Refiner {
   Status status_;
 };
 
+// The engine's groups: ids ascending within a group, groups by their
+// smallest id. kEqualSets joins objects whose vector sets are the same
+// sequence of bit-identical vectors -- never by centroid, which two
+// distinct sets can share. Not by multiset: the matching distance sums
+// its terms in vector order, so two orders of one set can differ in
+// the last bit, while equal sequences give every member the distance
+// of the group's first record exactly.
+std::vector<std::vector<int>> GroupObjects(const CadDatabase& db,
+                                           SetGrouping grouping) {
+  const int n = static_cast<int>(db.size());
+  std::vector<std::vector<int>> groups;
+  if (grouping == SetGrouping::kNone) {
+    for (int id = 0; id < n; ++id) groups.push_back({id});
+    return groups;
+  }
+  std::map<std::vector<uint64_t>, size_t> group_of;
+  for (int id = 0; id < n; ++id) {
+    const VectorSet& set = db.object(id).vector_set;
+    std::vector<uint64_t> key{set.size(), set.dim()};
+    for (const FeatureVector& v : set.vectors) {
+      for (double c : v) key.push_back(std::bit_cast<uint64_t>(c));
+    }
+    const auto [it, inserted] = group_of.emplace(std::move(key), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(id);
+  }
+  return groups;
+}
+
 }  // namespace
 
 const char* QueryStrategyName(QueryStrategy strategy) {
@@ -124,7 +155,8 @@ const char* QueryStrategyName(QueryStrategy strategy) {
   return "unknown";
 }
 
-QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
+QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params,
+                         SetGrouping grouping)
     : db_(db), params_(params), num_covers_(db->options().num_covers) {
   assert(db_->size() > 0);
   const int dim = static_cast<int>(db_->object(0).centroid.size());
@@ -147,7 +179,24 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
       mopts);
 
   // The X-trees are bulk-loaded (STR packing); the M-tree grows by
-  // insertion (metric trees have no comparable packing).
+  // insertion (metric trees have no comparable packing). The centroid
+  // X-tree holds one entry per group, at its smallest member's
+  // centroid, and declares the largest rounding error of those points.
+  scan_groups_ = GroupObjects(*db_, grouping);
+  std::vector<FeatureVector> group_centroids;
+  group_centroids.reserve(scan_groups_.size());
+  double point_error = 0.0;
+  for (const std::vector<int>& members : scan_groups_) {
+    const ObjectRepr& repr = db_->object(members.front());
+    group_centroids.push_back(repr.centroid);
+    point_error = std::max(
+        point_error, ExtendedCentroidError(repr.vector_set, num_covers_));
+    scan_bytes_ += repr.VectorSetBytes();
+  }
+  Status st = centroid_index_->BulkLoadGroups(group_centroids, scan_groups_);
+  assert(st.ok());
+  centroid_index_->set_point_error(point_error);
+
   std::vector<FeatureVector> centroids, cover_vectors;
   std::vector<int> ids;
   centroids.reserve(db_->size());
@@ -158,10 +207,7 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
     cover_vectors.push_back(repr.cover_vector);
     ids.push_back(id);
     mtree_->Insert(repr.vector_set, id);
-    scan_bytes_ += repr.VectorSetBytes();
   }
-  Status st = centroid_index_->BulkLoad(centroids, ids);
-  assert(st.ok());
   st = one_vector_index_->BulkLoad(cover_vectors, ids);
   assert(st.ok());
   VaFileOptions va_opts;
@@ -170,7 +216,20 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params)
   st = centroid_vafile_->Build(centroids, ids);
   assert(st.ok());
   (void)st;
-  scan_order_ = std::move(ids);
+}
+
+std::vector<int> QueryEngine::StoreRecordOrder() const {
+  const std::vector<std::span<const int>> entries =
+      centroid_index_->LeafEntries();
+  std::vector<int> order;
+  order.reserve(db_->size());
+  for (std::span<const int> members : entries) {
+    order.push_back(members.front());
+  }
+  for (std::span<const int> members : entries) {
+    order.insert(order.end(), members.begin() + 1, members.end());
+  }
+  return order;
 }
 
 void QueryEngine::AttachStore(const VectorSetStore* store) {
@@ -179,16 +238,42 @@ void QueryEngine::AttachStore(const VectorSetStore* store) {
   assert(store == nullptr || (store->size() == db_->size() &&
                               store->page_order().size() == db_->size()));
   store_ = store;
+  // Visit the groups in the page order of their first records, or by
+  // first id without a store.
+  std::vector<size_t> position(db_->size());
   if (store != nullptr) {
-    scan_order_ = store->page_order();
+    for (size_t i = 0; i < store->page_order().size(); ++i) {
+      position[store->page_order()[i]] = i;
+    }
   } else {
-    std::iota(scan_order_.begin(), scan_order_.end(), 0);
+    std::iota(position.begin(), position.end(), size_t{0});
   }
+  std::sort(scan_groups_.begin(), scan_groups_.end(),
+            [&position](const std::vector<int>& a, const std::vector<int>& b) {
+              return position[a.front()] < position[b.front()];
+            });
 }
 
 std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy, int query_id,
                                        int k, QueryCost* cost) const {
-  return Knn(strategy, db_->object(query_id), k, cost);
+  const ObjectRepr& stored = db_->object(query_id);
+  if (!stored.vector_set.empty() || store_ == nullptr) {
+    return Knn(strategy, stored, k, cost);
+  }
+  // The RAM copy was released: hydrate the fields the strategies read.
+  ObjectRepr query;
+  StatusOr<VectorSet> set = store_->Get(query_id);
+  if (!set.ok()) {
+    if (cost != nullptr) {
+      *cost = QueryCost{};
+      cost->status = set.status();
+    }
+    return {};
+  }
+  query.vector_set = std::move(set).value();
+  query.centroid = stored.centroid;
+  query.cover_vector = stored.cover_vector;
+  return Knn(strategy, query, k, cost);
 }
 
 std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
@@ -216,11 +301,12 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       break;
     }
     case QueryStrategy::kVectorSetScan: {
-      result = ScanKnn(scan_order_, k, scan_bytes_, params_.page_size_bytes,
+      result = ScanKnn(scan_groups_, k, scan_bytes_, params_.page_size_bytes,
                        refiner.Exact(), &local.io);
-      local.candidates_refined = db_->size();
-      local.filter_hits = db_->size();  // no filter: everything qualifies
-      local.hungarian_invocations = db_->size();
+      // No filter: every group qualifies and is solved.
+      local.candidates_refined = scan_groups_.size();
+      local.filter_hits = scan_groups_.size();
+      local.hungarian_invocations = scan_groups_.size();
       break;
     }
     case QueryStrategy::kVectorSetMTree: {
@@ -298,7 +384,8 @@ std::vector<Neighbor> QueryEngine::InvariantKnn(QueryStrategy strategy,
   for (const auto& [id, d] : best_by_object) merged.push_back({id, d});
   std::sort(merged.begin(), merged.end(),
             [](const Neighbor& a, const Neighbor& b) {
-              return a.distance < b.distance;
+              return a.distance < b.distance ||
+                     (a.distance == b.distance && a.id < b.id);
             });
   if (static_cast<int>(merged.size()) > k) merged.resize(k);
   if (!total.status.ok()) merged.clear();
@@ -352,11 +439,11 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       break;
     }
     case QueryStrategy::kVectorSetScan: {
-      result = ScanRange(scan_order_, eps, scan_bytes_,
+      result = ScanRange(scan_groups_, eps, scan_bytes_,
                          params_.page_size_bytes, refiner.Exact(), &local.io);
-      local.candidates_refined = db_->size();
-      local.filter_hits = db_->size();  // no filter: everything qualifies
-      local.hungarian_invocations = db_->size();
+      local.candidates_refined = scan_groups_.size();
+      local.filter_hits = scan_groups_.size();
+      local.hungarian_invocations = scan_groups_.size();
       break;
     }
     case QueryStrategy::kVectorSetMTree: {

@@ -15,6 +15,14 @@
 // All strategies charge simulated I/O (8 ms/page, 200 ns/byte) and
 // measure CPU wall time, reproducing the paper's cost model.
 //
+// Equal vector sets are refined once (SetGrouping::kEqualSets, the
+// default): the filter and scan strategies index and visit one entry
+// per distinct vector set, carrying the ids of every object holding it,
+// so one refinement serves them all. Their answers are canonical -- the
+// k smallest (distance, id) pairs, range ids ascending -- and equal the
+// per-object index's (SetGrouping::kNone) bit for bit. The M-tree,
+// VA-file and one-vector strategies stay per object.
+//
 // Thread-safety: the engine and its indexes are immutable after
 // construction; every query method is const and touches no mutable
 // state, so any number of threads may query one engine concurrently
@@ -53,20 +61,30 @@ enum class QueryStrategy {
 
 const char* QueryStrategyName(QueryStrategy strategy);
 
+// How the vector-set filter and scan strategies group objects.
+enum class SetGrouping {
+  // One entry per distinct vector set: objects whose sets are the same
+  // sequence of bit-identical vectors share it.
+  kEqualSets,
+  // Groups of one: the paper's per-object index, on the same code path.
+  kNone,
+};
+
 struct QueryCost {
   double cpu_seconds = 0.0;
   IoStats io;
   size_t candidates_refined = 0;  // exact distance computations
 
-  // Per-stage attribution (docs/OBSERVABILITY.md). filter_hits counts
-  // candidates the filter step produced (Lemma 2: always >= the number
+  // Per-stage attribution (docs/OBSERVABILITY.md). Filter and scan
+  // count groups of equal vector sets, not objects: filter_hits counts
+  // the entries the filter step produced (Lemma 2: always >= the number
   // refined under the optimal multi-step algorithm); for scans every
-  // stored object is a "hit". hungarian_invocations counts
+  // group is a "hit". candidates_refined may be below k: one
+  // refinement can certify a whole answer. hungarian_invocations counts
   // Kuhn-Munkres minimal-matching solves: on the filter strategy only
   // the refinements whose row-minimum bound did not already exceed the
-  // current threshold (so <= candidates_refined, and equal when k >=
-  // the corpus size); one per refinement on scan, M-tree and VA-file;
-  // zero for the one-vector model.
+  // current threshold (so <= candidates_refined); one per refinement on
+  // scan, M-tree and VA-file; zero for the one-vector model.
   // filter/refine_seconds split cpu_seconds for filter-and-refine
   // strategies; strategies without a split report the whole execution
   // as one stage (scan/M-tree: refine; one-vector: filter).
@@ -101,12 +119,17 @@ struct QueryCost {
 class QueryEngine {
  public:
   // Builds the required index structures over `db` (which must have
-  // cover features extracted and must outlive the engine).
-  explicit QueryEngine(const CadDatabase* db, IoCostParams params = {});
+  // cover features extracted and must outlive the engine). `grouping`
+  // is the only switch between one entry per distinct vector set and
+  // the per-object index.
+  explicit QueryEngine(const CadDatabase* db, IoCostParams params = {},
+                       SetGrouping grouping = SetGrouping::kEqualSets);
 
   // k-NN query with a stored object as the query (the paper queries
-  // with 100 random database objects). With a store attached, a failed
-  // candidate read yields an empty result and cost->status says why.
+  // with 100 random database objects). When the database's RAM copy of
+  // the query's set was released (DbSnapshot::CreateDiskBacked), it is
+  // read from the attached store. With a store attached, a failed read
+  // yields an empty result and cost->status says why.
   std::vector<Neighbor> Knn(QueryStrategy strategy, int query_id, int k,
                             QueryCost* cost = nullptr) const;
 
@@ -147,28 +170,35 @@ class QueryEngine {
   const XTree& centroid_index() const { return *centroid_index_; }
   const XTree& one_vector_index() const { return *one_vector_index_; }
 
+  // The record order of a disk-backed store for this engine: the first
+  // (smallest) id of every distinct vector set in the centroid filter's
+  // leaf order, then every other id in the same order. Refinement reads
+  // only the first records, packed at the front of the file.
+  std::vector<int> StoreRecordOrder() const;
+
   // Attaches a disk-backed vector-set store (must hold the same ids as
   // the database, in any record order). When attached, refinement
   // fetches candidates through the store's buffer pool: page accesses
   // are charged only on actual cache misses, instead of the flat
-  // one-page-per-candidate simulation; the scan strategy visits objects
-  // in the store's page order, so it reads each page once. `store` must
-  // outlive the engine; pass nullptr to detach.
+  // one-page-per-candidate simulation; the scan strategy visits groups
+  // in the page order of their first records, so it reads each page
+  // once. `store` must outlive the engine; pass nullptr to detach.
   void AttachStore(const VectorSetStore* store);
 
  private:
   const CadDatabase* db_;
   IoCostParams params_;
   int num_covers_;
-  size_t scan_bytes_ = 0;  // total size of the vector-set file
+  size_t scan_bytes_ = 0;  // total size of the groups' first records
   std::unique_ptr<XTree> centroid_index_;    // 6-d extended centroids
   std::unique_ptr<XTree> one_vector_index_;  // 6k-d cover vectors
   std::unique_ptr<MTree<VectorSet>> mtree_;
   std::unique_ptr<VaFile> centroid_vafile_;  // quantized centroid filter
   const VectorSetStore* store_ = nullptr;    // optional disk-backed fetches
-  // The scan strategy's visiting order: the attached store's page
-  // order, else ids ascending.
-  std::vector<int> scan_order_;
+  // Every group of equal vector sets, ids ascending, in the scan
+  // strategy's visiting order: the page order of the groups' first
+  // records in the attached store, else by first id.
+  std::vector<std::vector<int>> scan_groups_;
 };
 
 }  // namespace vsim

@@ -125,9 +125,9 @@ class CadDatabase {
   // (DbSnapshot::CreateDiskBacked calls this after the engine's index
   // build, which is the last consumer of the RAM copies). Setup-time
   // only: call before the database is frozen into a snapshot, never
-  // while it is being served. Distance(kVectorSet) and stored-id
-  // queries through the raw engine need the sets -- after demotion the
-  // service hydrates stored-id queries from the store instead.
+  // while it is being served. Distance(kVectorSet) needs the sets;
+  // stored-id queries (QueryService, QueryEngine::Knn by id) read the
+  // query's set back from the engine's attached store.
   void ReleaseVectorSets();
 
   // Bytes currently held by the RAM copies of the vector sets (the

@@ -24,6 +24,16 @@ namespace vsim {
 FeatureVector ExtendedCentroid(const VectorSet& set, int k,
                                const FeatureVector& omega = {});
 
+// An upper bound on the Euclidean distance between
+// ExtendedCentroid(set, k) with the origin as omega, as computed in
+// binary64, and its exact value: gamma * (sum of the vectors' norms) /
+// k, the standard error bound of the coordinate sums over at most k
+// vectors, with gamma counting the roundings of evaluating the bound
+// too. The query engine declares the largest one of its stored sets as
+// the centroid X-tree's point error (src/vsim/index/multistep.cc
+// derives the filter's rounding bound from it).
+double ExtendedCentroidError(const VectorSet& set, int k);
+
 }  // namespace vsim
 
 #endif  // VSIM_DISTANCE_CENTROID_FILTER_H_

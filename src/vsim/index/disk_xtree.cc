@@ -69,6 +69,10 @@ class Reader {
 
 Status DiskXTree::Write(const XTree& tree, const std::string& path,
                         size_t page_size) {
+  if (tree.grouped()) {
+    return Status::FailedPrecondition(
+        "DiskXTree stores one id per leaf entry; this tree has member runs");
+  }
   VSIM_ASSIGN_OR_RETURN(PagedFile file, PagedFile::Create(path, page_size));
 
   // Serialize every node up front to know its size.

@@ -31,7 +31,9 @@ class DiskXTree {
  public:
   // Serializes `tree` into a fresh paged file at `path`. Every node
   // occupies ceil(bytes / page_size) consecutive pages (supernodes span
-  // several pages naturally).
+  // several pages naturally). A grouped tree (XTree::grouped(): some
+  // leaf entry holds several ids) is refused with FailedPrecondition
+  // before anything is written: the disk format has one id per entry.
   static Status Write(const XTree& tree, const std::string& path,
                       size_t page_size = 4096);
 

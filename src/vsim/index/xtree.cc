@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -132,6 +133,9 @@ Status XTree::Insert(const FeatureVector& point, int id) {
   entry.lo = point;
   entry.hi = point;
   entry.id = id;
+  entry.first = static_cast<uint32_t>(members_.size());
+  entry.count = 1;
+  members_.push_back(id);
 
   // Descend to a leaf, remembering the path.
   std::vector<int> path;
@@ -338,10 +342,18 @@ bool XTree::SplitNode(int node_index, Node* left_out, Node* right_out) {
 
 Status XTree::BulkLoad(const std::vector<FeatureVector>& points,
                        const std::vector<int>& ids) {
+  std::vector<std::vector<int>> members;
+  members.reserve(ids.size());
+  for (int id : ids) members.push_back({id});
+  return BulkLoadGroups(points, members);
+}
+
+Status XTree::BulkLoadGroups(const std::vector<FeatureVector>& points,
+                             const std::vector<std::vector<int>>& members) {
   if (count_ != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");
   }
-  if (points.size() != ids.size()) {
+  if (points.size() != members.size()) {
     return Status::InvalidArgument("points/ids size mismatch");
   }
   for (const FeatureVector& p : points) {
@@ -349,8 +361,22 @@ Status XTree::BulkLoad(const std::vector<FeatureVector>& points,
       return Status::InvalidArgument("point dimensionality mismatch");
     }
   }
+  for (const std::vector<int>& run : members) {
+    if (run.empty() || std::adjacent_find(run.begin(), run.end(),
+                                          std::greater_equal<int>()) !=
+                           run.end()) {
+      return Status::InvalidArgument(
+          "member runs must be non-empty and strictly ascending");
+    }
+  }
   if (points.empty()) return Status::OK();
 
+  // Point i's run goes to members_[first[i], first[i] + |members[i]|).
+  std::vector<uint32_t> first(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    first[i] = static_cast<uint32_t>(members_.size());
+    members_.insert(members_.end(), members[i].begin(), members[i].end());
+  }
   nodes_.clear();
 
   // Pack leaves by recursive widest-dimension median splits until each
@@ -376,7 +402,9 @@ Status XTree::BulkLoad(const std::vector<FeatureVector>& points,
         Entry e;
         e.lo = points[order[i]];
         e.hi = points[order[i]];
-        e.id = ids[order[i]];
+        e.first = first[order[i]];
+        e.count = static_cast<uint32_t>(members[order[i]].size());
+        e.id = members[order[i]].front();
         leaf.entries.push_back(std::move(e));
       }
       nodes_.push_back(std::move(leaf));
@@ -445,24 +473,33 @@ double XTree::MinDistToBox(const FeatureVector& q, const Entry& e) const {
 
 void XTree::RangeRecursive(int node_index, const FeatureVector& query,
                            double eps, IoStats* stats,
-                           std::vector<int>* out) const {
+                           std::vector<std::span<const int>>* out) const {
   ChargeVisit(node_index, stats);
   const Node& node = nodes_[node_index];
   for (const Entry& e : node.entries) {
     if (MinDistToBox(query, e) > eps) continue;
     if (node.leaf) {
-      out->push_back(e.id);
+      out->push_back(Members(e));
     } else {
       RangeRecursive(e.child, query, eps, stats, out);
     }
   }
 }
 
+std::vector<std::span<const int>> XTree::RangeEntries(
+    const FeatureVector& query, double eps, IoStats* stats) const {
+  std::vector<std::span<const int>> out;
+  if (count_ == 0) return out;
+  RangeRecursive(root_, query, eps, stats, &out);
+  return out;
+}
+
 std::vector<int> XTree::RangeQuery(const FeatureVector& query, double eps,
                                    IoStats* stats) const {
   std::vector<int> out;
-  if (count_ == 0) return out;
-  RangeRecursive(root_, query, eps, stats, &out);
+  for (std::span<const int> run : RangeEntries(query, eps, stats)) {
+    out.insert(out.end(), run.begin(), run.end());
+  }
   return out;
 }
 
@@ -480,9 +517,10 @@ void XTree::RankingCursor::Settle() {
     heap_.pop();
     tree_->ChargeVisit(item.node, stats_);
     const Node& node = tree_->nodes_[item.node];
-    for (const Entry& e : node.entries) {
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const Entry& e = node.entries[i];
       const double d = tree_->MinDistToBox(query_, e);
-      heap_.push(node.leaf ? QueueItem{d, -1, e.id}
+      heap_.push(node.leaf ? QueueItem{d, -1 - item.node, static_cast<int>(i)}
                            : QueueItem{d, e.child, -1});
     }
   }
@@ -498,12 +536,14 @@ double XTree::RankingCursor::NextDistance() {
   return heap_.empty() ? kInf : heap_.top().distance;
 }
 
-Neighbor XTree::RankingCursor::Next() {
+RankedEntry XTree::RankingCursor::Next() {
   Settle();
   assert(!heap_.empty());
   const QueueItem item = heap_.top();
   heap_.pop();
-  return Neighbor{item.id, item.distance};
+  return RankedEntry{
+      item.distance,
+      tree_->Members(tree_->nodes_[-1 - item.node].entries[item.entry])};
 }
 
 XTree::RankingCursor XTree::Rank(const FeatureVector& query,
@@ -516,7 +556,11 @@ std::vector<Neighbor> XTree::KnnQuery(const FeatureVector& query, int k,
   std::vector<Neighbor> result;
   RankingCursor cursor = Rank(query, stats);
   while (static_cast<int>(result.size()) < k && cursor.HasNext()) {
-    result.push_back(cursor.Next());
+    const RankedEntry entry = cursor.Next();
+    for (int id : entry.members) {
+      if (static_cast<int>(result.size()) == k) break;
+      result.push_back({id, entry.distance});
+    }
   }
   return result;
 }
@@ -524,6 +568,7 @@ std::vector<Neighbor> XTree::KnnQuery(const FeatureVector& query, int k,
 Status XTree::Validate() const {
   if (count_ == 0) return Status::OK();
   size_t reachable = 0;
+  std::vector<int> ids;  // every member id reached
   int leaf_depth = -1;
   // (node, depth, box from the parent entry; root has no parent box)
   struct Item {
@@ -560,6 +605,18 @@ Status XTree::Validate() const {
             return Status::Internal("leaf entry is not a point");
           }
         }
+        if (e.count == 0 || e.first > members_.size() ||
+            e.count > members_.size() - e.first) {
+          return Status::Internal("leaf entry member run out of range");
+        }
+        const std::span<const int> run = Members(e);
+        if (run.front() != e.id ||
+            std::adjacent_find(run.begin(), run.end(),
+                               std::greater_equal<int>()) != run.end()) {
+          return Status::Internal("member run not strictly ascending from "
+                                  "its entry id");
+        }
+        ids.insert(ids.end(), run.begin(), run.end());
       } else {
         stack.push_back({e.child, item.depth + 1, true, e.lo, e.hi});
       }
@@ -575,18 +632,33 @@ Status XTree::Validate() const {
     return Status::Internal("reachable points " + std::to_string(reachable) +
                             " != size " + std::to_string(count_));
   }
+  std::sort(ids.begin(), ids.end());
+  if (ids.size() != members_.size() ||
+      std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::Internal("stored ids are not reachable exactly once");
+  }
   return Status::OK();
 }
 
 std::vector<int> XTree::LeafOrder() const {
   std::vector<int> order;
+  order.reserve(members_.size());
+  for (std::span<const int> run : LeafEntries()) {
+    order.insert(order.end(), run.begin(), run.end());
+  }
+  return order;
+}
+
+std::vector<std::span<const int>> XTree::LeafEntries() const {
+  std::vector<std::span<const int>> order;
+  if (count_ == 0) return order;
   order.reserve(count_);
   std::vector<int> stack{root_};
   while (!stack.empty()) {
     const Node& node = nodes_[stack.back()];
     stack.pop_back();
     if (node.leaf) {
-      for (const Entry& e : node.entries) order.push_back(e.id);
+      for (const Entry& e : node.entries) order.push_back(Members(e));
     } else {
       // Children pushed last-first so the first child is expanded next.
       for (auto it = node.entries.rbegin(); it != node.entries.rend(); ++it) {

@@ -8,13 +8,19 @@
 // The tree lives in main memory; page accesses are *charged* to an
 // IoStats according to how many simulated disk pages each visited node
 // occupies (supernodes span several pages).
+//
+// A leaf entry is one point and the ascending ids of the objects stored
+// at it: one id per Insert or BulkLoad, or a whole member run from
+// BulkLoadGroups (the query engine indexes each distinct vector set
+// once; DESIGN.md section 5). Every query answers in object ids.
 #ifndef VSIM_INDEX_XTREE_H_
 #define VSIM_INDEX_XTREE_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <queue>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "vsim/common/status.h"
@@ -39,6 +45,13 @@ struct Neighbor {
   bool operator==(const Neighbor&) const = default;
 };
 
+// One ranked leaf entry: its distance from the query and the ids stored
+// at its point, ascending (members.front() is the smallest).
+struct RankedEntry {
+  double distance = 0.0;
+  std::span<const int> members;
+};
+
 class XTree {
  public:
   // `dim` is the dimensionality of the indexed points.
@@ -49,7 +62,7 @@ class XTree {
   XTree(XTree&&) = default;
   XTree& operator=(XTree&&) = default;
 
-  // Inserts a point with a caller-chosen id.
+  // Inserts a point with a caller-chosen id (a leaf entry of one).
   Status Insert(const FeatureVector& point, int id);
 
   // Bulk-loads a point set into an empty tree with Sort-Tile-Recursive
@@ -58,32 +71,46 @@ class XTree {
   Status BulkLoad(const std::vector<FeatureVector>& points,
                   const std::vector<int>& ids);
 
-  // All ids within Euclidean distance `eps` of `query` (inclusive).
+  // The same packing with one leaf entry per member run: points[i] is
+  // stored with the ids members[i], which must be non-empty and
+  // strictly ascending.
+  Status BulkLoadGroups(const std::vector<FeatureVector>& points,
+                        const std::vector<std::vector<int>>& members);
+
+  // All ids within Euclidean distance `eps` of `query` (inclusive),
+  // entry by entry, each entry's ids ascending.
   std::vector<int> RangeQuery(const FeatureVector& query, double eps,
                               IoStats* stats = nullptr) const;
 
-  // The k nearest ids by Euclidean distance, ascending.
+  // The member runs of the leaf entries within `eps` of `query`.
+  std::vector<std::span<const int>> RangeEntries(
+      const FeatureVector& query, double eps, IoStats* stats = nullptr) const;
+
+  // The k nearest ids by Euclidean distance, ascending; the ids of one
+  // entry share its distance and come in ascending order.
   std::vector<Neighbor> KnnQuery(const FeatureVector& query, int k,
                                  IoStats* stats = nullptr) const;
 
-  // Incremental distance ranking (Hjaltason & Samet): yields stored
-  // points in ascending distance from `query`, expanding index nodes
-  // lazily. Used by the optimal multi-step k-NN algorithm.
+  // Incremental distance ranking (Hjaltason & Samet): yields leaf
+  // entries in ascending distance from `query`, expanding index nodes
+  // lazily. Used by the optimal multi-step k-NN algorithm. Computed
+  // distances are monotone along the ranking: a node's box distance
+  // never exceeds the computed distance of a point inside it.
   class RankingCursor {
    public:
-    // True if another point is available (expands nodes as needed).
+    // True if another entry is available (expands nodes as needed).
     bool HasNext();
-    // Returns the next nearest point; call only if HasNext().
-    Neighbor Next();
-    // Distance of the next point without consuming it (inf if none).
+    // Returns the next nearest entry; call only if HasNext().
+    RankedEntry Next();
+    // Distance of the next entry without consuming it (inf if none).
     double NextDistance();
 
    private:
     friend class XTree;
     struct QueueItem {
       double distance;
-      int node;  // node index, or -1 for points
-      int id;
+      int node;   // node to expand, or -1 - the leaf holding the entry
+      int entry;  // leaf entry: its index within that leaf
       bool operator<(const QueueItem& o) const {
         return distance > o.distance;  // min-heap via std::priority_queue
       }
@@ -100,27 +127,47 @@ class XTree {
 
   RankingCursor Rank(const FeatureVector& query, IoStats* stats = nullptr) const;
 
-  // Every stored id in depth-first leaf order (leaves left to right,
-  // entries in node order). For a bulk-loaded tree this is the STR
-  // packing order, in which consecutive ids are spatial neighbours:
-  // DbSnapshot::CreateDiskBacked writes the vector-set store in the
-  // centroid filter's leaf order so one query's candidates share pages.
+  // The member runs of every leaf entry in depth-first leaf order
+  // (leaves left to right, entries in node order). For a bulk-loaded
+  // tree this is the STR packing order, in which consecutive entries
+  // are spatial neighbours: DbSnapshot::CreateDiskBacked writes the
+  // vector-set store in the centroid filter's leaf order so one query's
+  // candidates share pages.
+  std::vector<std::span<const int>> LeafEntries() const;
+
+  // Every stored id in leaf order: LeafEntries() flattened.
   std::vector<int> LeafOrder() const;
+
+  // Declares that every stored point lies within `error` (Euclidean)
+  // of the exact value it was computed for. The multi-step loops widen
+  // their filter by it (src/vsim/index/multistep.h); 0, the default,
+  // declares exact points.
+  void set_point_error(double error) { point_error_ = error; }
+  double point_error() const { return point_error_; }
 
   // Persistence: writes/reads the exact tree structure (nodes, boxes,
   // supernode multiples, split history) in a versioned little-endian
-  // format, so an index built once can be reused across sessions.
+  // format, so an index built once can be reused across sessions. The
+  // format holds one id per leaf entry and exact points: Save refuses a
+  // grouped() tree or a non-zero point_error() with FailedPrecondition
+  // before writing anything.
   Status Save(const std::string& path) const;
   static StatusOr<XTree> Load(const std::string& path);
 
   // Structural invariant check (test/debug aid): every child entry's
   // box is contained in its parent entry's box, entry counts respect
-  // node capacities, every stored id is reachable exactly once, and all
-  // leaves sit at the same depth.
+  // node capacities, member runs are non-empty and strictly ascending,
+  // every stored id is reachable exactly once, and all leaves sit at
+  // the same depth.
   Status Validate() const;
 
-  // Structure statistics.
-  size_t size() const { return count_; }
+  // Structure statistics. size() counts stored ids; entry_count() the
+  // leaf entries (equal unless member runs hold several ids).
+  size_t size() const { return members_.size(); }
+  size_t entry_count() const { return count_; }
+  int dim() const { return dim_; }
+  // True if some leaf entry holds more than one id.
+  bool grouped() const { return members_.size() != count_; }
   int height() const;
   size_t node_count() const { return nodes_.size(); }
   size_t supernode_count() const;
@@ -134,7 +181,10 @@ class XTree {
   struct Entry {
     FeatureVector lo, hi;  // MBR (lo == hi == point for leaf entries)
     int child = -1;        // node index (internal) or -1 (leaf entry)
-    int id = -1;           // object id (leaf entry)
+    int id = -1;           // leaf entry: its smallest member id
+    // Leaf entry: its member run, members_[first, first + count).
+    uint32_t first = 0;
+    uint32_t count = 0;
   };
 
   struct Node {
@@ -162,14 +212,21 @@ class XTree {
 
   double MinDistToBox(const FeatureVector& q, const Entry& e) const;
 
+  std::span<const int> Members(const Entry& e) const {
+    return {members_.data() + e.first, e.count};
+  }
+
   void RangeRecursive(int node_index, const FeatureVector& query, double eps,
-                      IoStats* stats, std::vector<int>* out) const;
+                      IoStats* stats,
+                      std::vector<std::span<const int>>* out) const;
 
   int dim_;
   XTreeOptions options_;
   std::vector<Node> nodes_;
   int root_ = 0;
-  size_t count_ = 0;
+  size_t count_ = 0;          // leaf entries
+  std::vector<int> members_;  // every entry's member run, concatenated
+  double point_error_ = 0.0;
 };
 
 }  // namespace vsim

@@ -12,6 +12,11 @@ constexpr char kMagic[8] = {'V', 'S', 'X', 'T', 'R', 'E', '0', '1'};
 }  // namespace
 
 Status XTree::Save(const std::string& path) const {
+  if (grouped() || point_error_ != 0.0) {
+    return Status::FailedPrecondition(
+        "the X-tree file stores one id per leaf entry and exact points; "
+        "this tree has member runs or a point error");
+  }
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
   out.write(kMagic, sizeof(kMagic));
@@ -90,6 +95,11 @@ StatusOr<XTree> XTree::Load(const std::string& path) {
           static_cast<int>(e.hi.size()) != dim) {
         return Status::InvalidArgument("corrupt entry dimensionality in " +
                                        path);
+      }
+      if (node.leaf) {
+        e.first = static_cast<uint32_t>(tree.members_.size());
+        e.count = 1;
+        tree.members_.push_back(e.id);
       }
     }
     tree.nodes_.push_back(std::move(node));

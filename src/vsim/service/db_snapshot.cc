@@ -29,14 +29,16 @@ StatusOr<std::shared_ptr<const DbSnapshot>> DbSnapshot::CreateDiskBacked(
   snapshot->db_ = owned_db.get();
 
   auto owned_engine = std::make_unique<QueryEngine>(snapshot->db_, params);
-  // Materialize the store file in the centroid filter's leaf order: the
-  // candidates of one query are neighbours in centroid space, so they
-  // share pages and the buffer pool holds a query's working set.
-  // Records carry their object ids; Flush checks each id was written
-  // exactly once.
+  // Materialize the store file in the engine's record order: the first
+  // records of the distinct sets, which refinement reads, in the
+  // centroid filter's leaf order -- the candidates of one query are
+  // neighbours in centroid space, so they share pages and the buffer
+  // pool holds a query's working set -- then the other members', which
+  // only stored-id queries read. Records carry their object ids; Flush
+  // checks each id was written exactly once.
   VSIM_ASSIGN_OR_RETURN(VectorSetStore store,
                         VectorSetStore::Create(store_path, 4096, pool_pages));
-  for (int id : owned_engine->centroid_index().LeafOrder()) {
+  for (int id : owned_engine->StoreRecordOrder()) {
     VSIM_RETURN_NOT_OK(store.Append(id, snapshot->db_->object(id).vector_set));
   }
   VSIM_RETURN_NOT_OK(store.Flush());

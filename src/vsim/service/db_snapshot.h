@@ -54,21 +54,21 @@ class DbSnapshot {
 
   // Owning constructor for disk-backed serving: like Create, but also
   // writes every object's vector set into a fresh VectorSetStore file
-  // at `store_path` (`pool_pages` frames of sharded buffer pool), in the
-  // centroid filter's X-tree leaf order so that one query's candidates
-  // share pages, and attaches it to the engine, so refinement fetches
-  // candidates through real page I/O instead of the flat per-candidate
-  // simulation. The
+  // at `store_path` (`pool_pages` frames of sharded buffer pool), in
+  // QueryEngine::StoreRecordOrder -- each distinct set's first record
+  // in the centroid filter's X-tree leaf order, so that one query's
+  // candidates share pages, then every other member's record -- and
+  // attaches it to the engine, so refinement fetches candidates through
+  // real page I/O instead of the flat per-candidate simulation. The
   // snapshot owns the store; it is serveable concurrently exactly like
   // a RAM-resident snapshot (the pool's fetch path is thread-safe).
   //
   // By default the RAM copies of the demoted vector sets are released
   // after the engine's index build (the store holds the authoritative
   // copies; keeping both doubled the resident footprint). QueryService
-  // hydrates stored-id queries back from the store, so serving is
-  // unaffected. Pass keep_ram_sets = true to retain the duplicates --
-  // for callers that hit the engine's stored-id overloads directly,
-  // bypassing the service.
+  // and the engine's stored-id overloads hydrate stored-id queries
+  // back from the store, so serving is unaffected. Pass keep_ram_sets =
+  // true to retain the duplicates.
   static StatusOr<std::shared_ptr<const DbSnapshot>> CreateDiskBacked(
       CadDatabase db, const std::string& store_path, uint64_t generation,
       IoCostParams params = {}, size_t pool_pages = 64,

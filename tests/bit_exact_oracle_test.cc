@@ -1,0 +1,253 @@
+// The bit-exact differential oracle: on a duplicate-heavy AircraftLike
+// corpus, every id's 10-NN and range answer (eps = the 10th distance)
+// from the filter and scan strategies must equal a brute-force
+// per-object scan -- ids and distances, bit for bit, ties ranked by
+// (distance, id), range ids ascending. It covers RAM-resident and
+// disk-backed engines, each with one entry per distinct vector set
+// and with groups of one. A grouped answer gives every member the
+// distance of the group's first record; the last case pins two objects
+// that hold one set in different vector orders, whose distances from a
+// smaller query differ in the last bit, to their own distances.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "vsim/common/rng.h"
+#include "vsim/core/query_engine.h"
+#include "vsim/data/dataset.h"
+#include "vsim/distance/centroid_filter.h"
+#include "vsim/distance/min_matching.h"
+#include "vsim/service/db_snapshot.h"
+#include "vsim/storage/vector_set_store.h"
+
+namespace vsim {
+namespace {
+
+constexpr int kObjects = 600;
+constexpr int kK = 10;
+
+// What brute force answers for a query whose every (distance, id) pair
+// is `ranking`, in that order: the k-NN answer, and the range answer at
+// eps = its k-th distance.
+struct Expected {
+  std::vector<Neighbor> knn;
+  double eps = 0.0;
+  std::vector<int> range;
+};
+
+void SortByDistanceThenId(std::vector<Neighbor>* ranking) {
+  std::sort(ranking->begin(), ranking->end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              return a.distance < b.distance ||
+                     (a.distance == b.distance && a.id < b.id);
+            });
+}
+
+Expected Expect(const std::vector<Neighbor>& ranking, int k) {
+  Expected e;
+  e.knn.assign(ranking.begin(), ranking.begin() + k);
+  e.eps = e.knn.back().distance;
+  for (const Neighbor& n : ranking) {
+    if (n.distance <= e.eps) e.range.push_back(n.id);
+  }
+  std::sort(e.range.begin(), e.range.end());
+  return e;
+}
+
+constexpr QueryStrategy kStrategies[] = {QueryStrategy::kVectorSetFilter,
+                                         QueryStrategy::kVectorSetScan};
+
+// A store file path private to this process: ctest runs this suite in
+// its own entries and in kernel_force_scalar at the same time.
+std::string StorePath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
+}
+
+// True if `a` and `b` hold the same vectors in different orders.
+bool SameSetOtherOrder(const VectorSet& a, const VectorSet& b) {
+  if (a.vectors == b.vectors) return false;
+  std::vector<FeatureVector> x = a.vectors, y = b.vectors;
+  std::sort(x.begin(), x.end());
+  std::sort(y.begin(), y.end());
+  return x == y;
+}
+
+class BitExactOracleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ExtractionOptions opt;
+    opt.extract_histograms = false;
+    StatusOr<CadDatabase> db =
+        CadDatabase::FromDataset(MakeAircraftDataset(kObjects, 7), opt, 2);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    oracle_ = new CadDatabase(std::move(*db));
+    distances_ = new std::vector<double>(kObjects * kObjects);
+    for (int q = 0; q < kObjects; ++q) {
+      for (int c = 0; c < kObjects; ++c) {
+        (*distances_)[q * kObjects + c] = VectorSetDistance(
+            oracle_->object(q).vector_set, oracle_->object(c).vector_set);
+      }
+    }
+  }
+  static void TearDownTestSuite() {
+    delete distances_;
+    distances_ = nullptr;
+    delete oracle_;
+    oracle_ = nullptr;
+  }
+
+  // Every id of the corpus in (distance, id) order from object `query`.
+  static std::vector<Neighbor> Ranking(int query) {
+    std::vector<Neighbor> all;
+    for (int id = 0; id < kObjects; ++id) {
+      all.push_back({id, (*distances_)[query * kObjects + id]});
+    }
+    SortByDistanceThenId(&all);
+    return all;
+  }
+
+  // Checks every id's answers on `engine` against brute force.
+  static void CheckEveryId(const QueryEngine& engine) {
+    for (int id = 0; id < kObjects; ++id) {
+      const Expected e = Expect(Ranking(id), kK);
+      for (QueryStrategy strategy : kStrategies) {
+        QueryCost cost;
+        // The stored-id overload: a disk engine whose RAM sets were
+        // released reads the query's set back from its store.
+        EXPECT_EQ(engine.Knn(strategy, id, kK, &cost), e.knn)
+            << QueryStrategyName(strategy) << " k-NN of id " << id;
+        EXPECT_TRUE(cost.status.ok()) << cost.status.ToString();
+        EXPECT_EQ(engine.Range(strategy, oracle_->object(id), e.eps, &cost),
+                  e.range)
+            << QueryStrategyName(strategy) << " range of id " << id;
+        EXPECT_TRUE(cost.status.ok()) << cost.status.ToString();
+      }
+    }
+  }
+
+  // The disk snapshot DbSnapshot::CreateDiskBacked builds: one entry
+  // per distinct set, its RAM sets released. The store file is
+  // unlinked at once; the store keeps it open.
+  static std::shared_ptr<const DbSnapshot> DiskSnapshot() {
+    const std::string path = StorePath("bit_exact_grouped.vspg");
+    StatusOr<std::shared_ptr<const DbSnapshot>> disk =
+        DbSnapshot::CreateDiskBacked(*oracle_, path, 1, IoCostParams{}, 16);
+    std::remove(path.c_str());
+    EXPECT_TRUE(disk.ok()) << disk.status().ToString();
+    return disk.ok() ? *disk : nullptr;
+  }
+
+  static CadDatabase* oracle_;
+  static std::vector<double>* distances_;  // [query * kObjects + id]
+};
+
+CadDatabase* BitExactOracleTest::oracle_ = nullptr;
+std::vector<double>* BitExactOracleTest::distances_ = nullptr;
+
+TEST_F(BitExactOracleTest, RamGrouped) {
+  CheckEveryId(QueryEngine(oracle_));
+}
+
+TEST_F(BitExactOracleTest, RamPerObject) {
+  CheckEveryId(QueryEngine(oracle_, {}, SetGrouping::kNone));
+}
+
+TEST_F(BitExactOracleTest, DiskGrouped) {
+  const std::shared_ptr<const DbSnapshot> disk = DiskSnapshot();
+  ASSERT_NE(disk, nullptr);
+  ASSERT_TRUE(disk->db().object(0).vector_set.empty());
+  CheckEveryId(disk->engine());
+}
+
+TEST_F(BitExactOracleTest, DiskPerObject) {
+  // Groups of one over the store layout CreateDiskBacked writes, with
+  // the RAM sets released after the engine build as it does.
+  CadDatabase db = *oracle_;
+  QueryEngine engine(&db, {}, SetGrouping::kNone);
+  const std::string path = StorePath("bit_exact_per_object.vspg");
+  StatusOr<VectorSetStore> store = VectorSetStore::Create(path, 4096, 16);
+  std::remove(path.c_str());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (int id : engine.StoreRecordOrder()) {
+    ASSERT_TRUE(store->Append(id, db.object(id).vector_set).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  engine.AttachStore(&*store);
+  db.ReleaseVectorSets();
+  CheckEveryId(engine);
+}
+
+TEST_F(BitExactOracleTest, TwoVectorOrdersOfOneSetKeepTheirOwnDistances) {
+  // Two objects holding one set of at least three vectors in different
+  // orders: the matching sums its costs in the larger set's order, so
+  // from a smaller query the two can differ in the last bit.
+  int a = -1, b = -1;
+  for (int i = 0; i < kObjects && a < 0; ++i) {
+    const VectorSet& x = oracle_->object(i).vector_set;
+    for (int j = i + 1; j < kObjects && x.size() >= 3; ++j) {
+      if (SameSetOtherOrder(x, oracle_->object(j).vector_set)) {
+        a = i;
+        b = j;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(a, 0) << "the corpus holds no set in two vector orders";
+
+  // A one-vector query, near a vector of the set, whose distances to
+  // the two objects differ.
+  const VectorSet& set = oracle_->object(a).vector_set;
+  ObjectRepr query;
+  Rng rng(16);
+  for (int trial = 0; trial < 1000; ++trial) {
+    FeatureVector v = set.vectors[trial % set.size()];
+    for (double& c : v) c *= rng.Uniform(0.5, 1.5);
+    VectorSet q;
+    q.vectors.push_back(std::move(v));
+    if (VectorSetDistance(q, set) !=
+        VectorSetDistance(q, oracle_->object(b).vector_set)) {
+      query.vector_set = std::move(q);
+      break;
+    }
+  }
+  ASSERT_FALSE(query.vector_set.empty())
+      << "no query separates objects " << a << " and " << b;
+  query.centroid =
+      ExtendedCentroid(query.vector_set, oracle_->options().num_covers);
+
+  std::vector<Neighbor> ranking;
+  for (int id = 0; id < kObjects; ++id) {
+    const VectorSet& set_id = oracle_->object(id).vector_set;
+    ranking.push_back({id, VectorSetDistance(query.vector_set, set_id)});
+  }
+  SortByDistanceThenId(&ranking);
+  // The shortest k-NN answer that holds both objects.
+  int k = 0;
+  for (int seen = 0; seen < 2; ++k) {
+    if (ranking[k].id == a || ranking[k].id == b) ++seen;
+  }
+  const Expected e = Expect(ranking, k);
+
+  const std::shared_ptr<const DbSnapshot> disk = DiskSnapshot();
+  ASSERT_NE(disk, nullptr);
+  const QueryEngine ram(oracle_);
+  for (const QueryEngine* engine : {&ram, &disk->engine()}) {
+    for (QueryStrategy strategy : kStrategies) {
+      QueryCost cost;
+      EXPECT_EQ(engine->Knn(strategy, query, k, &cost), e.knn)
+          << QueryStrategyName(strategy);
+      EXPECT_TRUE(cost.status.ok()) << cost.status.ToString();
+      EXPECT_EQ(engine->Range(strategy, query, e.eps, &cost), e.range)
+          << QueryStrategyName(strategy);
+      EXPECT_TRUE(cost.status.ok()) << cost.status.ToString();
+    }
+  }
+}
+
+}  // namespace
+}  // namespace vsim

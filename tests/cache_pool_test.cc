@@ -6,6 +6,7 @@
 // frames outliving cold ones. All suites here run under TSan in CI
 // (tools/check_tsan.sh).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -24,8 +25,10 @@
 namespace vsim {
 namespace {
 
+// Per process: ctest runs a test's own entry and disk_serving_repeat
+// concurrently, and they must not rewrite each other's store files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 // Writes `count` pages whose every byte identifies the page, so a

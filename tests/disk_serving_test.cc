@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,9 +22,22 @@
 namespace vsim {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+// A store file private to this process, removed when the test ends:
+// ctest runs a test's own entry and disk_serving_repeat concurrently,
+// and they must not rewrite each other's store files.
+class TempStore {
+ public:
+  explicit TempStore(const std::string& name)
+      : path_(::testing::TempDir() + "/" + std::to_string(getpid()) + "_" +
+              name) {}
+  ~TempStore() { std::remove(path_.c_str()); }
+  TempStore(const TempStore&) = delete;
+  TempStore& operator=(const TempStore&) = delete;
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 StatusOr<CadDatabase> BuildDb(int objects = 30) {
   const Dataset ds = MakeCarDataset(objects, 99);
@@ -35,6 +49,7 @@ StatusOr<CadDatabase> BuildDb(int objects = 30) {
 }
 
 TEST(DiskServingTest, DiskBackedSnapshotMatchesRamResidentEngine) {
+  const TempStore store("ds_match.vsstore");
   StatusOr<CadDatabase> ram_db = BuildDb();
   ASSERT_TRUE(ram_db.ok());
   const QueryEngine ram_engine(&*ram_db);
@@ -47,7 +62,7 @@ TEST(DiskServingTest, DiskBackedSnapshotMatchesRamResidentEngine) {
   // default RAM demotion.
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*disk_db),
-                                   TempPath("ds_match.vsstore"), 1,
+                                   store.path(), 1,
                                    IoCostParams{}, 8,
                                    /*keep_ram_sets=*/true);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -67,6 +82,7 @@ TEST(DiskServingTest, DiskBackedSnapshotMatchesRamResidentEngine) {
 }
 
 TEST(DiskServingTest, ConcurrentClientsOverDiskBackedSnapshot) {
+  const TempStore store("ds_serve.vsstore");
   // 120 objects so the store spans many more pages than the pool: a
   // 2-frame pool over a multi-page store means every client's
   // refinement churns pages, and the scrape below must show both hits
@@ -75,7 +91,7 @@ TEST(DiskServingTest, ConcurrentClientsOverDiskBackedSnapshot) {
   ASSERT_TRUE(db.ok());
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*db),
-                                   TempPath("ds_serve.vsstore"), 1,
+                                   store.path(), 1,
                                    IoCostParams{}, 2);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
@@ -150,6 +166,7 @@ TEST(DiskServingTest, ConcurrentClientsOverDiskBackedSnapshot) {
 }
 
 TEST(DiskServingTest, KeepRamSetsRetainsCopiesAndReportsGaugeNonZero) {
+  const TempStore store("ds_keep.vsstore");
   // Opting out of demotion keeps the duplicated copies and the gauge
   // reports their true footprint, so capacity dashboards can see the
   // doubled residency.
@@ -157,7 +174,7 @@ TEST(DiskServingTest, KeepRamSetsRetainsCopiesAndReportsGaugeNonZero) {
   ASSERT_TRUE(db.ok());
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*db),
-                                   TempPath("ds_keep.vsstore"), 1,
+                                   store.path(), 1,
                                    IoCostParams{}, 8,
                                    /*keep_ram_sets=*/true);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
@@ -177,6 +194,7 @@ TEST(DiskServingTest, KeepRamSetsRetainsCopiesAndReportsGaugeNonZero) {
 }
 
 TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
+  const TempStore store("ds_demote.vsstore");
   // Demotion must be invisible to service clients: every stored-id
   // query over the demoted snapshot (the query hydrated back from the
   // store) matches the RAM-resident reference.
@@ -188,7 +206,7 @@ TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   ASSERT_TRUE(disk_db.ok());
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =
       DbSnapshot::CreateDiskBacked(std::move(*disk_db),
-                                   TempPath("ds_demote.vsstore"), 1,
+                                   store.path(), 1,
                                    IoCostParams{}, 8);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   QueryServiceOptions options;
@@ -211,6 +229,37 @@ TEST(DiskServingTest, DemotedSnapshotAnswersStoredIdQueriesExactly) {
   }
 }
 
+TEST(DiskServingTest, DemotedSnapshotEngineStoredIdQueriesMatchRam) {
+  const TempStore store("ds_engine_ids.vsstore");
+  // The engine's own stored-id overloads, bypassing the service, on a
+  // demoted snapshot: the query's set is gone from RAM and must be read
+  // from the store, or every candidate ranks by its unmatched-vector
+  // penalty alone. KnnJoin queries by id too.
+  ExtractionOptions opt;
+  opt.extract_histograms = false;
+  StatusOr<CadDatabase> db =
+      CadDatabase::FromDataset(MakeAircraftDataset(300, 7), opt, 2);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::shared_ptr<const DbSnapshot> ram = DbSnapshot::Create(*db, 1);
+  StatusOr<std::shared_ptr<const DbSnapshot>> disk =
+      DbSnapshot::CreateDiskBacked(std::move(*db),
+                                   store.path(), 1,
+                                   IoCostParams{}, 16);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_TRUE((*disk)->db().object(0).vector_set.empty());
+  const int n = static_cast<int>(ram->db().size());
+  for (int id = 0; id < n; ++id) {
+    QueryCost cost;
+    EXPECT_EQ((*disk)->engine().Knn(QueryStrategy::kVectorSetFilter, id, 10,
+                                    &cost),
+              ram->engine().Knn(QueryStrategy::kVectorSetFilter, id, 10))
+        << "id=" << id;
+    EXPECT_TRUE(cost.status.ok()) << cost.status.ToString();
+  }
+  EXPECT_EQ((*disk)->engine().KnnJoin(QueryStrategy::kVectorSetFilter, 3),
+            ram->engine().KnnJoin(QueryStrategy::kVectorSetFilter, 3));
+}
+
 TEST(DiskServingTest, FailedStoreReadFailsTheRequestWithoutAborting) {
   // The store file is truncated under a pool smaller than the store, so
   // refinement's page reads fail mid-query. The request must fail with
@@ -218,7 +267,8 @@ TEST(DiskServingTest, FailedStoreReadFailsTheRequestWithoutAborting) {
   StatusOr<CadDatabase> db = BuildDb(120);
   ASSERT_TRUE(db.ok());
   const int n = static_cast<int>(db->size());
-  const std::string path = TempPath("ds_truncated.vsstore");
+  const TempStore store("ds_truncated.vsstore");
+  const std::string& path = store.path();
   // RAM sets kept, so the query itself needs no store read: the failure
   // happens inside the engine's refinement, not in query hydration.
   StatusOr<std::shared_ptr<const DbSnapshot>> snap =

@@ -45,6 +45,13 @@ struct World {
   }
 };
 
+// The scan baselines' per-object form: every id its own group.
+std::vector<std::vector<int>> Singletons(const std::vector<int>& order) {
+  std::vector<std::vector<int>> groups;
+  for (int id : order) groups.push_back({id});
+  return groups;
+}
+
 World MakeWorld(int count, uint64_t seed) {
   Rng rng(seed);
   World w;
@@ -141,7 +148,8 @@ TEST(ScanBaselineTest, KnnAndRangeMatchReference) {
   IoStats io;
   std::vector<int> order(w.sets.size());
   std::iota(order.begin(), order.end(), 0);
-  const auto knn = ScanKnn(order, 7, 4096 * 10, 4096, exact, &io);
+  const auto knn =
+      ScanKnn(Singletons(order), 7, 4096 * 10, 4096, exact, &io);
   EXPECT_EQ(knn.size(), 7u);
   EXPECT_EQ(io.page_accesses(), 10u);  // sequential pages charged once
   for (size_t i = 1; i < knn.size(); ++i) {
@@ -150,7 +158,8 @@ TEST(ScanBaselineTest, KnnAndRangeMatchReference) {
   EXPECT_EQ(knn[0].id, 3);  // self-distance zero
 
   IoStats io2;
-  const auto range = ScanRange(order, 0.5, 4096 * 10, 4096, exact, &io2);
+  const auto range =
+      ScanRange(Singletons(order), 0.5, 4096 * 10, 4096, exact, &io2);
   for (int id : range) {
     EXPECT_LE(VectorSetDistance(w.sets[3], w.sets[id]), 0.5 + 1e-12);
   }
@@ -164,7 +173,8 @@ TEST(ScanBaselineTest, NonPositiveKYieldsEmptyAnswer) {
   std::iota(order.begin(), order.end(), 0);
   for (int k : {0, -1}) {
     EXPECT_TRUE(
-        ScanKnn(order, k, 4096, 4096, w.ExactFor(w.sets[0])).empty())
+        ScanKnn(Singletons(order), k, 4096, 4096, w.ExactFor(w.sets[0]))
+            .empty())
         << "k=" << k;
     EXPECT_TRUE(MultiStepKnn(*w.index, w.centroids[0], w.k, k,
                              w.ExactFor(w.sets[0]))
@@ -185,11 +195,12 @@ TEST(ScanBaselineTest, VisitingOrderNeverReachesTheAnswer) {
   };
   std::vector<int> ids(w.sets.size());
   std::iota(ids.begin(), ids.end(), 0);
-  const auto knn = ScanKnn(ids, 9, 4096, 4096, tied);
-  const auto range = ScanRange(ids, 1.0, 4096, 4096, tied);
+  const auto knn = ScanKnn(Singletons(ids), 9, 4096, 4096, tied);
+  const auto range = ScanRange(Singletons(ids), 1.0, 4096, 4096, tied);
   ASSERT_EQ(knn.size(), 9u);
   // The premise: the 10th nearest ties with the 9th.
-  ASSERT_EQ(ScanKnn(ids, 10, 4096, 4096, tied)[9].distance, knn[8].distance);
+  ASSERT_EQ(ScanKnn(Singletons(ids), 10, 4096, 4096, tied)[9].distance,
+            knn[8].distance);
   ASSERT_TRUE(std::is_sorted(range.begin(), range.end()));
   std::vector<int> order = ids;
   Rng rng(108);
@@ -197,8 +208,8 @@ TEST(ScanBaselineTest, VisitingOrderNeverReachesTheAnswer) {
     for (size_t i = order.size() - 1; i > 0; --i) {
       std::swap(order[i], order[rng.NextBounded(i + 1)]);
     }
-    EXPECT_EQ(ScanKnn(order, 9, 4096, 4096, tied), knn);
-    EXPECT_EQ(ScanRange(order, 1.0, 4096, 4096, tied), range);
+    EXPECT_EQ(ScanKnn(Singletons(order), 9, 4096, 4096, tied), knn);
+    EXPECT_EQ(ScanRange(Singletons(order), 1.0, 4096, 4096, tied), range);
   }
 }
 
@@ -262,6 +273,32 @@ TEST(MultiStepPruneTest, NoPruningBeforeTheHeapIsFull) {
   EXPECT_EQ(got.size(), 40u);
   EXPECT_EQ(ms.candidates_refined, 40u);
   EXPECT_EQ(ms.hungarian_invocations, ms.candidates_refined);
+}
+
+TEST(MultiStepKnnTest, TwoVectorOrdersOfOneSetTieCanonically) {
+  // One set stored twice, in two vector orders whose centroid sums
+  // round differently: the query (id 5's order) is at filter distance 0
+  // from itself and a rounding error away from id 2, both at exact
+  // distance 0. The canonical 1-NN is id 2, so the loop must not stop
+  // on that rounding error: the tree declares its points' error.
+  const VectorSet a{{{0.1, 1.0}, {0.2, 1.0}, {0.3, 1.0}}};
+  const VectorSet b{{{0.3, 1.0}, {0.2, 1.0}, {0.1, 1.0}}};
+  const int k = 3;
+  ASSERT_NE(ExtendedCentroid(a, k), ExtendedCentroid(b, k));
+  std::vector<VectorSet> sets = {a, b};
+  XTree tree(2);
+  ASSERT_TRUE(tree.Insert(ExtendedCentroid(a, k), 5).ok());
+  ASSERT_TRUE(tree.Insert(ExtendedCentroid(b, k), 2).ok());
+  tree.set_point_error(
+      std::max(ExtendedCentroidError(a, k), ExtendedCentroidError(b, k)));
+  const ExactDistanceFn exact = [&](int id, IoStats*) {
+    return VectorSetDistance(a, sets[id == 5 ? 0 : 1]);
+  };
+  ASSERT_EQ(exact(2, nullptr), 0.0);
+  const std::vector<Neighbor> expect = {{2, 0.0}};
+  EXPECT_EQ(MultiStepKnn(tree, ExtendedCentroid(a, k), k, 1, exact), expect);
+  EXPECT_EQ(MultiStepRange(tree, ExtendedCentroid(a, k), k, 0.0, exact),
+            std::vector<int>({2, 5}));
 }
 
 TEST(MultiStepKnnTest, KLargerThanDatabase) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include "vsim/data/dataset.h"
 #include "vsim/distance/lp.h"
@@ -82,6 +84,15 @@ TEST_F(QueryEngineTest, FilterRefinesFewerCandidatesThanScan) {
   engine_->Knn(QueryStrategy::kVectorSetFilter, 3, 10, &filter_cost);
   engine_->Knn(QueryStrategy::kVectorSetScan, 3, 10, &scan_cost);
   EXPECT_LT(filter_cost.candidates_refined, scan_cost.candidates_refined);
+  // The scan refines each distinct vector sequence once; the
+  // per-object engine refines every object.
+  std::set<std::vector<FeatureVector>> distinct;
+  for (int id = 0; id < static_cast<int>(db_->size()); ++id) {
+    distinct.insert(db_->object(id).vector_set.vectors);
+  }
+  EXPECT_EQ(scan_cost.candidates_refined, distinct.size());
+  const QueryEngine per_object(db_, {}, SetGrouping::kNone);
+  per_object.Knn(QueryStrategy::kVectorSetScan, 3, 10, &scan_cost);
   EXPECT_EQ(scan_cost.candidates_refined, db_->size());
 }
 

@@ -135,10 +135,11 @@ TEST(XTreeTest, RankingCursorYieldsAscendingDistances) {
   std::set<int> seen;
   while (cursor.HasNext()) {
     EXPECT_NEAR(cursor.NextDistance(), cursor.NextDistance(), 0.0);
-    const Neighbor n = cursor.Next();
+    const RankedEntry n = cursor.Next();
     EXPECT_GE(n.distance, last - 1e-12);
     last = n.distance;
-    seen.insert(n.id);
+    ASSERT_EQ(n.members.size(), 1u);
+    seen.insert(n.members.front());
     ++count;
   }
   EXPECT_EQ(count, 300);

@@ -45,6 +45,6 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target vsim_tests
 # edges and reports the reversal as an inversion.
 TSAN_OPTIONS="halt_on_error=1:detect_deadlocks=1:second_deadlock_stack=1" \
     "$BUILD_DIR/tests/vsim_tests" \
-    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:MultiStepPrune*:FlatMatching*:MTreeDuplicates*:RefinementEquivalence*:ScanBaseline*:VectorSetStore*:CorruptFile*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
+    --gtest_filter='QueryService*:SnapshotSwap*:ThreadPool*:ResultCache*:ParallelExtraction*:*NetServerTest*:*NetHostileTest*:*RemoteSwapTest*:*TracePipeline*:Obs*:FlightRecorder*:Span*:Profiler*:TraceExport*:IoStatsConcurrency*:CachePool*:DiskServing*:SharedMutex*:PagedFile*:DeadlockDetector*:Kernel*:MultiStepPrune*:FlatMatching*:MTreeDuplicates*:RefinementEquivalence*:BitExactOracle*:ScanBaseline*:VectorSetStore*:CorruptFile*:-DeadlockDetectorTest.TryLockDoesNotEstablishOrder'
 
 echo "TSan: service stress + snapshot-swap + net server + observability + storage stack + deadlock-detector suites clean"
