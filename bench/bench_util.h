@@ -34,9 +34,9 @@ inline bool CsvOutput() {
   return env != nullptr && env[0] == '1';
 }
 
-// --json FILE: the serving benches take an optional output path and
-// write their single JSON result line there in addition to printing it
-// (BENCH_serving.json is checked in from such a run).
+// --json FILE: bench_kernels takes an optional output path and writes
+// its single JSON result line there in addition to printing it
+// (BENCH_kernels.json is checked in from such a run).
 inline std::string JsonOutPath(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--json") return argv[i + 1];

@@ -79,7 +79,6 @@ int main() {
       {&engine, QueryStrategy::kVectorSetFilter, ""},
       {&engine, QueryStrategy::kVectorSetScan, ""},
       {&engine, QueryStrategy::kVectorSetMTree, ""},
-      {&engine, QueryStrategy::kVectorSetVaFilter, ""},
       {&grouped, QueryStrategy::kVectorSetFilter, " (one entry per set)"},
       {&grouped, QueryStrategy::kVectorSetScan, " (one entry per set)"},
   };
@@ -112,10 +111,9 @@ int main() {
               1e6 * measured_per_distance, 1e6 * kPaperSecondsPerDistance,
               era_factor);
   std::printf(
-      "(M-tree and VA-file rows are bonus strategies: the metric index\n"
-      " of Section 4.3 and an IQ-tree-style quantized centroid filter.\n"
-      " The last two rows refine each distinct vector set once and give\n"
-      " its distance to every object holding it; refined/query counts "
-      "sets.)\n");
+      "(The M-tree row is a bonus strategy: the metric index of\n"
+      " Section 4.3. The last two rows refine each distinct vector set\n"
+      " once and give its distance to every object holding it;\n"
+      " refined/query counts sets.)\n");
   return 0;
 }

@@ -1,22 +1,24 @@
-// Fully disk-backed similarity search: the extracted database lives in
-// real paged files (a DiskXTree over the extended centroids and a
-// VectorSetStore for the exact representations), queried through the
-// concurrent sharded buffer pool (inner X-tree pages retained in its
-// hot tier). Page accesses are charged only on actual cache misses,
-// which quantifies how far the paper's flat I/O simulation (one page
-// per candidate, every time) is from a system with a working buffer
-// manager.
+// Disk-backed similarity search: the exact vector sets live in a real
+// paged file (a VectorSetStore) read through the concurrent sharded
+// buffer pool, while the filter step ranks the extended centroids in
+// the in-memory X-tree -- the layout `vsim serve --store` runs. The
+// store is written in the engine's record order (each distinct set's
+// first record in the centroid tree's leaf order) and reopened cold, so
+// page accesses are charged only on actual cache misses. That
+// quantifies how far the paper's flat I/O simulation (one page per
+// candidate, every time) is from a system with a working buffer
+// manager. Every answer must equal the RAM-resident engine's.
 //
 //   $ ./example_disk_backed [objects]
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "vsim/common/rng.h"
+#include "vsim/core/query_engine.h"
 #include "vsim/core/similarity.h"
 #include "vsim/data/dataset.h"
-#include "vsim/distance/min_matching.h"
-#include "vsim/index/disk_xtree.h"
 #include "vsim/storage/vector_set_store.h"
 
 using namespace vsim;
@@ -29,98 +31,71 @@ int main(int argc, char** argv) {
   const Dataset ds = MakeAircraftDataset(objects, 7);
   StatusOr<CadDatabase> db = CadDatabase::FromDataset(ds, opt);
   if (!db.ok()) return 1;
-  const int k_covers = db->options().num_covers;
+  const QueryEngine ram(&*db);
+  QueryEngine disk(&*db);
 
-  // --- Persist everything to disk -----------------------------------
-  // The store's records follow the centroid tree's leaf order, so the
-  // candidates of one query -- neighbours in centroid space -- share
-  // pages; every record carries its object id, so reads stay by id.
-  const std::string tree_path = "/tmp/vsim_disk_demo.tree";
+  // --- Persist the vector sets ----------------------------------------
+  // One query's candidates are neighbours in centroid space, so the
+  // leaf order puts them on shared pages; every record carries its
+  // object id, so reads stay by id.
   const std::string store_path = "/tmp/vsim_disk_demo.store";
-  std::vector<int> leaf_order;
-  {
-    XTree centroid_tree(6);
-    std::vector<FeatureVector> centroids;
-    std::vector<int> ids;
-    for (int i = 0; i < static_cast<int>(db->size()); ++i) {
-      centroids.push_back(db->object(i).centroid);
-      ids.push_back(i);
-    }
-    if (!centroid_tree.BulkLoad(centroids, ids).ok()) return 1;
-    if (!DiskXTree::Write(centroid_tree, tree_path).ok()) return 1;
-    leaf_order = centroid_tree.LeafOrder();
-  }
   {
     StatusOr<VectorSetStore> writer =
         VectorSetStore::Create(store_path, 4096, 8);
     if (!writer.ok()) return 1;
-    for (int id : leaf_order) {
+    for (int id : disk.StoreRecordOrder()) {
       if (!writer->Append(id, db->object(id).vector_set).ok()) return 1;
     }
     if (!writer->Flush().ok()) return 1;
   }
-  // Reopen both files so every pool starts cold.
+  // Reopen so the pool starts cold.
   StatusOr<VectorSetStore> store = VectorSetStore::Open(store_path, 8);
   if (!store.ok()) return 1;
   store->pool().ResetStats();  // Open() scans once to rebuild the directory
-  StatusOr<DiskXTree> tree = DiskXTree::Open(tree_path, 32);
-  if (!tree.ok()) return 1;
-  std::printf("persisted: centroid index + vector-set store on disk "
-              "(pools start cold)\n\n");
+  disk.AttachStore(&*store);
+  std::printf("persisted: vector-set store on disk (pool starts cold)\n\n");
 
-  // --- Filter-and-refine 10-NN on real pages -----------------------
-  // Conservative two-phase scheme: probe with a growing centroid-range
-  // filter (Lemma 2: exact <= eps implies centroid distance <= eps/k),
-  // refine candidates through the store.
+  // --- Filter-and-refine 10-NN on real pages -------------------------
   Rng rng(99);
-  IoStats total;
-  size_t refined_total = 0;
+  QueryCost total;
+  QueryCost flat;
   const int queries = 50;
   for (int q = 0; q < queries; ++q) {
     const int qid = static_cast<int>(rng.NextBounded(db->size()));
-    const VectorSet& query_set = db->object(qid).vector_set;
-    const FeatureVector& query_centroid = db->object(qid).centroid;
-
-    // Initial radius from a coarse sample, doubled until 10 hits.
-    double eps = 0.5;
-    std::vector<Neighbor> best;
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const auto candidates =
-          tree->RangeQuery(query_centroid, eps / k_covers, &total);
-      best.clear();
-      for (int id : candidates) {
-        StatusOr<VectorSet> stored = store->Get(id, &total);
-        if (!stored.ok()) return 1;
-        ++refined_total;
-        const double d = VectorSetDistance(query_set, *stored);
-        if (d <= eps) best.push_back({id, d});
-      }
-      if (best.size() >= 10) break;
-      eps *= 2.0;
+    QueryCost cost;
+    const std::vector<Neighbor> answer =
+        disk.Knn(QueryStrategy::kVectorSetFilter, qid, 10, &cost);
+    if (!cost.status.ok()) {
+      std::fprintf(stderr, "store read failed: %s\n",
+                   cost.status.ToString().c_str());
+      return 1;
     }
-    std::sort(best.begin(), best.end(),
-              [](const Neighbor& a, const Neighbor& b) {
-                return a.distance < b.distance;
-              });
-    if (best.size() > 10) best.resize(10);
+    total += cost;
+    QueryCost ram_cost;
+    if (answer != ram.Knn(QueryStrategy::kVectorSetFilter, qid, 10,
+                          &ram_cost)) {
+      std::fprintf(stderr, "query %d: disk answer differs from RAM\n", qid);
+      return 1;
+    }
+    flat += ram_cost;
   }
 
-  std::printf("%d disk-backed 10-NN queries:\n", queries);
+  std::printf("%d disk-backed 10-NN queries (answers equal the RAM "
+              "engine's):\n",
+              queries);
   std::printf("  exact distances computed: %zu (%.1f per query)\n",
-              refined_total, static_cast<double>(refined_total) / queries);
-  std::printf("  index pool:  %zu hits, %zu misses\n", tree->pool().hits(),
-              tree->pool().misses());
-  std::printf("  store pool:  %zu hits, %zu misses\n",
-              store->pool().hits(), store->pool().misses());
-  std::printf("  charged page accesses (misses only): %zu -> %.2f s "
-              "simulated I/O\n",
-              total.page_accesses(), total.SimulatedSeconds());
-  const double flat_pages =
-      static_cast<double>(refined_total);  // the paper's flat model
-  std::printf("  flat simulation would have charged >= %.0f candidate pages "
-              "(%.2f s)\n",
-              flat_pages, flat_pages * 0.008);
-  std::remove(tree_path.c_str());
+              total.candidates_refined,
+              static_cast<double>(total.candidates_refined) / queries);
+  std::printf("  store pool:  %llu hits, %llu misses\n",
+              static_cast<unsigned long long>(store->pool().hits()),
+              static_cast<unsigned long long>(store->pool().misses()));
+  std::printf("  charged page accesses: %zu -> %.2f s simulated I/O "
+              "(store pages on pool misses only)\n",
+              total.io.page_accesses(), total.IoSeconds());
+  std::printf("  flat simulation: %zu -> %.2f s (one store page per "
+              "refined candidate)\n",
+              flat.io.page_accesses(), flat.IoSeconds());
+  disk.AttachStore(nullptr);
   std::remove(store_path.c_str());
   return 0;
 }

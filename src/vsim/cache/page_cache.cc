@@ -48,16 +48,6 @@ void PageHandle::MarkDirty() {
   frame_->dirty.store(true, std::memory_order_release);
 }
 
-PageTier PageHandle::tier() const {
-  assert(frame_ != nullptr);
-  return static_cast<PageTier>(frame_->tier.load(std::memory_order_relaxed));
-}
-
-void PageHandle::SetTier(PageTier tier) {
-  assert(frame_ != nullptr);
-  frame_->tier.store(static_cast<uint8_t>(tier), std::memory_order_relaxed);
-}
-
 // -- ShardedBufferPool ------------------------------------------------
 
 namespace {
@@ -119,9 +109,8 @@ PageHandle ShardedBufferPool::PinResident(Frame& frame, PageId page) {
     counters_.cold_hits.fetch_add(1, std::memory_order_relaxed);
     // A repeat hit on a cold page proves re-use: the false -> true
     // clock-bit flip promotes the page into the hot tier, where the
-    // sweep spares it while any cold victim exists. This is the
-    // hot-key-retention half of the tiering policy -- index pages are
-    // retiered explicitly (Retier/SetTier); data pages earn hotness.
+    // sweep spares it while any cold victim exists: pages earn
+    // hotness by re-use.
     if (!frame.referenced.exchange(true, std::memory_order_relaxed)) {
       frame.tier.store(static_cast<uint8_t>(PageTier::kHot),
                        std::memory_order_relaxed);
@@ -181,8 +170,7 @@ StatusOr<size_t> ShardedBufferPool::GrabFrame(Shard& shard) {
                 "buffer pool shard exhausted: all frames pinned");
 }
 
-StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
-                                              bool* miss) {
+StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, bool* miss) {
   if (miss != nullptr) *miss = false;
   Shard& shard = ShardOf(page);
 
@@ -203,8 +191,8 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
   // may be descheduled for a long stretch on a loaded host, so the wait
   // is bounded by time (yields first, then sleeps with exponential
   // backoff), not by a retry count. Callers hold at most one pin at a
-  // time (VectorSetStore::GetFlat, DiskXTree's FetchNode), so a waiting
-  // thread holds no pins and cannot deadlock the shard it waits on.
+  // time (VectorSetStore::GetFlat), so a waiting thread holds no pins
+  // and cannot deadlock the shard it waits on.
   constexpr double kPinWaitLimitSeconds = 1.0;
   constexpr int kPinWaitYields = 64;
   constexpr auto kPinWaitMaxSleep = std::chrono::milliseconds(1);
@@ -238,7 +226,7 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
         frame.page = page;
         frame.dirty.store(false, std::memory_order_relaxed);
         frame.referenced.store(false, std::memory_order_relaxed);
-        frame.tier.store(static_cast<uint8_t>(tier),
+        frame.tier.store(static_cast<uint8_t>(PageTier::kCold),
                          std::memory_order_relaxed);
         frame.pin_count.store(1, std::memory_order_relaxed);
         shard.table.emplace(page, idx);
@@ -256,7 +244,7 @@ StatusOr<PageHandle> ShardedBufferPool::Fetch(PageId page, PageTier tier,
   }
 }
 
-StatusOr<PageHandle> ShardedBufferPool::Allocate(PageTier tier) {
+StatusOr<PageHandle> ShardedBufferPool::Allocate() {
   // PagedFile::Allocate is internally synchronized; the page id it
   // returns is not yet in any shard's table, so no other thread can
   // race us to bind it.
@@ -270,19 +258,11 @@ StatusOr<PageHandle> ShardedBufferPool::Allocate(PageTier tier) {
   frame.page = page;
   frame.dirty.store(true, std::memory_order_relaxed);
   frame.referenced.store(false, std::memory_order_relaxed);
-  frame.tier.store(static_cast<uint8_t>(tier), std::memory_order_relaxed);
+  frame.tier.store(static_cast<uint8_t>(PageTier::kCold),
+                   std::memory_order_relaxed);
   frame.pin_count.store(1, std::memory_order_relaxed);
   shard.table.emplace(page, idx);
   return PageHandle(&frame, page);
-}
-
-void ShardedBufferPool::Retier(PageId page, PageTier tier) {
-  Shard& shard = ShardOf(page);
-  ReaderMutexLock lock(&shard.mu);
-  auto it = shard.table.find(page);
-  if (it == shard.table.end()) return;
-  shard.frames[it->second].tier.store(static_cast<uint8_t>(tier),
-                                      std::memory_order_relaxed);
 }
 
 Status ShardedBufferPool::FlushAll() {

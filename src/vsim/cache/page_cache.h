@@ -1,7 +1,7 @@
 // Concurrent sharded buffer pool with hot/cold page tiering: the
 // storage layer's replacement for the old single-thread LRU BufferPool,
-// built so the disk-backed query path (QueryEngine::AttachStore,
-// DiskXTree) can be served by many worker threads at once.
+// built so the disk-backed query path (QueryEngine::AttachStore) can be
+// served by many worker threads at once.
 //
 // Structure (latch per partition):
 //
@@ -18,16 +18,14 @@
 //     trade-off, chosen over per-frame I/O latches for provability).
 //
 // Tiering (hot/cold, in the style of RAM-hot / disk-cold key-value
-// splits): every resident frame is tagged kHot or kCold. Eviction runs
-// a CLOCK sweep over *cold* frames first and touches hot frames only
-// when no unpinned cold frame exists, so the filter step's working set
-// (X-tree inner nodes, centroid pages -- fetched with a kHot hint or
-// retiered via PageHandle::SetTier) stays resident while bulky
-// vector-set leaf pages churn underneath. A cold page that takes a
-// repeat hit while resident has proven re-use and is *promoted* into
-// the hot tier (counted in `promotions`): retention is earned by
-// access, exactly the hot-key split's admission rule, while index
-// pages can be retiered explicitly up front (Retier / SetTier).
+// splits): every resident frame is tagged kHot or kCold. Every page
+// enters the cold tier; a cold page that takes a repeat hit while
+// resident has proven re-use and is *promoted* into the hot tier
+// (counted in `promotions`): retention is earned by access, exactly
+// the hot-key split's admission rule. Eviction runs a CLOCK sweep over
+// *cold* frames first and touches hot frames only when no unpinned
+// cold frame exists, so the re-used working set stays resident while
+// pages read once churn underneath.
 //
 // Pin semantics: Fetch/Allocate return a pin-counted PageHandle that is
 // safe to hold, move and destroy on any thread (unpin is one atomic
@@ -107,8 +105,8 @@ struct Frame {
   // Lock-free control bits. pin_count gates eviction (checked under the
   // exclusive lock; incremented under at least a shared lock, so the
   // check cannot race a new pin). referenced is the CLOCK bit. dirty
-  // and tier are plain state with atomic access so handle methods need
-  // no lock.
+  // and tier are plain state with atomic access: MarkDirty and the
+  // shared-lock hit path's promotion need no exclusive lock.
   std::atomic<int> pin_count{0};
   std::atomic<bool> dirty{false};
   std::atomic<bool> referenced{false};
@@ -137,12 +135,6 @@ class PageHandle {
   // Marks the frame dirty: written back on eviction / FlushAll.
   void MarkDirty();
 
-  // Retention tier of the underlying frame.
-  PageTier tier() const;
-  // Retiers the frame (e.g. a DiskXTree node parsed as an inner node is
-  // promoted to the hot tier for its next residency decision).
-  void SetTier(PageTier tier);
-
   bool valid() const { return frame_ != nullptr; }
 
  private:
@@ -169,8 +161,8 @@ class ShardedBufferPool {
   ~ShardedBufferPool();
 
   // Pins the page, reading it from the file on a miss (a newly loaded
-  // page enters at `tier`; a resident page keeps its current tier --
-  // use PageHandle::SetTier to retier). `miss`, when given, reports
+  // page enters the cold tier; a resident cold page is promoted by
+  // this repeat hit). `miss`, when given, reports
   // whether THIS call read the file, which is what the I/O cost
   // accounting charges (a global miss-counter delta would misattribute
   // concurrent callers' misses). When every frame of the page's shard
@@ -179,19 +171,11 @@ class ShardedBufferPool {
   // their holder may be descheduled) -- then fails with
   // kFailedPrecondition if the shard stays saturated, i.e. when frames
   // are *held* pinned, not merely in transit.
-  StatusOr<PageHandle> Fetch(PageId page, PageTier tier = PageTier::kCold,
-                             bool* miss = nullptr);
+  StatusOr<PageHandle> Fetch(PageId page, bool* miss = nullptr);
 
-  // Allocates a fresh page in the file and pins it (zeroed, dirty).
-  StatusOr<PageHandle> Allocate(PageTier tier = PageTier::kCold);
-
-  // Retiers `page` if it is currently resident (no-op otherwise; the
-  // next Fetch can pass the tier as its hint instead). Cheaper than
-  // holding a PageHandle just to SetTier: a shared-lock table lookup
-  // plus one atomic store, no pin. DiskXTree uses this to promote an
-  // inner node's pages after parsing without pinning a multi-page
-  // supernode's frames all at once.
-  void Retier(PageId page, PageTier tier);
+  // Allocates a fresh page in the file and pins it (zeroed, dirty, in
+  // the cold tier).
+  StatusOr<PageHandle> Allocate();
 
   // Writes back every dirty frame and syncs the file. Not to be raced
   // with writes through pinned handles (see class comment).

@@ -21,8 +21,8 @@ namespace {
 // The X-tree filter strategy measures refinement inside MultiStep*
 // (time in exact_distance calls), so filter = elapsed - refine. The
 // strategies without a measured split charge the whole execution to
-// the stage that dominates them by construction: scan, M-tree and
-// VA-file spend their CPU in exact distance evaluations (refine); the
+// the stage that dominates them by construction: scan and M-tree
+// spend their CPU in exact distance evaluations (refine); the
 // one-vector model has no refinement at all (filter).
 void FinishStageAttribution(QueryStrategy strategy, double elapsed,
                             QueryCost* cost) {
@@ -36,18 +36,18 @@ void FinishStageAttribution(QueryStrategy strategy, double elapsed,
       break;
     case QueryStrategy::kVectorSetScan:
     case QueryStrategy::kVectorSetMTree:
-    case QueryStrategy::kVectorSetVaFilter:
       cost->refine_seconds = elapsed;
       break;
   }
 }
 
 // The one refinement closure behind every vector-set strategy that
-// refines through the engine (filter, scan, VA-file). It flattens the query once, decodes each candidate into a
-// reused flat buffer -- from the store through the buffer pool when one
-// is attached, else from the RAM-resident set -- and computes the
-// minimal matching distance with the row-minimum prune, so refinement
-// allocates nothing per candidate. A failed store read is kept in
+// refines through the engine (filter, scan). It flattens the query
+// once, decodes each candidate into a reused flat buffer -- from the
+// store through the buffer pool when one is attached, else from the
+// RAM-resident set -- and computes the minimal matching distance with
+// the row-minimum prune, so refinement allocates nothing per
+// candidate. A failed store read is kept in
 // status() and rules the candidate out; the caller then discards the
 // whole answer.
 class Refiner {
@@ -89,8 +89,7 @@ class Refiner {
     return r;
   }
 
-  // The ExactDistanceFn shape (never prunes) for the scan and VA-file
-  // loops.
+  // The ExactDistanceFn shape (never prunes) for the scan loops.
   ExactDistanceFn Exact() {
     return [this](int id, IoStats* stats) {
       return (*this)(id, kNoPrune, stats).distance;
@@ -149,8 +148,6 @@ const char* QueryStrategyName(QueryStrategy strategy) {
       return "vector set seq. scan";
     case QueryStrategy::kVectorSetMTree:
       return "vector set M-tree";
-    case QueryStrategy::kVectorSetVaFilter:
-      return "vector set + VA-file filter";
   }
   return "unknown";
 }
@@ -197,23 +194,16 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params,
   assert(st.ok());
   centroid_index_->set_point_error(point_error);
 
-  std::vector<FeatureVector> centroids, cover_vectors;
+  std::vector<FeatureVector> cover_vectors;
   std::vector<int> ids;
-  centroids.reserve(db_->size());
   cover_vectors.reserve(db_->size());
   for (int id = 0; id < static_cast<int>(db_->size()); ++id) {
     const ObjectRepr& repr = db_->object(id);
-    centroids.push_back(repr.centroid);
     cover_vectors.push_back(repr.cover_vector);
     ids.push_back(id);
     mtree_->Insert(repr.vector_set, id);
   }
   st = one_vector_index_->BulkLoad(cover_vectors, ids);
-  assert(st.ok());
-  VaFileOptions va_opts;
-  va_opts.page_size_bytes = params_.page_size_bytes;
-  centroid_vafile_ = std::make_unique<VaFile>(dim, va_opts);
-  st = centroid_vafile_->Build(centroids, ids);
   assert(st.ok());
   (void)st;
 }
@@ -315,16 +305,6 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       local.candidates_refined = evals;
       local.filter_hits = evals;
       local.hungarian_invocations = evals;
-      break;
-    }
-    case QueryStrategy::kVectorSetVaFilter: {
-      size_t refined = 0;
-      result = centroid_vafile_->MultiStepKnn(
-          query.centroid, static_cast<double>(num_covers_), k,
-          refiner.Exact(), &local.io, &refined);
-      local.candidates_refined = refined;
-      local.filter_hits = refined;
-      local.hungarian_invocations = refined;
       break;
     }
   }
@@ -457,16 +437,6 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
     case QueryStrategy::kOneVectorXTree: {
       result = one_vector_index_->RangeQuery(query.cover_vector, eps,
                                              &local.io);
-      break;
-    }
-    case QueryStrategy::kVectorSetVaFilter: {
-      size_t refined = 0;
-      result = centroid_vafile_->MultiStepRange(
-          query.centroid, static_cast<double>(num_covers_), eps,
-          refiner.Exact(), &local.io, &refined);
-      local.candidates_refined = refined;
-      local.filter_hits = refined;
-      local.hungarian_invocations = refined;
       break;
     }
   }

@@ -20,8 +20,8 @@
 // per distinct vector set, carrying the ids of every object holding it,
 // so one refinement serves them all. Their answers are canonical -- the
 // k smallest (distance, id) pairs, range ids ascending -- and equal the
-// per-object index's (SetGrouping::kNone) bit for bit. The M-tree,
-// VA-file and one-vector strategies stay per object.
+// per-object index's (SetGrouping::kNone) bit for bit. The M-tree and
+// one-vector strategies stay per object.
 //
 // Thread-safety: the engine and its indexes are immutable after
 // construction; every query method is const and touches no mutable
@@ -44,19 +44,19 @@
 #include "vsim/index/io_stats.h"
 #include "vsim/index/mtree.h"
 #include "vsim/index/multistep.h"
-#include "vsim/index/vafile.h"
 #include "vsim/index/xtree.h"
 #include "vsim/storage/vector_set_store.h"
 
 namespace vsim {
 
+// The wire protocol and the result-cache key carry these values, so
+// they never change. Value 4 is retired (a former VA-file centroid
+// filter): never reused, and the wire decoder rejects it.
 enum class QueryStrategy {
   kOneVectorXTree,
   kVectorSetFilter,
   kVectorSetScan,
   kVectorSetMTree,
-  kVectorSetVaFilter,  // bonus: extended centroids in a VA-file instead
-                       // of an X-tree (IQ-tree-style quantized filter)
 };
 
 const char* QueryStrategyName(QueryStrategy strategy);
@@ -84,7 +84,7 @@ struct QueryCost {
   // Kuhn-Munkres minimal-matching solves: on the filter strategy only
   // the refinements whose row-minimum bound did not already exceed the
   // current threshold (so <= candidates_refined); one per refinement on
-  // scan, M-tree and VA-file; zero for the one-vector model.
+  // scan and M-tree; zero for the one-vector model.
   // filter/refine_seconds split cpu_seconds for filter-and-refine
   // strategies; strategies without a split report the whole execution
   // as one stage (scan/M-tree: refine; one-vector: filter).
@@ -152,8 +152,8 @@ class QueryEngine {
   // Invariant k-NN (Definition 2 at query time, Section 3.2): runs one
   // filtered query per orientation of the query object -- 24 rotations,
   // or 48 with reflection invariance switched on -- and merges the
-  // per-object minima. Works with the kVectorSetFilter, kVectorSetScan
-  // and kVectorSetVaFilter strategies.
+  // per-object minima. Works with the kVectorSetFilter and
+  // kVectorSetScan strategies.
   std::vector<Neighbor> InvariantKnn(QueryStrategy strategy,
                                      const ObjectRepr& query, int k,
                                      bool with_reflections,
@@ -193,7 +193,6 @@ class QueryEngine {
   std::unique_ptr<XTree> centroid_index_;    // 6-d extended centroids
   std::unique_ptr<XTree> one_vector_index_;  // 6k-d cover vectors
   std::unique_ptr<MTree<VectorSet>> mtree_;
-  std::unique_ptr<VaFile> centroid_vafile_;  // quantized centroid filter
   const VectorSetStore* store_ = nullptr;    // optional disk-backed fetches
   // Every group of equal vector sets, ids ascending, in the scan
   // strategy's visiting order: the page order of the groups' first

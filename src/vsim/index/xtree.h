@@ -176,8 +176,6 @@ class XTree {
   size_t total_pages() const;
 
  private:
-  friend class DiskXTree;  // read-only access for the disk writer
-
   struct Entry {
     FeatureVector lo, hi;  // MBR (lo == hi == point for leaf entries)
     int child = -1;        // node index (internal) or -1 (leaf entry)

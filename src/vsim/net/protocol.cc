@@ -11,9 +11,11 @@ namespace {
 // Enumerator counts of the wire-visible enums. The wire encodes the
 // underlying values, so these move in lockstep with the enum
 // definitions (a new enumerator extends the valid range; reordering
-// would be a protocol break, as documented at each enum).
+// would be a protocol break, as documented at each enum). Strategy
+// value 4 is retired (docs/PROTOCOL.md §3): it is never reused, so a
+// payload naming it fails like any unknown value.
 constexpr uint8_t kNumQueryKinds = 4;
-constexpr uint8_t kNumQueryStrategies = 5;
+constexpr uint8_t kNumQueryStrategies = 4;
 constexpr uint8_t kNumSpanNames =
     static_cast<uint8_t>(vsim::obs::kNumSpanNames);
 

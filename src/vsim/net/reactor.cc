@@ -289,9 +289,8 @@ void EpollReactor::HandleReadable(Loop* loop,
     return;
   }
   if (n == 0) {
-    // Clean EOF. A partial frame left in inbuf mirrors the blocking
-    // transport's mid-frame kIOError: expected teardown, not a
-    // protocol error -- drain what was dispatched, then close.
+    // Clean EOF. A partial frame left in inbuf is expected teardown,
+    // not a protocol error -- drain what was dispatched, then close.
     conn->closing = true;
     conn->inbuf.clear();
     UpdateInterest(loop, conn.get());
@@ -331,8 +330,7 @@ void EpollReactor::ParseFrames(Loop* loop,
     if (in_flight >= options_.max_pipeline && !conn->closing) {
       // Pipeline window full: stop reading (and stop parsing -- the
       // leftover stays buffered) until the flush drains below the
-      // window. The non-blocking analogue of the blocking reader's
-      // wait on the completion queue.
+      // window.
       conn->read_paused = true;
       // vsim-lint: allow(raw-clock) idle/backpressure housekeeping on chrono time_points, not span timing
       conn->pause_started = ClockT::now();
@@ -374,9 +372,7 @@ void EpollReactor::DispatchFrame(Loop* loop,
         AppendStatusFrame(header.request_id, decoded, &slot.bytes);
       } else {
         // Exposition, trace/span snapshots and profiler ops run on the
-        // event loop -- the same place the blocking transport's reader
-        // thread does it (they allocate; the recording hot path does
-        // not). Shared handler: both transports answer identically.
+        // event loop (they allocate; the recording hot path does not).
         StatsResponse stats = BuildStatsResponse(service_, stats_request);
         AppendStatsResponseFrame(header.request_id, stats, &slot.bytes);
       }
@@ -752,12 +748,11 @@ void EpollReactor::SweepTimeouts(Loop* loop) {
       // Already draining. If the peer is not consuming its responses
       // either, nothing will ever move again: cut it loose. (An empty
       // outbuf means we are waiting on the service, not the peer --
-      // keep waiting, mirroring the blocking writer's future.get().)
+      // keep waiting.)
       if (conn->outpos < conn->outbuf.size()) CloseConn(loop, conn);
       continue;
     }
-    // SO_RCVTIMEO analogue: stop reading, flush what was dispatched,
-    // then close.
+    // Read timeout: stop reading, flush what was dispatched, then close.
     conn->closing = true;
     conn->inbuf.clear();
     UpdateInterest(loop, conn.get());

@@ -1,9 +1,7 @@
-// Epoll-based reactor transport for net::Server (Transport::kEpoll):
-// the same wire contract as the thread-per-connection path
-// (docs/PROTOCOL.md §11), served by a small fixed number of
-// non-blocking event-loop threads instead of two threads per
-// connection -- the shape that scales past the thread-per-connection
-// knee to thousands of concurrent clients (docs/OPERATIONS.md
+// Epoll-based reactor, net::Server's transport: the wire contract of
+// docs/PROTOCOL.md §11, served by a small fixed number of non-blocking
+// event-loop threads whatever the connection count -- the shape that
+// scales to thousands of concurrent clients (docs/OPERATIONS.md
 // "Capacity planning").
 //
 // Topology. `reactor_threads` event loops, each with its own epoll
@@ -14,8 +12,8 @@
 // thread -- no locking on the read/write hot path.
 //
 // Per-connection state machine. Bytes accumulate in an input buffer;
-// complete frames are peeled off with the same strict bounds-checked
-// codec the blocking transport uses (protocol.h) and dispatched:
+// complete frames are peeled off with the strict bounds-checked codec
+// (protocol.h) and dispatched:
 //
 //   reading header -> reading body -> dispatched -> writing response
 //
@@ -24,9 +22,9 @@
 // frames there (off the event loop), fills the request's completion
 // slot, and wakes the owning loop via its eventfd. Slots form a
 // per-connection FIFO; only the contiguous *done* prefix is flushed, so
-// responses are delivered in request order exactly like the blocking
-// transport. When one flush merges several completed responses into a
-// single send, that is the write-coalescing path
+// responses are delivered in request order. When one flush merges
+// several completed responses into a single send, that is the
+// write-coalescing path
 // (vsim_net_coalesced_writes_total) -- streamed k-NN chunk frames of
 // adjacent pipelined requests leave in one syscall.
 //
@@ -79,9 +77,8 @@ namespace vsim::net {
 class EpollReactor {
  public:
   // `service` and `counters` must outlive the reactor; `options` is
-  // copied. The reactor accounts through the same NetCounters as the
-  // blocking transport so Server::stats() and the vsim_net_* collector
-  // need not know which transport runs.
+  // copied. The reactor accounts through the server's NetCounters, which
+  // Server::stats() and the vsim_net_* collector read.
   EpollReactor(QueryService* service, const ServerOptions& options,
                NetCounters* counters);
 
@@ -195,8 +192,7 @@ class EpollReactor {
   void EnqueueDoneSlot(const std::shared_ptr<Conn>& conn, Slot slot)
       EXCLUDES(conn->mu);
   // Connection-fatal framing error: status frame on `request_id` (0 =
-  // connection-level, for unparseable headers), then close -- mirrors
-  // the blocking reader's bad-header path.
+  // connection-level, for unparseable headers), then close.
   void FatalProtocolError(Loop* loop, const std::shared_ptr<Conn>& conn,
                           uint64_t request_id, const Status& error);
 

@@ -6,40 +6,26 @@
 // with errors propagated as wire status frames instead of string
 // matching.
 //
-// Two transports implement the same documented contract
-// (docs/PROTOCOL.md §11); ServerOptions::transport selects one:
+// Connections are served by a non-blocking epoll reactor (reactor.h)
+// on a small fixed thread count (ServerOptions::reactor_threads),
+// implementing the documented transport contract (docs/PROTOCOL.md
+// §11). Each connection is a state machine (reading header -> reading
+// body -> dispatched -> writing response); completed requests come
+// back through QueryService::SubmitWithCallback on worker threads,
+// which hand encoded frames to the owning event loop via an eventfd
+// wakeup. Responses on one connection are delivered in request order
+// (HTTP/1.1-style pipelining); the per-connection max_pipeline window
+// is enforced by pausing reads (EPOLLIN disarmed), on top of the
+// service's own admission bound.
 //
-//   Transport::kThreads -- one blocking acceptor thread plus two
-//   threads per connection. The *reader* thread parses frames off the
-//   socket and submits each request to the service immediately, then
-//   appends the returned future to the connection's bounded completion
-//   queue; the *writer* thread pops completions FIFO, waits for each
-//   future, and streams the response frames back in request order
-//   (HTTP/1.1-style pipelining). The queue bound is the per-connection
-//   in-flight window; a reader that fills it blocks -- natural
-//   backpressure on top of the service's admission bound. Simple and
-//   linear, but two OS threads per connection caps it at hundreds of
-//   clients.
-//
-//   Transport::kEpoll -- a non-blocking reactor (reactor.h) on a small
-//   fixed thread count (ServerOptions::reactor_threads), scaling to
-//   thousands of connections. Each connection is a state machine
-//   (reading header -> reading body -> dispatched -> writing response);
-//   completed requests come back through QueryService::
-//   SubmitWithCallback on worker threads, which hand encoded frames to
-//   the owning event loop via an eventfd wakeup. Responses for one
-//   connection are still delivered in request order; the same
-//   max_pipeline window applies, enforced by pausing reads (EPOLLIN
-//   disarmed) instead of blocking a thread.
-//
-// Error containment (both transports): a malformed *payload*
-// (bounds-checked decode failure) fails that one request with a wire
-// status -- framing is still intact, so the connection survives. A
-// malformed frame *header* (bad magic/version/type/length) means the
-// byte stream can no longer be trusted; the server sends a
-// connection-level status frame (request id 0) and closes. Either way
-// the peer can never crash or hang the server (tests/net_server_test.cc
-// and tests/net_hostile_test.cc feed both corpora to both transports).
+// Error containment: a malformed *payload* (bounds-checked decode
+// failure) fails that one request with a wire status -- framing is
+// still intact, so the connection survives. A malformed frame *header*
+// (bad magic/version/type/length) means the byte stream can no longer
+// be trusted; the server sends a connection-level status frame
+// (request id 0) and closes. Either way the peer can never crash or
+// hang the server (tests/net_server_test.cc and
+// tests/net_hostile_test.cc feed both corpora to it).
 //
 // Graceful shutdown: Stop() closes the listener, stops reading from
 // every connection, and drains -- every already-submitted request
@@ -54,42 +40,34 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "vsim/common/status.h"
 #include "vsim/common/thread_annotations.h"
 #include "vsim/net/protocol.h"
-#include "vsim/net/socket_util.h"
 #include "vsim/service/query_service.h"
 
 namespace vsim::net {
 
 class EpollReactor;
 
-// Connection-handling strategy; both speak the identical wire contract.
+// The connection-handling strategy. The reactor is the only one; the
+// one-value enum and ServerOptions::transport remain only because the
+// servebench benchmark program still assigns them.
 enum class Transport {
-  kThreads,  // blocking I/O, two dedicated threads per connection
-  kEpoll,    // non-blocking event loops on a fixed thread count
+  kEpoll,  // non-blocking event loops on a fixed thread count
 };
 
-// "threads" / "epoll" (stable CLI spellings for --transport).
-const char* TransportName(Transport transport);
-StatusOr<Transport> ParseTransport(const std::string& name);
-
 // Builds the metadata a remote client needs to extract wire-compatible
-// query objects (the kInfoRequest handler, shared by both transports).
+// query objects (the kInfoRequest handler).
 ServerInfo MakeServerInfo(const DbSnapshot& snapshot);
 
-// The kStatsRequest handler shared by both transports: metrics
-// exposition + flight-recorder pull, plus the §12 extensions -- span
-// trees when `include_spans` and the profiler sub-request (arm /
-// disarm / collect against the process-wide obs::Profiler). Allocates;
-// runs on a reader/loop thread, never on the record path.
+// The kStatsRequest handler: metrics exposition + flight-recorder
+// pull, plus the §12 extensions -- span trees when `include_spans` and
+// the profiler sub-request (arm / disarm / collect against the
+// process-wide obs::Profiler). Allocates; runs on an event-loop
+// thread, never on the record path.
 StatsResponse BuildStatsResponse(QueryService* service,
                                  const StatsRequest& request);
 
@@ -99,19 +77,18 @@ struct ServerOptions {
   int max_connections = 64;  // beyond this, accepts get kUnavailable
   size_t max_pipeline = 128;  // per-connection in-flight window
 
-  Transport transport = Transport::kThreads;
-  // Event-loop thread count for Transport::kEpoll (ignored by
-  // kThreads). Loop 0 also owns the listening socket; accepted
-  // connections are spread round-robin and stay pinned to one loop for
-  // life. 2 is enough to saturate the worker pool on loopback; values
-  // < 1 are clamped to 1.
+  Transport transport = Transport::kEpoll;
+  // Event-loop thread count. Loop 0 also owns the listening socket;
+  // accepted connections are spread round-robin and stay pinned to one
+  // loop for life. 2 is enough to saturate the worker pool on loopback;
+  // values < 1 are clamped to 1.
   int reactor_threads = 2;
 
   // 0 disables. A nonzero value bounds how long a stalled peer can pin
-  // a connection: kThreads sets SO_RCVTIMEO on the reader; kEpoll
-  // sweeps connections with no forward progress for this long
-  // (connections paused by the server's own pipeline backpressure are
-  // exempt). On expiry the connection closes.
+  // a connection: the reactor sweeps connections with no forward
+  // progress for this long (connections paused by the server's own
+  // pipeline backpressure are exempt). On expiry the connection
+  // closes.
   double read_timeout_seconds = 0.0;
 
   // Response streaming granularity (smaller = more frames; tests use
@@ -126,15 +103,13 @@ struct ServerStats {
   uint64_t responses_sent = 0;  // completions written (incl. status frames)
   uint64_t protocol_errors = 0;  // malformed frames/payloads from peers
   uint64_t open_connections = 0;  // currently accepted and not closed
-  // Reactor-only (zero under Transport::kThreads):
   uint64_t reactor_loop_iterations = 0;  // epoll_wait returns
   uint64_t coalesced_writes = 0;  // flushes merging >= 2 responses
   double read_stall_seconds = 0.0;  // time reads were backpressure-paused
 };
 
-// Counters shared by the two transports and the metrics collector: one
-// struct so both paths account identically and one scrape covers
-// either. All relaxed; monotone except open_connections (a gauge).
+// Counters shared by the reactor and the metrics collector. All
+// relaxed; monotone except open_connections (a gauge).
 struct NetCounters {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<uint64_t> connections_rejected{0};
@@ -152,7 +127,7 @@ class Server {
  public:
   // `service` must outlive the server and is shared with any in-process
   // callers (the snapshot-swap machinery keeps working under remote
-  // load -- see NetServerTest.SwapUnderRemoteLoad).
+  // load -- see RemoteSwapTest.SwapUnderRemoteLoad).
   explicit Server(QueryService* service, ServerOptions options = {});
 
   // Stops and drains (Stop()) if still running.
@@ -161,8 +136,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds, listens and starts the selected transport. Fails with
-  // kIOError if the address is taken. Call at most once.
+  // Binds, listens and starts the reactor. Fails with kIOError if the
+  // address is taken. Call at most once.
   Status Start() EXCLUDES(mu_);
 
   // Graceful stop: no new connections, no new requests read, every
@@ -176,77 +151,19 @@ class Server {
   ServerStats stats() const;
 
  private:
-  // Per-connection state machine of the kThreads transport; owned by
-  // the server's connection list, torn down by Stop() or by the reaper
-  // pass in the acceptor.
-  struct Connection {
-    // One completion slot: exactly one of `future` (a submitted query),
-    // `ready` (an immediate error: admission rejection or a malformed
-    // payload) or `info` is set.
-    struct Pending {
-      uint64_t request_id = 0;
-      std::future<StatusOr<ServiceResponse>> future;
-      Status ready;
-      bool has_info = false;
-      ServerInfo info;
-      bool has_stats = false;
-      StatsResponse stats;
-      bool close_after = false;  // connection-fatal: write, then close
-
-      // Net-layer span bookkeeping for query requests (zero for the
-      // info/stats/error slots): the trace identity plus the reader's
-      // stage timestamps; the writer adds encode/flush and publishes
-      // the tree (docs/OBSERVABILITY.md "Tracing").
-      obs::TraceContext trace;
-      uint64_t read_ns = 0;    // request frame fully read
-      uint64_t decode_ns = 0;  // payload decoded + request submitted
-    };
-
-    ScopedFd fd;
-    Mutex mu{"net.server.conn"};
-    CondVar cv;
-    std::deque<Pending> queue GUARDED_BY(mu);
-    bool reader_done GUARDED_BY(mu) = false;
-    std::thread reader;
-    std::thread writer;
-    // Both loops exited; the connection no longer counts against the
-    // limit and may be reaped (joined + destroyed).
-    std::atomic<bool> finished{false};
-    std::atomic<bool> reader_exited{false};
-    std::atomic<bool> writer_exited{false};
-  };
-
-  void AcceptLoop();
-  void ReaderLoop(Connection* conn);
-  void WriterLoop(Connection* conn);
-  void EnqueueLocked(Connection* conn, Connection::Pending pending)
-      EXCLUDES(conn->mu);
-  // Marks the connection's loop exited; the second of the two loops to
-  // get here retires the connection from the open-connections gauge.
-  void MarkLoopExited(Connection* conn, std::atomic<bool>* mine,
-                      const std::atomic<bool>* other);
-  // Joins and erases finished connections; returns the live count.
-  size_t ReapConnectionsLocked() REQUIRES(mu_);
-
   QueryService* const service_;  // not owned
   const ServerOptions options_;
 
   Mutex mu_{"net.server"};
-  std::vector<std::unique_ptr<Connection>> connections_ GUARDED_BY(mu_);
   bool started_ GUARDED_BY(mu_) = false;
   bool stopped_ GUARDED_BY(mu_) = false;
 
-  ScopedFd listen_fd_;  // written in Start before the acceptor exists,
-                        // then only read (acceptor) / shutdown (Stop)
-  std::thread acceptor_;
-  std::atomic<bool> stopping_{false};
   std::atomic<int> port_{0};
 
   NetCounters counters_;
 
-  // Present only under Transport::kEpoll (owns the listen fd and the
-  // event-loop threads once started). Declared after counters_, which
-  // it references.
+  // Owns the listen fd and the event-loop threads once started.
+  // Declared after counters_, which it references.
   std::unique_ptr<EpollReactor> reactor_;
 
   // The server folds its connection counters into the service's metric

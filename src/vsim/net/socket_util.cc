@@ -5,11 +5,9 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 
 namespace vsim::net {
@@ -27,14 +25,6 @@ void ScopedFd::Reset() {
     ::close(fd_);
     fd_ = -1;
   }
-}
-
-void ScopedFd::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void ScopedFd::ShutdownRead() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 Status WriteAll(int fd, const void* data, size_t size) {
@@ -157,20 +147,6 @@ Status SetNonBlocking(int fd) {
   if (flags < 0) return Errno("fcntl(F_GETFL)");
   if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     return Errno("fcntl(F_SETFL, O_NONBLOCK)");
-  }
-  return Status::OK();
-}
-
-Status SetReadTimeout(int fd, double seconds) {
-  if (seconds < 0.0) {
-    return Status::InvalidArgument("read timeout must be non-negative");
-  }
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - std::floor(seconds)) * 1e6);
-  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-    return Errno("setsockopt(SO_RCVTIMEO)");
   }
   return Status::OK();
 }

@@ -1,20 +1,16 @@
 // Thin portable-POSIX socket helpers shared by net::Server and
 // net::Client: RAII fd ownership, full-buffer read/write loops that
 // retry EINTR, TCP listen/connect with IPv4 dotted-quad addresses, and
-// the one shared frame-read loop both sides use (header validation via
-// protocol.h, payload bounded before allocation).
+// a blocking frame-read loop (header validation via protocol.h,
+// payload bounded before allocation).
 //
-// These helpers serve both transports: the thread-per-connection path
-// uses blocking I/O on dedicated threads (graceful shutdown rides on
-// shutdown(2) unblocking the blocked reads), while the epoll reactor
-// (src/vsim/net/reactor.h) flips fds non-blocking via SetNonBlocking
-// and does its own readiness-driven recv/send loops.
+// The blocking helpers serve the client (and tests that speak raw
+// frames); the epoll reactor (src/vsim/net/reactor.h) flips its fds
+// non-blocking via SetNonBlocking and does its own readiness-driven
+// recv/send loops.
 //
-// Thread-safety: free functions are stateless. A ScopedFd may be used
-// from several threads only the way the server does: concurrent
-// recv/send on a connected socket fd is allowed by POSIX, but Close()
-// must not race either (the server shuts the fd down first, joins both
-// threads, then closes).
+// Thread-safety: free functions are stateless. A ScopedFd is owned by
+// one thread at a time.
 #ifndef VSIM_NET_SOCKET_UTIL_H_
 #define VSIM_NET_SOCKET_UTIL_H_
 
@@ -50,16 +46,6 @@ class ScopedFd {
   int Release() { return std::exchange(fd_, -1); }
   void Reset();
 
-  // shutdown(2) both directions: unblocks any thread blocked in
-  // recv/send on this fd (the graceful-stop lever; the fd stays open
-  // until Reset so no descriptor reuse race).
-  void ShutdownBoth();
-
-  // shutdown(2) the read side only: blocked reads see EOF while the
-  // write side stays usable -- the graceful-drain half (the server's
-  // writers keep flushing in-flight responses after Stop()).
-  void ShutdownRead();
-
  private:
   int fd_ = -1;
 };
@@ -91,13 +77,8 @@ StatusOr<ScopedFd> ConnectTcp(const std::string& host, int port);
 // The locally bound port of a socket (resolves port 0 after bind).
 StatusOr<int> LocalPort(int fd);
 
-// Sets SO_RCVTIMEO; a blocked read then fails after `seconds` instead
-// of pinning its thread forever on a stalled peer. 0 clears the limit.
-Status SetReadTimeout(int fd, double seconds);
-
-// Puts the fd into O_NONBLOCK mode (the reactor transport's accept,
-// recv and send paths all require it; blocking transports never call
-// this).
+// Puts the fd into O_NONBLOCK mode (the reactor's accept, recv and
+// send paths all require it).
 Status SetNonBlocking(int fd);
 
 }  // namespace vsim::net

@@ -1,6 +1,8 @@
 #include "vsim/service/query_service.h"
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -249,8 +251,7 @@ Status QueryService::Validate(const ServiceRequest& request,
   if (request.query.vector_set.empty()) {
     return Status::InvalidArgument("external query needs a vector_set");
   }
-  if ((request.strategy == QueryStrategy::kVectorSetFilter ||
-       request.strategy == QueryStrategy::kVectorSetVaFilter) &&
+  if (request.strategy == QueryStrategy::kVectorSetFilter &&
       request.query.centroid.empty()) {
     return Status::InvalidArgument(
         "external filtered query needs an extended centroid");
@@ -475,9 +476,9 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
 
 namespace {
 
-// Deadline resolution shared by both submission forms: 0 means "no
-// deadline", represented as kNoDeadlineNs, and so does a deadline past
-// the uint64_t nanosecond range (casting such a double is undefined).
+// Deadline resolution of a submission: 0 means "no deadline",
+// represented as kNoDeadlineNs, and so does a deadline past the
+// uint64_t nanosecond range (casting such a double is undefined).
 // NaN also maps to kNoDeadlineNs here; validation then rejects it.
 uint64_t DeadlineForNs(double timeout_seconds, uint64_t submitted_ns) {
   if (!(timeout_seconds > 0.0)) return kNoDeadlineNs;
@@ -489,18 +490,6 @@ uint64_t DeadlineForNs(double timeout_seconds, uint64_t submitted_ns) {
 }
 
 }  // namespace
-
-StatusOr<std::future<StatusOr<ServiceResponse>>> QueryService::Submit(
-    ServiceRequest request) {
-  VSIM_RETURN_NOT_OK(Admit());
-  const uint64_t submitted_ns = obs::MonotonicNowNs();
-  const uint64_t deadline_ns =
-      DeadlineForNs(request.options.timeout_seconds, submitted_ns);
-  return pool_.Submit([this, request = std::move(request), submitted_ns,
-                       deadline_ns]() -> StatusOr<ServiceResponse> {
-    return RunAdmitted(request, submitted_ns, deadline_ns);
-  });
-}
 
 Status QueryService::SubmitWithCallback(
     ServiceRequest request, std::function<void(StatusOr<ServiceResponse>)> done) {
@@ -522,10 +511,15 @@ Status QueryService::SubmitWithCallback(
 }
 
 StatusOr<ServiceResponse> QueryService::Execute(ServiceRequest request) {
-  StatusOr<std::future<StatusOr<ServiceResponse>>> submitted =
-      Submit(std::move(request));
-  VSIM_RETURN_NOT_OK(submitted.status());
-  return submitted.value().get();
+  // The callback owns a reference to the promise, so the shared state
+  // outlives the worker's set_value even after get() has returned.
+  auto done = std::make_shared<std::promise<StatusOr<ServiceResponse>>>();
+  std::future<StatusOr<ServiceResponse>> result = done->get_future();
+  VSIM_RETURN_NOT_OK(SubmitWithCallback(
+      std::move(request), [done](StatusOr<ServiceResponse> response) {
+        done->set_value(std::move(response));
+      }));
+  return result.get();
 }
 
 }  // namespace vsim

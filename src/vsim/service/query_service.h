@@ -41,7 +41,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <future>
 #include <memory>
 
 #include "vsim/common/status.h"
@@ -169,33 +168,27 @@ class QueryService {
                QueryServiceOptions options = {});
 
   // Blocks until every queued and in-flight request has completed (the
-  // pool drains; all futures returned by Submit resolve first).
+  // pool drains; every admitted request's callback runs first).
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Asynchronous submission. Returns kUnavailable immediately when the
-  // admission queue is full; otherwise a future that resolves to the
-  // response or a per-request error (kDeadlineExceeded, validation).
-  StatusOr<std::future<StatusOr<ServiceResponse>>> Submit(
-      ServiceRequest request);
-
-  // Callback form of Submit for event-driven front-ends (the epoll
-  // reactor transport in src/vsim/net/): instead of returning a future
-  // someone must block on, invokes `done` exactly once, on the worker
-  // thread that executed the request, with the same result Submit's
-  // future would have carried. The admission contract is identical --
-  // a full queue rejects synchronously with kUnavailable and `done` is
-  // never invoked, so the caller can turn the rejection into a
-  // backpressure signal (a kUnavailable wire frame) without waiting.
-  // `done` must not block for long and must not call back into Submit
-  // (it runs on a pool worker; a slow callback occupies a query slot).
+  // Asynchronous submission, the one path every request takes (the
+  // epoll reactor in src/vsim/net/, `vsim batch`, Execute). Returns
+  // kUnavailable immediately when the admission queue is full, and
+  // `done` is then never invoked, so the caller can turn the rejection
+  // into a backpressure signal (a kUnavailable wire frame) without
+  // waiting. Otherwise invokes `done` exactly once, on the worker
+  // thread that executed the request, with the response or a
+  // per-request error (kDeadlineExceeded, validation). `done` must not
+  // block for long and must not submit and wait on another request (it
+  // runs on a pool worker; a slow callback occupies a query slot).
   Status SubmitWithCallback(
       ServiceRequest request,
       std::function<void(StatusOr<ServiceResponse>)> done);
 
-  // Synchronous convenience: submit + wait.
+  // Synchronous convenience: SubmitWithCallback + wait.
   StatusOr<ServiceResponse> Execute(ServiceRequest request);
 
   // Publishes a rebuilt snapshot. Returns kFailedPrecondition unless
@@ -204,8 +197,8 @@ class QueryService {
   // invalidation tags). In-flight requests keep the snapshot they
   // already acquired; new requests see `next`. The displaced snapshot
   // is destroyed when its last in-flight request finishes. Safe to call
-  // concurrently with Submit/Execute; concurrent swappers serialize on
-  // the snapshot mutex.
+  // concurrently with SubmitWithCallback/Execute; concurrent swappers
+  // serialize on the snapshot mutex.
   Status SwapSnapshot(std::shared_ptr<const DbSnapshot> next)
       EXCLUDES(snapshot_mu_);
 
@@ -251,12 +244,12 @@ class QueryService {
   // and stage timings into the registry instruments.
   void RecordTrace(const obs::QueryTrace& trace);
 
-  // Admission-control check shared by Submit and SubmitWithCallback:
-  // accounts the submission and either reserves a queue slot (OK) or
-  // rejects with kUnavailable.
+  // Admission-control check of SubmitWithCallback: accounts the
+  // submission and either reserves a queue slot (OK) or rejects with
+  // kUnavailable.
   Status Admit();
-  // The worker-side body shared by both submission forms: deadline
-  // check, execution, stats, trace and span recording. Runs on a pool
+  // The worker-side body of a submission: deadline check, execution,
+  // stats, trace and span recording. Runs on a pool
   // thread with the queue slot from Admit() held. Timestamps are
   // obs::MonotonicNowNs() nanoseconds (deadline_ns = UINT64_MAX means
   // no deadline) so every stage boundary is span-attributable.
@@ -309,7 +302,7 @@ class QueryService {
   obs::Counter* io_pages_total_ = nullptr;
   obs::Counter* io_bytes_total_ = nullptr;
   obs::Gauge* generation_gauge_ = nullptr;
-  std::array<obs::Counter*, 5> queries_by_strategy_{};
+  std::array<obs::Counter*, 4> queries_by_strategy_{};
 
   std::atomic<size_t> queued_{0};
   std::atomic<uint64_t> next_trace_id_{0};

@@ -38,8 +38,6 @@ const char* QueryStrategyFlagName(QueryStrategy strategy) {
       return "scan";
     case QueryStrategy::kVectorSetMTree:
       return "mtree";
-    case QueryStrategy::kVectorSetVaFilter:
-      return "vafile";
   }
   return "unknown";
 }
@@ -47,15 +45,14 @@ const char* QueryStrategyFlagName(QueryStrategy strategy) {
 StatusOr<QueryStrategy> ParseQueryStrategy(const std::string& name) {
   for (QueryStrategy strategy :
        {QueryStrategy::kOneVectorXTree, QueryStrategy::kVectorSetFilter,
-        QueryStrategy::kVectorSetScan, QueryStrategy::kVectorSetMTree,
-        QueryStrategy::kVectorSetVaFilter}) {
+        QueryStrategy::kVectorSetScan, QueryStrategy::kVectorSetMTree}) {
     if (name == QueryStrategyFlagName(strategy)) return strategy;
   }
   return UnknownName("strategy", name, QueryStrategyNames());
 }
 
 const char* QueryStrategyNames() {
-  return "filter scan mtree vafile onevector";
+  return "filter scan mtree onevector";
 }
 
 const char* CoverSearchFlagName(CoverSequenceOptions::Search search) {

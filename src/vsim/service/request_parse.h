@@ -31,7 +31,7 @@ StatusOr<QueryKind> ParseQueryKind(const std::string& name);
 const char* QueryKindNames();
 
 // --- QueryStrategy flag spellings: "filter" | "scan" | "mtree" |
-// "vafile" | "onevector". Distinct from QueryStrategyName, which
+// "onevector". Distinct from QueryStrategyName, which
 // returns the paper-facing display names ("vector set + filter").
 const char* QueryStrategyFlagName(QueryStrategy strategy);
 StatusOr<QueryStrategy> ParseQueryStrategy(const std::string& name);

@@ -246,9 +246,8 @@ StatusOr<FlatVectorSet> VectorSetStore::GetFlat(int id,
   // Charge the paper's page cost for THIS call's miss only: a global
   // miss-counter delta would misattribute concurrent callers' misses.
   bool missed = false;
-  VSIM_ASSIGN_OR_RETURN(
-      cache::PageHandle handle,
-      pool_->Fetch(ref.page, cache::PageTier::kCold, &missed));
+  VSIM_ASSIGN_OR_RETURN(cache::PageHandle handle,
+                        pool_->Fetch(ref.page, &missed));
   if (stats != nullptr) {
     if (missed) stats->AddPageAccesses(1);
     stats->AddBytesRead(ref.bytes);

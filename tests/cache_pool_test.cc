@@ -170,9 +170,12 @@ TEST(CachePoolTierTest, HotPagesNeverEvictedWhileColdAreAvailable) {
   const std::vector<PageId> pages = FillIdentifiablePages(&*file, kPages);
   cache::ShardedBufferPool pool(&*file, cache::PoolOptions{6, 1});
 
-  // Two hot pages (the "inner node" working set)...
-  { auto h = pool.Fetch(pages[0], cache::PageTier::kHot); ASSERT_TRUE(h.ok()); }
-  { auto h = pool.Fetch(pages[1], cache::PageTier::kHot); ASSERT_TRUE(h.ok()); }
+  // Two hot pages (the re-used working set: a repeat hit promotes)...
+  for (int i = 0; i < 2; ++i) {
+    { auto h = pool.Fetch(pages[0]); ASSERT_TRUE(h.ok()); }
+    { auto h = pool.Fetch(pages[1]); ASSERT_TRUE(h.ok()); }
+  }
+  ASSERT_EQ(pool.Stats().resident_hot, 2u);
   // ...then heavy cold churn through the other 4 frames.
   for (int lap = 0; lap < 4; ++lap) {
     for (int i = 2; i < kPages; ++i) {
@@ -200,17 +203,21 @@ TEST(CachePoolTierTest, HotFramesReclaimedOnlyWhenNoColdVictimExists) {
   const std::vector<PageId> pages = FillIdentifiablePages(&*file, 4);
   cache::ShardedBufferPool pool(&*file, cache::PoolOptions{2, 1});
 
-  // Fill the whole pool with hot pages, then demand a third page: the
-  // hot pass must reclaim one rather than fail.
-  { auto h = pool.Fetch(pages[0], cache::PageTier::kHot); ASSERT_TRUE(h.ok()); }
-  { auto h = pool.Fetch(pages[1], cache::PageTier::kHot); ASSERT_TRUE(h.ok()); }
+  // Fill the whole pool with hot pages (promoted by a repeat hit), then
+  // demand a third page: the hot pass must reclaim one rather than
+  // fail.
+  for (int i = 0; i < 2; ++i) {
+    { auto h = pool.Fetch(pages[0]); ASSERT_TRUE(h.ok()); }
+    { auto h = pool.Fetch(pages[1]); ASSERT_TRUE(h.ok()); }
+  }
+  ASSERT_EQ(pool.Stats().resident_hot, 2u);
   StatusOr<cache::PageHandle> third = pool.Fetch(pages[2]);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(pool.Stats().hot_evictions, 1u);
   std::remove(path.c_str());
 }
 
-TEST(CachePoolTierTest, RetierAndPromotionCountersTrackTierFlow) {
+TEST(CachePoolTierTest, RepeatHitPromotesColdPageToHotTier) {
   const std::string path = TempPath("cp_tier3.vspg");
   StatusOr<PagedFile> file = PagedFile::Create(path, 512);
   ASSERT_TRUE(file.ok());
@@ -229,18 +236,6 @@ TEST(CachePoolTierTest, RetierAndPromotionCountersTrackTierFlow) {
   { auto h = pool.Fetch(pages[0]); ASSERT_TRUE(h.ok()); }
   EXPECT_EQ(pool.Stats().promotions, 1u);
   EXPECT_EQ(pool.Stats().hot_hits, 1u);
-
-  // Retier flips a resident page's tier without a pin (how DiskXTree
-  // marks inner-node pages hot up front, before any repeat hit).
-  { auto h = pool.Fetch(pages[1]); ASSERT_TRUE(h.ok()); }
-  pool.Retier(pages[1], cache::PageTier::kHot);
-  pool.ResetStats();
-  { auto h = pool.Fetch(pages[1]); ASSERT_TRUE(h.ok()); }
-  EXPECT_EQ(pool.Stats().hot_hits, 1u);
-  EXPECT_EQ(pool.Stats().cold_hits, 0u);
-  // Retier of a non-resident page is a silent no-op.
-  pool.Retier(pages[3], cache::PageTier::kHot);
-  EXPECT_EQ(pool.Stats().resident_hot, 2u);
   std::remove(path.c_str());
 }
 

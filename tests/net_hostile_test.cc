@@ -1,4 +1,4 @@
-// Hostile-client suite for the serving transports (docs/PROTOCOL.md
+// Hostile-client suite for the serving transport (docs/PROTOCOL.md
 // §11): adversarial *connection behavior*, complementing the malformed
 // *byte* corpus in tests/net_server_test.cc. A slow-loris peer
 // dribbling one byte at a time must not starve well-behaved clients; a
@@ -10,10 +10,9 @@
 // announcing an absurd payload length must be refused before any
 // allocation.
 //
-// Every test runs against both transports -- the documented contract
-// does not depend on the concurrency model -- and the suite is part of
-// the TSan sweep (tools/check_tsan.sh): the reactor's worker-callback /
-// event-loop handoff is exactly the kind of code TSan exists for.
+// The suite is part of the TSan sweep (tools/check_tsan.sh): the
+// reactor's worker-callback / event-loop handoff is exactly the kind of
+// code TSan exists for.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -35,7 +34,7 @@
 namespace vsim::net {
 namespace {
 
-class NetHostileTest : public ::testing::TestWithParam<Transport> {
+class NetHostileTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const Dataset ds = MakeCarDataset(30, 99);
@@ -56,11 +55,6 @@ class NetHostileTest : public ::testing::TestWithParam<Transport> {
       QueryServiceOptions options = {}) {
     return std::make_unique<QueryService>(
         DbSnapshot::Create(CadDatabase(*db_), 0), options);
-  }
-
-  ServerOptions Opts(ServerOptions options = {}) const {
-    options.transport = GetParam();
-    return options;
   }
 
   static CadDatabase* db_;
@@ -104,8 +98,8 @@ std::string EncodedRequest(uint64_t request_id, int object_id, int k = 3) {
 // server must keep answering well-behaved clients at full speed the
 // whole time (the dribbler may pin at most its own connection), and
 // when the frame finally completes it is served normally.
-TEST_P(NetHostileTest, SlowLorisDribbleDoesNotStarveOtherClients) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(NetHostileTest, SlowLorisDribbleDoesNotStarveOtherClients) {
+  Loopback loop(MakeService());
   StatusOr<ScopedFd> loris = loop.ConnectRaw();
   ASSERT_TRUE(loris.ok());
 
@@ -136,13 +130,12 @@ TEST_P(NetHostileTest, SlowLorisDribbleDoesNotStarveOtherClients) {
 }
 
 // With read_timeout_seconds set, a peer that stalls mid-frame is
-// reaped: the server closes the connection instead of letting a
-// dribbler pin it forever (threads: SO_RCVTIMEO on the reader; epoll:
-// the idle sweep).
-TEST_P(NetHostileTest, ReadTimeoutReapsMidFrameStall) {
+// reaped: the reactor's idle sweep closes the connection instead of
+// letting a dribbler pin it forever.
+TEST_F(NetHostileTest, ReadTimeoutReapsMidFrameStall) {
   ServerOptions options;
   options.read_timeout_seconds = 0.2;
-  Loopback loop(MakeService(), Opts(options));
+  Loopback loop(MakeService(), options);
 
   StatusOr<ScopedFd> staller = loop.ConnectRaw();
   ASSERT_TRUE(staller.ok());
@@ -180,8 +173,8 @@ TEST_P(NetHostileTest, ReadTimeoutReapsMidFrameStall) {
 // Peers that disconnect mid-frame (header cut, payload cut, or right
 // after the header) are expected churn: no protocol error storm, no
 // leaked connection slots, and the server keeps serving.
-TEST_P(NetHostileTest, MidFrameDisconnectLeavesNothingBehind) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(NetHostileTest, MidFrameDisconnectLeavesNothingBehind) {
+  Loopback loop(MakeService());
   const std::string frame = EncodedRequest(7, 3);
 
   constexpr int kRounds = 16;
@@ -221,7 +214,7 @@ TEST_P(NetHostileTest, MidFrameDisconnectLeavesNothingBehind) {
 // request order, on a connection that stays healthy. This is the
 // wire-level face of the service's bounded-queue contract -- load
 // shedding, not connection death (docs/PROTOCOL.md §11.3).
-TEST_P(NetHostileTest, PipelinedBurstPastAdmissionQueueShedsLoad) {
+TEST_F(NetHostileTest, PipelinedBurstPastAdmissionQueueShedsLoad) {
   QueryServiceOptions sopts;
   sopts.num_threads = 1;
   sopts.max_queue = 2;
@@ -230,7 +223,7 @@ TEST_P(NetHostileTest, PipelinedBurstPastAdmissionQueueShedsLoad) {
   // burst decisively outruns the single worker.
   sopts.simulate_io_wait = true;
   sopts.io_params.seconds_per_page_access = 2e-4;
-  Loopback loop(MakeService(sopts), Opts());
+  Loopback loop(MakeService(sopts));
   Client client = loop.Connect();
 
   constexpr int kBurst = 64;
@@ -268,18 +261,16 @@ TEST_P(NetHostileTest, PipelinedBurstPastAdmissionQueueShedsLoad) {
   StatusOr<ServiceResponse> after = client.Execute(req);
   EXPECT_TRUE(after.ok()) << after.status().ToString();
 
-  if (GetParam() == Transport::kEpoll) {
-    // The rejected tail completes instantly behind an executing head,
-    // so the reactor's flush merges responses into coalesced writes.
-    EXPECT_GT(loop.server->stats().coalesced_writes, 0u);
-  }
+  // The rejected tail completes instantly behind an executing head, so
+  // the reactor's flush merges responses into coalesced writes.
+  EXPECT_GT(loop.server->stats().coalesced_writes, 0u);
 }
 
 // A tiny pipeline window under a deep burst: the server throttles its
 // *reading* (backpressure) instead of buffering without bound or
-// dropping requests -- every response still arrives, in order. Under
-// the reactor the pause is observable as read-stall time.
-TEST_P(NetHostileTest, TinyPipelineWindowBackpressuresWithoutLoss) {
+// dropping requests -- every response still arrives, in order. The
+// pause is observable as read-stall time.
+TEST_F(NetHostileTest, TinyPipelineWindowBackpressuresWithoutLoss) {
   QueryServiceOptions sopts;
   sopts.num_threads = 2;
   sopts.cache_bytes = 0;
@@ -287,7 +278,7 @@ TEST_P(NetHostileTest, TinyPipelineWindowBackpressuresWithoutLoss) {
   sopts.io_params.seconds_per_page_access = 5e-5;
   ServerOptions options;
   options.max_pipeline = 4;
-  Loopback loop(MakeService(sopts), Opts(options));
+  Loopback loop(MakeService(sopts), options);
   Client client = loop.Connect();
 
   constexpr int kBurst = 32;
@@ -308,17 +299,15 @@ TEST_P(NetHostileTest, TinyPipelineWindowBackpressuresWithoutLoss) {
     EXPECT_EQ(id, sent_ids[static_cast<size_t>(i)]);
   }
 
-  if (GetParam() == Transport::kEpoll) {
-    // 32 requests through a window of 4 must have paused the reader.
-    EXPECT_GT(loop.server->stats().read_stall_seconds, 0.0);
-  }
+  // 32 requests through a window of 4 must have paused the reader.
+  EXPECT_GT(loop.server->stats().read_stall_seconds, 0.0);
 }
 
 // A header announcing an absurd payload length is refused up front
 // (bounds check before any allocation): connection-level status frame
-// (request id 0), then close -- on both transports.
-TEST_P(NetHostileTest, OversizedPayloadLengthIsRefusedBeforeAllocation) {
-  Loopback loop(MakeService(), Opts());
+// (request id 0), then close.
+TEST_F(NetHostileTest, OversizedPayloadLengthIsRefusedBeforeAllocation) {
+  Loopback loop(MakeService());
   StatusOr<ScopedFd> fd = loop.ConnectRaw();
   ASSERT_TRUE(fd.ok());
 
@@ -355,13 +344,6 @@ TEST_P(NetHostileTest, OversizedPayloadLengthIsRefusedBeforeAllocation) {
   req.options.k = 3;
   EXPECT_TRUE(client.Execute(req).ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Transports, NetHostileTest,
-    ::testing::Values(Transport::kThreads, Transport::kEpoll),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return std::string(TransportName(info.param));
-    });
 
 }  // namespace
 }  // namespace vsim::net

@@ -5,15 +5,15 @@
 // shutdown-with-drain, and snapshot swaps under live remote load
 // (RemoteSwapTest runs under TSan via tools/check_tsan.sh).
 //
-// Every test is parameterized over both transports (threads / epoll):
-// they implement one documented contract (docs/PROTOCOL.md §11), so
-// every behavioral claim here must hold for either. The reactor's
-// transport-specific hostile-client suite is tests/net_hostile_test.cc.
+// The server's one transport is the epoll reactor; every behavioral
+// claim here is part of its documented contract (docs/PROTOCOL.md §11).
+// The reactor's hostile-client suite is tests/net_hostile_test.cc.
 #include "vsim/net/server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -28,7 +28,7 @@
 namespace vsim::net {
 namespace {
 
-class NetServerTest : public ::testing::TestWithParam<Transport> {
+class NetServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const Dataset ds = MakeCarDataset(30, 99);
@@ -51,12 +51,6 @@ class NetServerTest : public ::testing::TestWithParam<Transport> {
       QueryServiceOptions options = {}) {
     return std::make_unique<QueryService>(
         DbSnapshot::Create(CadDatabase(*db_), 0), options);
-  }
-
-  // Server options with the transport under test applied.
-  ServerOptions Opts(ServerOptions options = {}) const {
-    options.transport = GetParam();
-    return options;
   }
 
   static CadDatabase* db_;
@@ -87,12 +81,12 @@ struct Loopback {
 // The tentpole acceptance claim: every query kind answered over the
 // loopback socket is byte-identical to the in-process Execute on the
 // same snapshot -- results, cost accounting, and generation.
-TEST_P(NetServerTest, LoopbackParityForAllQueryKinds) {
+TEST_F(NetServerTest, LoopbackParityForAllQueryKinds) {
   // Cache off: a warm cache returns zero-cost hits, which would hide a
   // wire codec that drops the cost fields.
   QueryServiceOptions sopts;
   sopts.cache_bytes = 0;
-  Loopback loop(MakeService(sopts), Opts());
+  Loopback loop(MakeService(sopts));
   Client client = loop.Connect();
 
   const double eps =
@@ -141,8 +135,8 @@ TEST_P(NetServerTest, LoopbackParityForAllQueryKinds) {
   }
 }
 
-TEST_P(NetServerTest, PipelinedRequestsCompleteInOrder) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(NetServerTest, PipelinedRequestsCompleteInOrder) {
+  Loopback loop(MakeService());
   Client client = loop.Connect();
 
   constexpr int kWindow = 24;
@@ -164,12 +158,12 @@ TEST_P(NetServerTest, PipelinedRequestsCompleteInOrder) {
   }
 }
 
-TEST_P(NetServerTest, ChunkedResponsesReassembleAcrossTinyFrames) {
+TEST_F(NetServerTest, ChunkedResponsesReassembleAcrossTinyFrames) {
   // Force multi-frame streaming: 2 results per frame, a range query
   // wide enough to return many ids.
   ServerOptions options;
   options.results_per_frame = 2;
-  Loopback loop(MakeService(), Opts(options));
+  Loopback loop(MakeService(), options);
   Client client = loop.Connect();
 
   ServiceRequest req;
@@ -184,8 +178,8 @@ TEST_P(NetServerTest, ChunkedResponsesReassembleAcrossTinyFrames) {
   EXPECT_EQ(remote->ids, local->ids);
 }
 
-TEST_P(NetServerTest, ServiceErrorsPropagateAsWireStatuses) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(NetServerTest, ServiceErrorsPropagateAsWireStatuses) {
+  Loopback loop(MakeService());
   Client client = loop.Connect();
 
   // Validation error: stored id out of range for the snapshot.
@@ -213,10 +207,10 @@ TEST_P(NetServerTest, ServiceErrorsPropagateAsWireStatuses) {
   EXPECT_TRUE(saw_deadline);
 }
 
-TEST_P(NetServerTest, ConnectionLimitRejectsWithUnavailable) {
+TEST_F(NetServerTest, ConnectionLimitRejectsWithUnavailable) {
   ServerOptions options;
   options.max_connections = 1;
-  Loopback loop(MakeService(), Opts(options));
+  Loopback loop(MakeService(), options);
   Client first = loop.Connect();
   ServiceRequest req;
   req.object_id = 0;
@@ -243,8 +237,8 @@ TEST_P(NetServerTest, ConnectionLimitRejectsWithUnavailable) {
   EXPECT_GE(loop.server->stats().connections_rejected, 1u);
 }
 
-TEST_P(NetServerTest, InfoReportsSnapshotAndExtractionOptions) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(NetServerTest, InfoReportsSnapshotAndExtractionOptions) {
+  Loopback loop(MakeService());
   Client client = loop.Connect();
   StatusOr<ServerInfo> info = client.Info();
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -255,11 +249,74 @@ TEST_P(NetServerTest, InfoReportsSnapshotAndExtractionOptions) {
   EXPECT_EQ(info->extract_histograms, db_->options().extract_histograms);
 }
 
+// Many concurrent connections: more than the 256 that a server with two
+// threads per connection was capped at, each carrying one pipelined
+// 10-NN request, every answer equal to the in-process Execute. Both
+// ends of every connection are open at once: about 600 descriptors,
+// which fits a 1024 limit.
+TEST_F(NetServerTest, ThreeHundredConnectionsAtOnceAnswerLikeExecute) {
+  constexpr int kConnections = 300;
+  QueryServiceOptions sopts;
+  sopts.cache_bytes = 0;
+  ServerOptions options;
+  options.max_connections = kConnections;
+  Loopback loop(MakeService(sopts), options);
+
+  auto request_for = [](int c) {
+    ServiceRequest req;
+    req.object_id = c % static_cast<int>(db_->size());
+    req.options.k = 10;
+    return req;
+  };
+  std::vector<ServiceResponse> expected;
+  for (int id = 0; id < static_cast<int>(db_->size()); ++id) {
+    StatusOr<ServiceResponse> local = loop.service->Execute(request_for(id));
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    expected.push_back(std::move(local).value());
+  }
+
+  // Accepts complete asynchronously on the reactor's loop.
+  auto wait_for_open = [&](uint64_t want) {
+    for (int i = 0; i < 30000; ++i) {
+      if (loop.server->stats().open_connections == want) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::vector<Client> clients;
+  clients.reserve(kConnections);
+  for (int c = 0; c < kConnections; ++c) clients.push_back(loop.Connect());
+  wait_for_open(kConnections);
+  EXPECT_EQ(loop.server->stats().open_connections,
+            static_cast<uint64_t>(kConnections));
+
+  std::vector<uint64_t> sent(kConnections);
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(clients[c].Send(request_for(c), &sent[c]).ok());
+  }
+  for (int c = 0; c < kConnections; ++c) {
+    uint64_t id = 0;
+    StatusOr<ServiceResponse> remote = clients[c].Receive(&id);
+    ASSERT_TRUE(remote.ok()) << "connection " << c << ": "
+                             << remote.status().ToString();
+    EXPECT_EQ(id, sent[c]);
+    const ServiceResponse& local = expected[c % expected.size()];
+    EXPECT_EQ(remote->neighbors, local.neighbors) << "connection " << c;
+    EXPECT_EQ(remote->generation, local.generation);
+  }
+  EXPECT_EQ(loop.server->stats().open_connections,
+            static_cast<uint64_t>(kConnections));
+  EXPECT_EQ(loop.server->stats().connections_rejected, 0u);
+
+  for (Client& client : clients) client.Close();
+  wait_for_open(0);
+  EXPECT_EQ(loop.server->stats().open_connections, 0u);
+}
+
 // Hostile peers: truncated frames, bit-flipped frames, raw garbage and
 // protocol misuse must never crash or wedge the server. After the whole
 // corpus, a well-behaved client still gets correct answers.
-TEST_P(NetServerTest, MalformedFramesNeverCrashOrHangTheServer) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(NetServerTest, MalformedFramesNeverCrashOrHangTheServer) {
+  Loopback loop(MakeService());
 
   ServiceRequest valid_req;
   valid_req.object_id = 2;
@@ -345,7 +402,7 @@ TEST_P(NetServerTest, MalformedFramesNeverCrashOrHangTheServer) {
   EXPECT_GT(loop.server->stats().protocol_errors, 0u);
 }
 
-TEST_P(NetServerTest, GracefulStopDrainsInFlightRequests) {
+TEST_F(NetServerTest, GracefulStopDrainsInFlightRequests) {
   // Slow the service down (simulated I/O wait) so requests are still in
   // flight when Stop() lands.
   QueryServiceOptions sopts;
@@ -353,7 +410,7 @@ TEST_P(NetServerTest, GracefulStopDrainsInFlightRequests) {
   sopts.cache_bytes = 0;
   sopts.simulate_io_wait = true;
   sopts.io_params.seconds_per_page_access = 2e-4;
-  Loopback loop(MakeService(sopts), Opts());
+  Loopback loop(MakeService(sopts));
   Client client = loop.Connect();
 
   constexpr int kInFlight = 12;
@@ -389,8 +446,8 @@ TEST_P(NetServerTest, GracefulStopDrainsInFlightRequests) {
 // generation. Named RemoteSwapTest so tools/check_tsan.sh picks it up.
 class RemoteSwapTest : public NetServerTest {};
 
-TEST_P(RemoteSwapTest, SwapUnderRemoteLoad) {
-  Loopback loop(MakeService(), Opts());
+TEST_F(RemoteSwapTest, SwapUnderRemoteLoad) {
+  Loopback loop(MakeService());
   constexpr int kClients = 4;
   constexpr int kSwaps = 3;
   std::atomic<bool> stop{false};
@@ -460,10 +517,10 @@ TEST_P(RemoteSwapTest, SwapUnderRemoteLoad) {
 // `vsim stats`-style scrape over the same wire fully attributes it --
 // the metrics text shows the request and its paper counters, and the
 // flight recorder returns the request's trace.
-TEST_P(NetServerTest, StatsScrapeAttributesRemoteQuery) {
+TEST_F(NetServerTest, StatsScrapeAttributesRemoteQuery) {
   QueryServiceOptions sopts;
   sopts.cache_bytes = 0;
-  Loopback loop(MakeService(sopts), Opts());
+  Loopback loop(MakeService(sopts));
   Client client = loop.Connect();
 
   // The server advertises the stats frames as a feature flag.
@@ -517,11 +574,11 @@ TEST_P(NetServerTest, StatsScrapeAttributesRemoteQuery) {
 }
 
 // An empty recorder and the slow_only filter behave over the wire.
-TEST_P(NetServerTest, StatsSlowOnlyFiltersFastQueries) {
+TEST_F(NetServerTest, StatsSlowOnlyFiltersFastQueries) {
   QueryServiceOptions sopts;
   sopts.cache_bytes = 0;
   sopts.slow_trace_seconds = 3600.0;  // nothing qualifies as slow
-  Loopback loop(MakeService(sopts), Opts());
+  Loopback loop(MakeService(sopts));
   Client client = loop.Connect();
   ServiceRequest req;
   req.object_id = 0;
@@ -533,19 +590,6 @@ TEST_P(NetServerTest, StatsSlowOnlyFiltersFastQueries) {
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->traces.size(), 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Transports, NetServerTest,
-    ::testing::Values(Transport::kThreads, Transport::kEpoll),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return std::string(TransportName(info.param));
-    });
-INSTANTIATE_TEST_SUITE_P(
-    Transports, RemoteSwapTest,
-    ::testing::Values(Transport::kThreads, Transport::kEpoll),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return std::string(TransportName(info.param));
-    });
 
 }  // namespace
 }  // namespace vsim::net

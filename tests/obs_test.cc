@@ -404,7 +404,7 @@ TEST(FlightRecorderTest, WraparoundAndSlowRetentionUnderConcurrentWriters) {
 TEST(IoStatsConcurrencyTest, ConcurrentChargesAndReadsAreExact) {
   // Regression for a data race: concurrent refinement paths charge one
   // IoStats while other threads snapshot it (the stats read in
-  // QueryService::Submit). Counters are relaxed atomics now; totals
+  // QueryService's request path). Counters are relaxed atomics now; totals
   // must come out exact and TSan must stay quiet.
   IoStats stats;
   constexpr int kThreads = 4;

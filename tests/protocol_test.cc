@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsim/common/rng.h"
@@ -134,6 +135,55 @@ TEST(ProtocolTest, StoredIdRequestCarriesNoQueryPayload) {
                   .ok());
   EXPECT_EQ(out.object_id, 17);
   EXPECT_EQ(out.query.vector_set.size(), 0u);
+}
+
+// Payload bytes 0 and 1 carry the kind and strategy values that
+// docs/PROTOCOL.md §3 documents; strategy 4 (the former VA-file filter)
+// is retired and rejected.
+TEST(ProtocolTest, KindAndStrategyBytesMatchTheDocumentedValues) {
+  const std::pair<QueryKind, uint8_t> kinds[] = {
+      {QueryKind::kKnn, 0},
+      {QueryKind::kRange, 1},
+      {QueryKind::kInvariantKnn, 2},
+      {QueryKind::kInvariantRange, 3}};
+  const std::pair<QueryStrategy, uint8_t> strategies[] = {
+      {QueryStrategy::kOneVectorXTree, 0},
+      {QueryStrategy::kVectorSetFilter, 1},
+      {QueryStrategy::kVectorSetScan, 2},
+      {QueryStrategy::kVectorSetMTree, 3}};
+  for (const auto& [kind, kind_byte] : kinds) {
+    for (const auto& [strategy, strategy_byte] : strategies) {
+      ServiceRequest req;
+      req.kind = kind;
+      req.strategy = strategy;
+      req.object_id = 5;
+      std::string buffer;
+      AppendRequestFrame(1, req, &buffer);
+      const std::vector<RawFrame> frames = SplitFrames(buffer);
+      ASSERT_EQ(frames.size(), 1u);
+      const std::string& payload = frames[0].payload;
+      ASSERT_GE(payload.size(), 2u);
+      EXPECT_EQ(static_cast<uint8_t>(payload[0]), kind_byte);
+      EXPECT_EQ(static_cast<uint8_t>(payload[1]), strategy_byte);
+      ServiceRequest out;
+      ASSERT_TRUE(
+          DecodeRequestPayload(Bytes(payload), payload.size(), &out).ok());
+      EXPECT_EQ(out.kind, kind);
+      EXPECT_EQ(out.strategy, strategy);
+    }
+  }
+
+  ServiceRequest req;
+  req.object_id = 5;
+  std::string buffer;
+  AppendRequestFrame(1, req, &buffer);
+  std::string payload = SplitFrames(buffer)[0].payload;
+  payload[1] = 4;
+  ServiceRequest out;
+  const Status retired =
+      DecodeRequestPayload(Bytes(payload), payload.size(), &out);
+  EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument)
+      << retired.ToString();
 }
 
 TEST(ProtocolTest, StatusFrameRoundTripsCodeAndMessage) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +42,20 @@ class QueryServiceTest : public ::testing::Test {
 
 CadDatabase* QueryServiceTest::db_ = nullptr;
 QueryEngine* QueryServiceTest::engine_ = nullptr;
+
+// SubmitWithCallback with the result handed over through a future, so
+// a test can hold requests queued and collect their outcomes later.
+// The callback shares the promise, so its state outlives set_value.
+StatusOr<std::future<StatusOr<ServiceResponse>>> SubmitForFuture(
+    QueryService& service, ServiceRequest request) {
+  auto done = std::make_shared<std::promise<StatusOr<ServiceResponse>>>();
+  std::future<StatusOr<ServiceResponse>> result = done->get_future();
+  VSIM_RETURN_NOT_OK(service.SubmitWithCallback(
+      std::move(request), [done](StatusOr<ServiceResponse> response) {
+        done->set_value(std::move(response));
+      }));
+  return result;
+}
 
 // The tentpole correctness claim: many threads hammering the service
 // produce exactly the single-threaded engine's answers, with the cache
@@ -137,11 +152,11 @@ TEST_F(QueryServiceTest, BackpressureRejectsBeyondBound) {
   ServiceRequest request;
   request.object_id = 0;
   request.options.k = 3;
-  auto first = service.Submit(request);
-  auto second = service.Submit(request);
+  auto first = SubmitForFuture(service, request);
+  auto second = SubmitForFuture(service, request);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  auto third = service.Submit(request);
+  auto third = SubmitForFuture(service, request);
   ASSERT_FALSE(third.ok());
   EXPECT_EQ(third.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.Stats().rejected, 1u);
@@ -150,7 +165,7 @@ TEST_F(QueryServiceTest, BackpressureRejectsBeyondBound) {
   EXPECT_TRUE(first.value().get().ok());
   EXPECT_TRUE(second.value().get().ok());
   // With the queue drained, admission opens up again.
-  auto fourth = service.Submit(request);
+  auto fourth = SubmitForFuture(service, request);
   ASSERT_TRUE(fourth.ok());
   EXPECT_TRUE(fourth.value().get().ok());
 }
@@ -164,7 +179,7 @@ TEST_F(QueryServiceTest, ExpiredDeadlineFailsFast) {
   request.object_id = 0;
   request.options.k = 3;
   request.options.timeout_seconds = 1e-3;
-  auto submitted = service.Submit(request);
+  auto submitted = SubmitForFuture(service, request);
   ASSERT_TRUE(submitted.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   service.Resume();
@@ -246,7 +261,7 @@ TEST_F(QueryServiceTest, ValidationErrors) {
   EXPECT_EQ(service.Stats().failed, 4u);
 }
 
-// Destruction drains: every future returned by Submit resolves, even
+// Destruction drains: every admitted request's callback runs, even
 // when the service dies with requests still queued behind in-flight
 // ones. (ThreadPool is the last member, so it drains first while the
 // cache/stats the tasks touch are still alive.)
@@ -261,7 +276,7 @@ TEST_F(QueryServiceTest, DestructionDrainsQueuedAndInFlightRequests) {
       ServiceRequest request;
       request.object_id = q % static_cast<int>(db_->size());
       request.options.k = 3;
-      auto submitted = service.Submit(request);
+      auto submitted = SubmitForFuture(service, request);
       ASSERT_TRUE(submitted.ok());
       futures.push_back(std::move(submitted).value());
     }
@@ -286,7 +301,7 @@ TEST_F(QueryServiceTest, DestructionDrainsWhilePaused) {
       ServiceRequest request;
       request.object_id = q;
       request.options.k = 2;
-      auto submitted = service.Submit(request);
+      auto submitted = SubmitForFuture(service, request);
       ASSERT_TRUE(submitted.ok());
       futures.push_back(std::move(submitted).value());
     }
@@ -316,7 +331,7 @@ TEST_F(QueryServiceTest, DeadlineExpiryRacesCompletionCleanly) {
     // Sweep timeouts through the actual latency scale (tens of us to
     // ~ms) so some expire in the queue and some complete first.
     request.options.timeout_seconds = 1e-5 * (1 + q % 200);
-    auto submitted = service.Submit(request);
+    auto submitted = SubmitForFuture(service, request);
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(submitted).value());
   }

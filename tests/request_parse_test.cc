@@ -36,8 +36,7 @@ TEST(RequestParseTest, EveryQueryKindRoundTrips) {
 TEST(RequestParseTest, EveryQueryStrategyRoundTrips) {
   for (QueryStrategy strategy :
        {QueryStrategy::kVectorSetFilter, QueryStrategy::kVectorSetScan,
-        QueryStrategy::kVectorSetMTree, QueryStrategy::kVectorSetVaFilter,
-        QueryStrategy::kOneVectorXTree}) {
+        QueryStrategy::kVectorSetMTree, QueryStrategy::kOneVectorXTree}) {
     const char* name = QueryStrategyFlagName(strategy);
     StatusOr<QueryStrategy> parsed = ParseQueryStrategy(name);
     ASSERT_TRUE(parsed.ok()) << name;
@@ -84,7 +83,7 @@ TEST(RequestParseTest, NameListsMatchTheParsers) {
     EXPECT_TRUE(ParseModelType(name).ok()) << name;
   }
   EXPECT_EQ(Split(QueryKindNames()).size(), 4u);
-  EXPECT_EQ(Split(QueryStrategyNames()).size(), 5u);
+  EXPECT_EQ(Split(QueryStrategyNames()).size(), 4u);
   EXPECT_EQ(Split(CoverSearchNames()).size(), 3u);
   EXPECT_EQ(Split(ModelTypeNames()).size(), 5u);
 }

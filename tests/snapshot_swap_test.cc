@@ -4,6 +4,7 @@
 // snapshot that was live between its admission and completion).
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -305,13 +306,21 @@ TEST_F(SnapshotSwapTest, DisplacedSnapshotOutlivesInFlightRequests) {
   ServiceRequest request;
   request.object_id = 3;
   request.options.k = kK;
-  auto submitted = service.Submit(request);
-  ASSERT_TRUE(submitted.ok());
+  // The callback shares the promise, so its state outlives set_value.
+  auto done = std::make_shared<std::promise<StatusOr<ServiceResponse>>>();
+  std::future<StatusOr<ServiceResponse>> submitted = done->get_future();
+  ASSERT_TRUE(service
+                  .SubmitWithCallback(
+                      request,
+                      [done](StatusOr<ServiceResponse> result) {
+                        done->set_value(std::move(result));
+                      })
+                  .ok());
   // Swap while the request is queued: it must execute on one coherent
   // snapshot (the new one -- acquisition happens at execution).
   ASSERT_TRUE(service.SwapSnapshot(Snapshot(1, 1)).ok());
   service.Resume();
-  StatusOr<ServiceResponse> response = submitted.value().get();
+  StatusOr<ServiceResponse> response = submitted.get();
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->generation, 1u);
   EXPECT_EQ(response->neighbors, (*expected_)[1][3]);

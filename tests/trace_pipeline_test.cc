@@ -4,8 +4,7 @@
 // server publishes net-layer (accept/decode/encode/flush) and
 // service-layer (request/queue/filter/refine) span trees under that
 // id; `vsim stats`-style pulls return them; and the Chrome trace-event
-// export nests the full pipeline for that trace id. Parameterized over
-// both transports -- one wire contract.
+// export nests the full pipeline for that trace id.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -27,7 +26,7 @@
 namespace vsim::net {
 namespace {
 
-class TracePipelineTest : public ::testing::TestWithParam<Transport> {
+class TracePipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const Dataset ds = MakeCarDataset(20, 7);
@@ -66,14 +65,12 @@ std::set<uint8_t> SpanNamesForTrace(
   return names;
 }
 
-TEST_P(TracePipelineTest, RemoteQueryPropagatesTraceAcrossAllLayers) {
+TEST_F(TracePipelineTest, RemoteQueryPropagatesTraceAcrossAllLayers) {
   QueryServiceOptions sopts;
   sopts.cache_bytes = 0;  // a cache hit would skip the engine spans
   auto service = std::make_unique<QueryService>(
       DbSnapshot::Create(CadDatabase(*db_), 0), sopts);
-  ServerOptions nopts;
-  nopts.transport = GetParam();
-  Server server(service.get(), nopts);
+  Server server(service.get());
   ASSERT_TRUE(server.Start().ok());
 
   StatusOr<Client> client = Client::Connect("127.0.0.1", server.port());
@@ -156,12 +153,10 @@ TEST_P(TracePipelineTest, RemoteQueryPropagatesTraceAcrossAllLayers) {
   server.Stop();
 }
 
-TEST_P(TracePipelineTest, CallerProvidedTraceContextIsPreserved) {
+TEST_F(TracePipelineTest, CallerProvidedTraceContextIsPreserved) {
   auto service = std::make_unique<QueryService>(
       DbSnapshot::Create(CadDatabase(*db_), 0), QueryServiceOptions{});
-  ServerOptions nopts;
-  nopts.transport = GetParam();
-  Server server(service.get(), nopts);
+  Server server(service.get());
   ASSERT_TRUE(server.Start().ok());
   StatusOr<Client> client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
@@ -184,14 +179,12 @@ TEST_P(TracePipelineTest, CallerProvidedTraceContextIsPreserved) {
   server.Stop();
 }
 
-TEST_P(TracePipelineTest, SpansDisabledKeepsWireContractIntact) {
+TEST_F(TracePipelineTest, SpansDisabledKeepsWireContractIntact) {
   QueryServiceOptions sopts;
   sopts.enable_spans = false;
   auto service = std::make_unique<QueryService>(
       DbSnapshot::Create(CadDatabase(*db_), 0), sopts);
-  ServerOptions nopts;
-  nopts.transport = GetParam();
-  Server server(service.get(), nopts);
+  Server server(service.get());
   ASSERT_TRUE(server.Start().ok());
   StatusOr<Client> client = Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
@@ -211,13 +204,6 @@ TEST_P(TracePipelineTest, SpansDisabledKeepsWireContractIntact) {
   EXPECT_TRUE(stats->span_trees.empty());
   server.Stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(AllTransports, TracePipelineTest,
-                         ::testing::Values(Transport::kThreads,
-                                           Transport::kEpoll),
-                         [](const ::testing::TestParamInfo<Transport>& info) {
-                           return TransportName(info.param);
-                         });
 
 }  // namespace
 }  // namespace vsim::net

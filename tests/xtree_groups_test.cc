@@ -1,6 +1,6 @@
 // X-trees whose leaf entries carry member runs (BulkLoadGroups): every
-// query answers in object ids, Validate checks the runs, and both file
-// formats -- XTree::Save and DiskXTree::Write -- refuse them.
+// query answers in object ids, Validate checks the runs, and the file
+// format (XTree::Save) refuses them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "vsim/common/rng.h"
-#include "vsim/index/disk_xtree.h"
 #include "vsim/index/xtree.h"
 
 namespace vsim {
@@ -129,24 +128,6 @@ TEST(XTreeGroupsTest, SaveRefusesGroupedTrees) {
   EXPECT_EQ(loaded->LeafOrder(), singles.LeafOrder());
   const FeatureVector query = {0.5, 0.5, -0.5, 0.2};
   EXPECT_EQ(loaded->KnnQuery(query, 40), singles.KnnQuery(query, 40));
-  std::remove(path.c_str());
-}
-
-TEST(XTreeGroupsTest, DiskTreeRefusesGroupedTrees) {
-  const Grouped g = MakeGrouped();
-  const std::string path = TempPath("grouped.vsdx");
-  std::remove(path.c_str());
-  const Status st = DiskXTree::Write(g.tree, path);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
-  EXPECT_FALSE(std::ifstream(path).good());
-
-  // Groups of one are an ordinary tree.
-  XTree singles(4);
-  std::vector<std::vector<int>> runs;
-  for (int i = 0; i < 300; ++i) runs.push_back({i});
-  ASSERT_TRUE(singles.BulkLoadGroups(g.points, runs).ok());
-  EXPECT_FALSE(singles.grouped());
-  EXPECT_TRUE(DiskXTree::Write(singles, path).ok());
   std::remove(path.c_str());
 }
 

@@ -4,9 +4,9 @@
 # snapshot-swap-under-load stress suite (online reindex: 8 clients vs
 # concurrent SwapSnapshot/Rebuilder publications), the thread pool, the
 # sharded result cache, the parallel extraction path, and the TCP
-# serving front-end (loopback server smoke + hostile-client suite +
-# snapshot swaps under live remote load, each parameterized over both
-# the thread-per-connection and epoll-reactor transports), the
+# serving front-end on its epoll reactor (loopback server smoke, 300
+# concurrent connections, hostile-client suite, snapshot swaps under
+# live remote load), the
 # observability layer's lock-free record paths (metrics registry under
 # concurrent scrapes, flight-recorder seqlock rings, span-tree seqlock
 # rings under concurrent writers, the SIGPROF sampling profiler's

@@ -11,11 +11,9 @@
 # surfaces as a gauge), exercises
 # the usage-error exit-code contract (tools/README.md: 0 success, 1
 # runtime failure, 2 usage error), and checks the server drains and
-# exits cleanly on SIGTERM. The whole pass runs once per transport
-# (--transport threads, then --transport epoll): both serve the same
-# wire contract (docs/PROTOCOL.md §11) and both must pass identically,
-# with the epoll pass additionally asserting the reactor's vsim_net_*
-# series appear in the scrape. A final disk-backed pass (`--store`)
+# exits cleanly on SIGTERM. The main pass also asserts the epoll
+# reactor's vsim_net_* series appear in the scrape (the server's one
+# transport, docs/PROTOCOL.md §11). A final disk-backed pass (`--store`)
 # serves refinement through the sharded buffer pool and asserts the
 # scrape carries non-zero hot- and cold-tier vsim_cache_pool_* hits.
 #
@@ -54,102 +52,96 @@ check() {  # check <description> <expected-exit> <cmd...>
   fi
 }
 
-# --- main pass, once per transport ------------------------------------
-for TRANSPORT in threads epoll; do
-  echo "=== transport: $TRANSPORT ==="
-  rm -f "$TMP/port"
-  "$VSIM" serve --dataset car --count 24 --port 0 --port-file "$TMP/port" \
-      --duration-s 60 --threads 2 --slow-query-ms 250 \
-      --transport "$TRANSPORT" --reactor-threads 2 \
-      > "$TMP/serve.$TRANSPORT.log" 2>&1 &
-  SERVER_PID=$!
+# --- main pass ---------------------------------------------------------
+rm -f "$TMP/port"
+"$VSIM" serve --dataset car --count 24 --port 0 --port-file "$TMP/port" \
+    --duration-s 60 --threads 2 --slow-query-ms 250 --reactor-threads 2 \
+    > "$TMP/serve.log" 2>&1 &
+SERVER_PID=$!
 
-  for _ in $(seq 1 100); do
-    [ -s "$TMP/port" ] && break
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      echo "serve_smoke: $TRANSPORT server exited before publishing its port"
-      cat "$TMP/serve.$TRANSPORT.log"
-      exit 1
-    fi
-    sleep 0.1
-  done
-  PORT=$(cat "$TMP/port")
-  if [ -z "$PORT" ]; then
-    echo "serve_smoke: no port published ($TRANSPORT)"
+for _ in $(seq 1 100); do
+  [ -s "$TMP/port" ] && break
+  if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+    echo "serve_smoke: server exited before publishing its port"
+    cat "$TMP/serve.log"
     exit 1
   fi
-  echo "server up on port $PORT (pid $SERVER_PID, $TRANSPORT transport)"
+  sleep 0.1
+done
+PORT=$(cat "$TMP/port")
+if [ -z "$PORT" ]; then
+  echo "serve_smoke: no port published"
+  exit 1
+fi
+echo "server up on port $PORT (pid $SERVER_PID)"
 
-  # --- remote queries over the wire ----------------------------------
-  check "k-NN by stored id ($TRANSPORT)" 0 \
-      "$VSIM" remote-query --port "$PORT" --id 3 --k 5
-  check "range query ($TRANSPORT)" 0 \
-      "$VSIM" remote-query --port "$PORT" --id 0 --kind range --eps 100
-  check "invariant k-NN ($TRANSPORT)" 0 \
-      "$VSIM" remote-query --port "$PORT" --id 1 --k 3 --kind invariant-knn
-  check "scan strategy agrees on exit ($TRANSPORT)" 0 \
-      "$VSIM" remote-query --port "$PORT" --id 3 --k 5 --strategy scan
+# --- remote queries over the wire --------------------------------------
+check "k-NN by stored id" 0 \
+    "$VSIM" remote-query --port "$PORT" --id 3 --k 5
+check "range query" 0 \
+    "$VSIM" remote-query --port "$PORT" --id 0 --kind range --eps 100
+check "invariant k-NN" 0 \
+    "$VSIM" remote-query --port "$PORT" --id 1 --k 3 --kind invariant-knn
+check "scan strategy agrees on exit" 0 \
+    "$VSIM" remote-query --port "$PORT" --id 3 --k 5 --strategy scan
 
-  # --- stats scrape ---------------------------------------------------
-  check "stats scrape succeeds ($TRANSPORT)" 0 \
-      "$VSIM" stats --port "$PORT" --traces 8
-  # The scrape must attribute the queries above: a non-zero completed
-  # counter and at least one flight-recorder trace.
-  "$VSIM" stats --port "$PORT" --traces 8 > "$TMP/stats.out" 2>&1
-  if grep -Eq '^vsim_requests_completed_total [1-9]' "$TMP/stats.out"; then
-    echo "ok: scrape shows non-zero vsim_requests_completed_total ($TRANSPORT)"
-  else
-    echo "FAIL: no non-zero vsim_requests_completed_total ($TRANSPORT)"
-    sed 's/^/  | /' "$TMP/stats.out" | head -10
-    fail=1
-  fi
-  if grep -q 'trace(s), newest first' "$TMP/stats.out"; then
-    echo "ok: scrape returned flight-recorder traces ($TRANSPORT)"
-  else
-    echo "FAIL: no traces in the scrape output ($TRANSPORT)"
-    fail=1
-  fi
-  if [ "$TRANSPORT" = epoll ]; then
-    # The reactor's own series must flow through the shared collector.
-    if grep -Eq '^vsim_net_reactor_loop_iterations_total [1-9]' \
-         "$TMP/stats.out" &&
-       grep -q '^vsim_net_open_connections ' "$TMP/stats.out"; then
-      echo "ok: scrape shows reactor vsim_net_* series"
-    else
-      echo "FAIL: reactor vsim_net_* series missing from the scrape"
-      grep 'vsim_net' "$TMP/stats.out" | sed 's/^/  | /' | head -10
-      fail=1
-    fi
-  fi
+# --- stats scrape -------------------------------------------------------
+check "stats scrape succeeds" 0 \
+    "$VSIM" stats --port "$PORT" --traces 8
+# The scrape must attribute the queries above: a non-zero completed
+# counter and at least one flight-recorder trace.
+"$VSIM" stats --port "$PORT" --traces 8 > "$TMP/stats.out" 2>&1
+if grep -Eq '^vsim_requests_completed_total [1-9]' "$TMP/stats.out"; then
+  echo "ok: scrape shows non-zero vsim_requests_completed_total"
+else
+  echo "FAIL: no non-zero vsim_requests_completed_total"
+  sed 's/^/  | /' "$TMP/stats.out" | head -10
+  fail=1
+fi
+if grep -q 'trace(s), newest first' "$TMP/stats.out"; then
+  echo "ok: scrape returned flight-recorder traces"
+else
+  echo "FAIL: no traces in the scrape output"
+  fail=1
+fi
+# The reactor's own series must flow through the shared collector.
+if grep -Eq '^vsim_net_reactor_loop_iterations_total [1-9]' \
+     "$TMP/stats.out" &&
+   grep -q '^vsim_net_open_connections ' "$TMP/stats.out"; then
+  echo "ok: scrape shows reactor vsim_net_* series"
+else
+  echo "FAIL: reactor vsim_net_* series missing from the scrape"
+  grep 'vsim_net' "$TMP/stats.out" | sed 's/^/  | /' | head -10
+  fail=1
+fi
 
-  # --- span tracing over the wire (docs/OBSERVABILITY.md "Tracing") ---
-  # Every remote query is traced: the client mints a 16-byte trace id
-  # and the server echoes it on the final response chunk, so the CLI
-  # prints it without "(not echoed by server)".
-  "$VSIM" remote-query --port "$PORT" --id 2 --k 4 > "$TMP/traced.out" 2>&1
-  if grep -Eq '^trace [0-9a-f]{32}$' "$TMP/traced.out"; then
-    echo "ok: remote query prints the server-echoed trace id ($TRANSPORT)"
-  else
-    echo "FAIL: no echoed trace id in remote-query output ($TRANSPORT)"
-    sed 's/^/  | /' "$TMP/traced.out" | tail -3
-    fail=1
-  fi
-  # The --slow-query-ms knob surfaces as a gauge in the scrape.
-  if grep -q '^vsim_flight_recorder_slow_threshold_seconds 0.25' \
-       "$TMP/stats.out"; then
-    echo "ok: scrape shows the slow-query threshold gauge ($TRANSPORT)"
-  else
-    echo "FAIL: vsim_flight_recorder_slow_threshold_seconds missing/wrong" \
-         "($TRANSPORT)"
-    fail=1
-  fi
-  # The Perfetto timeline export must be well-formed Chrome trace-event
-  # JSON carrying the full pipeline -- net spans (accept/decode/encode/
-  # flush) and service spans (request/queue/filter/refine) -- for the
-  # queries just served.
-  check "stats --trace-export writes a timeline ($TRANSPORT)" 0 \
-      "$VSIM" stats --port "$PORT" --trace-export "$TMP/trace.$TRANSPORT.json"
-  if python3 - "$TMP/trace.$TRANSPORT.json" <<'PYEOF'
+# --- span tracing over the wire (docs/OBSERVABILITY.md "Tracing") -------
+# Every remote query is traced: the client mints a 16-byte trace id
+# and the server echoes it on the final response chunk, so the CLI
+# prints it without "(not echoed by server)".
+"$VSIM" remote-query --port "$PORT" --id 2 --k 4 > "$TMP/traced.out" 2>&1
+if grep -Eq '^trace [0-9a-f]{32}$' "$TMP/traced.out"; then
+  echo "ok: remote query prints the server-echoed trace id"
+else
+  echo "FAIL: no echoed trace id in remote-query output"
+  sed 's/^/  | /' "$TMP/traced.out" | tail -3
+  fail=1
+fi
+# The --slow-query-ms knob surfaces as a gauge in the scrape.
+if grep -q '^vsim_flight_recorder_slow_threshold_seconds 0.25' \
+     "$TMP/stats.out"; then
+  echo "ok: scrape shows the slow-query threshold gauge"
+else
+  echo "FAIL: vsim_flight_recorder_slow_threshold_seconds missing/wrong"
+  fail=1
+fi
+# The Perfetto timeline export must be well-formed Chrome trace-event
+# JSON carrying the full pipeline -- net spans (accept/decode/encode/
+# flush) and service spans (request/queue/filter/refine) -- for the
+# queries just served.
+check "stats --trace-export writes a timeline" 0 \
+    "$VSIM" stats --port "$PORT" --trace-export "$TMP/trace.json"
+if python3 - "$TMP/trace.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
@@ -165,42 +157,39 @@ missing = {"request", "queue", "filter", "refine",
            "accept", "decode", "encode", "flush"} - names
 assert not missing, f"missing spans: {sorted(missing)}"
 PYEOF
-  then
-    echo "ok: timeline export is valid and nests the full pipeline" \
-         "($TRANSPORT)"
-  else
-    echo "FAIL: timeline export schema check ($TRANSPORT)"
-    head -c 300 "$TMP/trace.$TRANSPORT.json" | sed 's/^/  | /'
-    fail=1
-  fi
+then
+  echo "ok: timeline export is valid and nests the full pipeline"
+else
+  echo "FAIL: timeline export schema check"
+  head -c 300 "$TMP/trace.json" | sed 's/^/  | /'
+  fail=1
+fi
 
-  # --- runtime failures exit 1 ----------------------------------------
-  check "out-of-range stored id is a runtime failure ($TRANSPORT)" 1 \
-      "$VSIM" remote-query --port "$PORT" --id 99999
+# --- runtime failures exit 1 --------------------------------------------
+check "out-of-range stored id is a runtime failure" 1 \
+    "$VSIM" remote-query --port "$PORT" --id 99999
 
-  # --- graceful shutdown: SIGTERM drains and exits 0 ------------------
-  kill -TERM "$SERVER_PID"
-  SERVER_EXIT=1
-  for _ in $(seq 1 100); do
-    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-      wait "$SERVER_PID"
-      SERVER_EXIT=$?
-      break
-    fi
-    sleep 0.1
-  done
-  if [ "$SERVER_EXIT" -ne 0 ]; then
-    echo "FAIL: $TRANSPORT server did not exit cleanly on SIGTERM" \
-         "(exit $SERVER_EXIT)"
-    cat "$TMP/serve.$TRANSPORT.log"
-    fail=1
-  else
-    echo "ok: SIGTERM drains and exits 0 ($TRANSPORT)"
+# --- graceful shutdown: SIGTERM drains and exits 0 ----------------------
+kill -TERM "$SERVER_PID"
+SERVER_EXIT=1
+for _ in $(seq 1 100); do
+  if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+    wait "$SERVER_PID"
+    SERVER_EXIT=$?
+    break
   fi
-  SERVER_PID=""
+  sleep 0.1
 done
+if [ "$SERVER_EXIT" -ne 0 ]; then
+  echo "FAIL: server did not exit cleanly on SIGTERM (exit $SERVER_EXIT)"
+  cat "$TMP/serve.log"
+  fail=1
+else
+  echo "ok: SIGTERM drains and exits 0"
+fi
+SERVER_PID=""
 
-# --- transport-independent client/usage errors ------------------------
+# --- client/usage errors ----------------------------------------------
 check "connection refused is a runtime failure" 1 \
     "$VSIM" remote-query --port 1 --id 0
 check "missing --port is a usage error" 2 \
@@ -211,10 +200,10 @@ check "bad --strategy is a usage error" 2 \
     "$VSIM" remote-query --port 1 --id 0 --strategy xtree
 check "serve without a data source is a usage error" 2 \
     "$VSIM" serve
-check "bad --transport is a usage error" 2 \
-    "$VSIM" serve --dataset car --count 4 --transport poll
+check "--transport is an unknown flag (usage error)" 2 \
+    "$VSIM" serve --dataset car --count 4 --transport epoll
 check "bad --reactor-threads is a usage error" 2 \
-    "$VSIM" serve --dataset car --count 4 --transport epoll --reactor-threads 0
+    "$VSIM" serve --dataset car --count 4 --reactor-threads 0
 check "stats without --port is a usage error" 2 \
     "$VSIM" stats
 
@@ -279,4 +268,4 @@ if [ "$fail" -ne 0 ]; then
   echo "serve_smoke: FAILED"
   exit 1
 fi
-echo "serve_smoke: both transports round-trip, disk-backed pool scrape, exit-code contract and graceful shutdown OK"
+echo "serve_smoke: remote round trips, disk-backed pool scrape, exit-code contract and graceful shutdown OK"

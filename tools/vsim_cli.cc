@@ -50,6 +50,7 @@
 #include <fstream>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -569,9 +570,15 @@ int CmdBatch(const Flags& flags) {
 
   Rng rng(seed ^ 0xba7c4ULL);
   std::vector<ServiceRequest> history;
-  std::vector<std::future<StatusOr<ServiceResponse>>> pending;
-  pending.reserve(queries);
   const double timeout_s = flags.GetDouble("timeout-ms", 0.0) * 1e-3;
+  // Completions arrive on the service's workers. The callbacks share
+  // the tally, so it outlives the last of them.
+  struct Tally {
+    std::atomic<size_t> errors{0};
+    std::atomic<size_t> done{0};
+  };
+  const auto tally = std::make_shared<Tally>();
+  size_t admitted = 0;
 
   Stopwatch watch;
   for (int q = 0; q < queries; ++q) {
@@ -598,16 +605,23 @@ int CmdBatch(const Flags& flags) {
       history.push_back(req);
     }
     req.options.timeout_seconds = timeout_s;
-    StatusOr<std::future<StatusOr<ServiceResponse>>> submitted =
-        service.Submit(std::move(req));
-    if (submitted.ok()) pending.push_back(std::move(submitted).value());
+    const Status submitted = service.SubmitWithCallback(
+        std::move(req), [tally](StatusOr<ServiceResponse> response) {
+          if (!response.ok()) {
+            tally->errors.fetch_add(1, std::memory_order_relaxed);
+          }
+          tally->done.fetch_add(1, std::memory_order_release);
+          tally->done.notify_one();
+        });
+    if (submitted.ok()) ++admitted;
     // Rejections are counted by the service's stats.
   }
-  size_t ok = 0, errors = 0;
-  for (auto& f : pending) {
-    const StatusOr<ServiceResponse> response = f.get();
-    response.ok() ? ++ok : ++errors;
+  for (size_t done = tally->done.load(std::memory_order_acquire);
+       done < admitted; done = tally->done.load(std::memory_order_acquire)) {
+    tally->done.wait(done, std::memory_order_acquire);
   }
+  const size_t errors = tally->errors.load(std::memory_order_relaxed);
+  const size_t ok = admitted - errors;
   const double elapsed = watch.ElapsedSeconds();
 
   for (auto& f : rebuild_done) {
@@ -816,7 +830,7 @@ int CmdServe(const Flags& flags) {
                         "port-file", "duration-s", "threads", "cache-mb",
                         "max-queue", "max-connections", "simulate-io",
                         "io-page-us", "seed", "stats-interval-s", "store",
-                        "pool-pages", "keep-ram-sets", "transport",
+                        "pool-pages", "keep-ram-sets",
                         "reactor-threads", "read-timeout-s",
                         "slow-query-ms", "trace-export", "profile-hz"});
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -844,7 +858,7 @@ int CmdServe(const Flags& flags) {
                  "[--max-queue N] [--max-connections N] [--simulate-io] "
                  "[--io-page-us U] [--stats-interval-s S] "
                  "[--store FILE [--pool-pages N] [--keep-ram-sets]] "
-                 "[--transport threads|epoll [--reactor-threads N]] "
+                 "[--reactor-threads N] "
                  "[--read-timeout-s S] [--slow-query-ms MS] "
                  "[--trace-export FILE] [--profile-hz HZ]\n");
     return 2;
@@ -904,20 +918,15 @@ int CmdServe(const Flags& flags) {
   nopts.host = flags.Get("host", "127.0.0.1");
   nopts.port = flags.GetInt("port", 0);
   nopts.max_connections = flags.GetInt("max-connections", 64);
-  // --transport: connection-handling strategy (docs/OPERATIONS.md
-  // "Capacity planning"). threads = two threads per connection; epoll =
-  // a fixed event-loop pool sized by --reactor-threads.
-  StatusOr<net::Transport> transport =
-      net::ParseTransport(flags.Get("transport", "threads"));
-  if (!transport.ok()) return UsageFail(transport.status());
-  nopts.transport = transport.value();
+  // --reactor-threads: the epoll event-loop pool that serves every
+  // connection (docs/OPERATIONS.md "Capacity planning").
   nopts.reactor_threads = flags.GetInt("reactor-threads", 2);
   if (nopts.reactor_threads < 1) {
     return UsageFail(
         Status::InvalidArgument("--reactor-threads must be >= 1"));
   }
-  // --read-timeout-s: reap peers stalled mid-frame (0 = never). Both
-  // transports honor it; see docs/PROTOCOL.md section 11.1.
+  // --read-timeout-s: reap peers stalled mid-frame (0 = never); see
+  // docs/PROTOCOL.md section 11.1.
   nopts.read_timeout_seconds = flags.GetDouble("read-timeout-s", 0.0);
   if (nopts.read_timeout_seconds < 0.0) {
     return UsageFail(
@@ -927,11 +936,11 @@ int CmdServe(const Flags& flags) {
   const Status started = server.Start();
   if (!started.ok()) return Fail(started);
   std::printf("serving %llu objects on %s:%d (%d worker threads, "
-              "%s transport)\n",
+              "%d reactor threads)\n",
               static_cast<unsigned long long>(
                   service.snapshot()->db().size()),
               nopts.host.c_str(), server.port(), service.num_threads(),
-              net::TransportName(nopts.transport));
+              nopts.reactor_threads);
   std::fflush(stdout);
 
   // --profile-hz: arm the in-process SIGPROF sampling profiler for the
@@ -1037,7 +1046,7 @@ int CmdRemoteQuery(const Flags& flags) {
                  "usage: vsim remote-query --port P [--host H] "
                  "(--id N | --mesh FILE) [--k K] "
                  "[--kind knn|range|invariant-knn|invariant-range] "
-                 "[--strategy filter|scan|mtree|vafile|onevector] "
+                 "[--strategy filter|scan|mtree|onevector] "
                  "[--eps E] [--invariant] [--reflections] "
                  "[--timeout-ms MS]\n");
     return 2;
