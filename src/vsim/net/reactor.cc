@@ -26,6 +26,11 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
+// The event loop this thread runs (nullptr off the loop threads). A
+// request callback that finds its own loop here is running inside the
+// dispatch of its frame: the service answered it at submission.
+thread_local const void* this_thread_loop = nullptr;
+
 }  // namespace
 
 EpollReactor::EpollReactor(QueryService* service,
@@ -109,6 +114,7 @@ void EpollReactor::WakeLoop(Loop* loop) {
 
 void EpollReactor::RunLoop(const std::shared_ptr<Loop>& loop_ref) {
   Loop* loop = loop_ref.get();
+  this_thread_loop = loop;
   int wake_raw = -1;
   {
     ReaderMutexLock lock(&loop->wake_mu);
@@ -424,8 +430,10 @@ void EpollReactor::DispatchFrame(Loop* loop,
           std::move(request),
           [loop_ref, conn, seq, request_id,
            results_per_frame](StatusOr<ServiceResponse> result) {
-            // Runs on a service worker: encode there, so the event loop
-            // only moves bytes. Service errors (kDeadlineExceeded,
+            // Runs on the service worker that executed the request, so
+            // the loop only moves bytes -- or, for an answer the service
+            // found in its result cache, right here on this loop inside
+            // the dispatch. Service errors (kDeadlineExceeded,
             // validation, kOutOfRange after a shrinking swap) become
             // kStatus frames.
             const uint64_t encode_start_ns = obs::MonotonicNowNs();
@@ -448,6 +456,14 @@ void EpollReactor::DispatchFrame(Loop* loop,
                   conn->slots[idx].done = true;
                 }
               }
+            }
+            if (this_thread_loop == loop_ref.get()) {
+              // Still inside this loop's dispatch: the FlushConn that
+              // follows every ParseFrames sends the slot, so neither a
+              // ready entry nor a wakeup is needed.
+              loop_ref->pending_callbacks.fetch_sub(
+                  1, std::memory_order_acq_rel);
+              return;
             }
             {
               MutexLock lock(&loop_ref->mu);
@@ -567,7 +583,7 @@ void EpollReactor::FlushConn(Loop* loop, const std::shared_ptr<Conn>& conn) {
   TrySend(loop, conn);
   if (!traced.empty()) {
     // Publish one net-layer tree per flushed query: accept (frame
-    // read), decode, encode (worker-side) and this flush, all sharing
+    // read), decode, encode (in the callback) and this flush, all sharing
     // the request's wire trace id with the service-layer tree. A
     // coalesced flush charges the same send to every merged request --
     // exactly what the timeline should show.

@@ -20,7 +20,10 @@
 // A dispatched query goes through QueryService::SubmitWithCallback; the
 // completion callback runs on a service worker, encodes the response
 // frames there (off the event loop), fills the request's completion
-// slot, and wakes the owning loop via its eventfd. Slots form a
+// slot, and wakes the owning loop via its eventfd. A result-cache hit
+// is answered during the submission itself: its callback runs on the
+// loop thread inside the dispatch, encodes there and only fills the
+// slot, which the flush after the parse sends. Slots form a
 // per-connection FIFO; only the contiguous *done* prefix is flushed, so
 // responses are delivered in request order. When one flush merges
 // several completed responses into a single send, that is the
@@ -101,8 +104,8 @@ class EpollReactor {
   using ClockT = std::chrono::steady_clock;
 
   // One pipelined request's completion slot. Slots sit in arrival
-  // order; `done` flips when the response bytes are ready (filled by a
-  // worker callback for queries, immediately for info/stats/errors).
+  // order; `done` flips when the response bytes are ready (filled by the
+  // request callback for queries, immediately for info/stats/errors).
   struct Slot {
     uint64_t request_id = 0;
     bool done = false;
@@ -111,7 +114,7 @@ class EpollReactor {
 
     // Net-layer span bookkeeping for query slots (zero otherwise):
     // the trace identity plus stage timestamps. read/decode are set by
-    // the loop at dispatch, encode by the worker callback; the flush
+    // the loop at dispatch, encode by the request callback; the flush
     // stage is stamped by FlushConn, which publishes the tree
     // (docs/OBSERVABILITY.md "Tracing").
     obs::TraceContext trace;

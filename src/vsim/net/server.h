@@ -13,10 +13,11 @@
 // body -> dispatched -> writing response); completed requests come
 // back through QueryService::SubmitWithCallback on worker threads,
 // which hand encoded frames to the owning event loop via an eventfd
-// wakeup. Responses on one connection are delivered in request order
-// (HTTP/1.1-style pipelining); the per-connection max_pipeline window
-// is enforced by pausing reads (EPOLLIN disarmed), on top of the
-// service's own admission bound.
+// wakeup (result-cache hits complete on the event loop itself, during
+// the submission). Responses on one connection are delivered in
+// request order (HTTP/1.1-style pipelining); the per-connection
+// max_pipeline window is enforced by pausing reads (EPOLLIN disarmed),
+// on top of the service's own admission bound.
 //
 // Error containment: a malformed *payload* (bounds-checked decode
 // failure) fails that one request with a wire status -- framing is
@@ -81,7 +82,10 @@ struct ServerOptions {
   // Event-loop thread count. Loop 0 also owns the listening socket;
   // accepted connections are spread round-robin and stay pinned to one
   // loop for life. 2 is enough to saturate the worker pool on loopback;
-  // values < 1 are clamped to 1.
+  // result-cache hits are answered by the loops themselves, so a
+  // hit-heavy load from several busy connections wants about one loop
+  // each (docs/OPERATIONS.md "Capacity planning"). Values < 1 are
+  // clamped to 1.
   int reactor_threads = 2;
 
   // 0 disables. A nonzero value bounds how long a stalled peer can pin

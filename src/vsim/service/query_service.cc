@@ -26,6 +26,18 @@ uint64_t MixTraceWord(uint64_t value) {
 
 inline constexpr uint64_t kNoDeadlineNs = UINT64_MAX;
 
+// The query object of `request` as `snap` holds it in RAM, or nullptr
+// for a stored id whose vector set was demoted to the snapshot's store
+// (DbSnapshot::CreateDiskBacked default): that set must be read back
+// before the query can run or be hashed into a cache key.
+const ObjectRepr* ResidentQuery(const ServiceRequest& request,
+                                const DbSnapshot& snap) {
+  if (request.object_id < 0) return &request.query;
+  const ObjectRepr& stored = snap.db().object(request.object_id);
+  if (stored.vector_set.empty() && snap.store() != nullptr) return nullptr;
+  return &stored;
+}
+
 }  // namespace
 
 const char* QueryKindName(QueryKind kind) {
@@ -121,7 +133,7 @@ void QueryService::RegisterMetrics() {
         "Requests rejected by admission backpressure",
         static_cast<double>(stats_.rejected.load(std::memory_order_relaxed)));
     add("vsim_requests_timed_out_total",
-        "Requests whose deadline passed while queued",
+        "Requests whose deadline passed before they were served",
         static_cast<double>(stats_.timed_out.load(std::memory_order_relaxed)));
     add("vsim_requests_failed_total", "Requests failed (validation etc.)",
         static_cast<double>(stats_.failed.load(std::memory_order_relaxed)));
@@ -278,6 +290,27 @@ ResultCacheKey QueryService::MakeKey(const ServiceRequest& request,
   return key;
 }
 
+bool QueryService::ProbeCache(const ServiceRequest& request,
+                              ServiceResponse* hit) {
+  if (!cache_.enabled()) return false;
+  const std::shared_ptr<const DbSnapshot> snap = snapshot();
+  if (!Validate(request, snap->db()).ok()) return false;
+  const ObjectRepr* query = ResidentQuery(request, *snap);
+  if (query == nullptr) return false;
+  // A miss is not counted here: the worker that runs the request looks
+  // it up again, and that lookup is the one that counts.
+  CachedResult cached;
+  if (!cache_.Lookup(MakeKey(request, *query, snap->generation()), &cached,
+                     /*count_miss=*/false)) {
+    return false;
+  }
+  hit->neighbors = std::move(cached.neighbors);
+  hit->ids = std::move(cached.ids);
+  hit->cache_hit = true;
+  hit->generation = snap->generation();
+  return true;
+}
+
 StatusOr<ServiceResponse> QueryService::RunRequest(
     const ServiceRequest& request) {
   // One acquisition per request: everything below -- validation, cache
@@ -288,22 +321,17 @@ StatusOr<ServiceResponse> QueryService::RunRequest(
   const QueryEngine& engine = snap->engine();
 
   VSIM_RETURN_NOT_OK(Validate(request, db));
-  // Stored-id queries on a disk-backed snapshot whose RAM vector sets
-  // were demoted (DbSnapshot::CreateDiskBacked default): rebuild the
-  // query's set from the store, so the exact pipeline and the cache
-  // digest see the same representation a RAM-resident snapshot would.
+  // A stored id whose set lives only in the store: rebuild the query's
+  // set from it, so the exact pipeline and the cache digest see the
+  // same representation a RAM-resident snapshot would.
   ObjectRepr hydrated;
-  const ObjectRepr* query_ptr = &request.query;
-  if (request.object_id >= 0) {
-    const ObjectRepr& stored = db.object(request.object_id);
-    query_ptr = &stored;
-    if (stored.vector_set.empty() && snap->store() != nullptr) {
-      StatusOr<VectorSet> set = snap->store()->Get(request.object_id);
-      VSIM_RETURN_NOT_OK(set.status());
-      hydrated = stored;
-      hydrated.vector_set = std::move(set).value();
-      query_ptr = &hydrated;
-    }
+  const ObjectRepr* query_ptr = ResidentQuery(request, *snap);
+  if (query_ptr == nullptr) {
+    StatusOr<VectorSet> set = snap->store()->Get(request.object_id);
+    VSIM_RETURN_NOT_OK(set.status());
+    hydrated = db.object(request.object_id);
+    hydrated.vector_set = std::move(set).value();
+    query_ptr = &hydrated;
   }
   const ObjectRepr& query = *query_ptr;
 
@@ -411,7 +439,20 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
     uint64_t deadline_ns) {
   queued_.fetch_sub(1, std::memory_order_acq_rel);
   const uint64_t pickup_ns = obs::MonotonicNowNs();
-  // Every picked-up request leaves a trace, successful or not: the
+  if (pickup_ns > deadline_ns) {
+    return Finish(request,
+                  Status::DeadlineExceeded(
+                      "request deadline passed before a worker picked it up"),
+                  submitted_ns, pickup_ns);
+  }
+  return Finish(request, RunRequest(request), submitted_ns, pickup_ns);
+}
+
+StatusOr<ServiceResponse> QueryService::Finish(
+    const ServiceRequest& request, StatusOr<ServiceResponse> response,
+    uint64_t submitted_ns, uint64_t pickup_ns) {
+  const uint64_t end_ns = obs::MonotonicNowNs();
+  // Every admitted request leaves a trace, successful or not: the
   // flight recorder is most valuable precisely when requests fail.
   obs::QueryTrace trace;
   trace.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -420,6 +461,7 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
   trace.k = request.options.k;
   trace.eps = request.options.eps;
   trace.queue_seconds = static_cast<double>(pickup_ns - submitted_ns) * 1e-9;
+  trace.total_seconds = static_cast<double>(end_ns - submitted_ns) * 1e-9;
   // Adopt the wire-propagated trace identity, or mint one so local
   // callers still get correlatable span trees.
   obs::TraceContext context = request.trace;
@@ -430,28 +472,11 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
   }
   trace.trace_hi = context.trace_hi;
   trace.trace_lo = context.trace_lo;
-  if (pickup_ns > deadline_ns) {
-    stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
-    Status expired = Status::DeadlineExceeded(
-        "request deadline passed before a worker picked it up");
-    trace.status_code = static_cast<uint8_t>(expired.code());
-    const uint64_t end_ns = obs::MonotonicNowNs();
-    trace.total_seconds = static_cast<double>(end_ns - submitted_ns) * 1e-9;
-    RecordTrace(trace);
-    if (options_.enable_spans) {
-      PublishSpans(context, trace, submitted_ns, pickup_ns, end_ns);
-    }
-    return expired;
-  }
-  StatusOr<ServiceResponse> response = RunRequest(request);
-  const uint64_t end_ns = obs::MonotonicNowNs();
-  const double latency = static_cast<double>(end_ns - submitted_ns) * 1e-9;
-  trace.total_seconds = latency;
   if (response.ok()) {
-    const ServiceResponse& r = response.value();
-    response.value().latency_seconds = latency;
-    response.value().trace_hi = context.trace_hi;
-    response.value().trace_lo = context.trace_lo;
+    ServiceResponse& r = response.value();
+    r.latency_seconds = trace.total_seconds;
+    r.trace_hi = context.trace_hi;
+    r.trace_lo = context.trace_lo;
     stats_.completed.fetch_add(1, std::memory_order_relaxed);
     trace.generation = r.generation;
     trace.cache_hit = r.cache_hit ? 1 : 0;
@@ -464,8 +489,13 @@ StatusOr<ServiceResponse> QueryService::RunAdmitted(
     trace.page_accesses = r.cost.io.page_accesses();
     trace.bytes_read = r.cost.io.bytes_read();
   } else {
-    stats_.failed.fetch_add(1, std::memory_order_relaxed);
-    trace.status_code = static_cast<uint8_t>(response.status().code());
+    const StatusCode code = response.status().code();
+    if (code == StatusCode::kDeadlineExceeded) {
+      stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      stats_.failed.fetch_add(1, std::memory_order_relaxed);
+    }
+    trace.status_code = static_cast<uint8_t>(code);
   }
   RecordTrace(trace);
   if (options_.enable_spans) {
@@ -500,11 +530,22 @@ Status QueryService::SubmitWithCallback(
   const uint64_t submitted_ns = obs::MonotonicNowNs();
   const uint64_t deadline_ns =
       DeadlineForNs(request.options.timeout_seconds, submitted_ns);
-  // The future from pool_.Submit is discarded deliberately: the result
-  // is delivered through `done` on the worker thread, and a discarded
-  // future neither blocks nor cancels the task.
-  pool_.Submit([this, request = std::move(request), done = std::move(done),
-                submitted_ns, deadline_ns]() {
+  ServiceResponse hit;
+  if (ProbeCache(request, &hit)) {
+    // Answered here, on the submitting thread: the admission slot is
+    // released at once, the queue wait is zero, and the deadline is
+    // tested now that the answer is ready.
+    queued_.fetch_sub(1, std::memory_order_acq_rel);
+    StatusOr<ServiceResponse> answer = std::move(hit);
+    if (obs::MonotonicNowNs() > deadline_ns) {
+      answer = Status::DeadlineExceeded(
+          "request deadline passed before its cached answer was ready");
+    }
+    done(Finish(request, std::move(answer), submitted_ns, submitted_ns));
+    return Status::OK();
+  }
+  pool_.Enqueue([this, request = std::move(request), done = std::move(done),
+                 submitted_ns, deadline_ns]() {
     done(RunAdmitted(request, submitted_ns, deadline_ns));
   });
   return Status::OK();

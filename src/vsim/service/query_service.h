@@ -8,6 +8,8 @@
 //     concurrently because each snapshot's database + indexes are
 //     immutable after construction (the engine's query methods are
 //     const and touch no mutable state -- see docs/ARCHITECTURE.md).
+//     A request whose answer is already in the result cache is answered
+//     at submission instead, on the submitting thread.
 //   - Snapshot-swap reindex: the service holds a shared_ptr<const
 //     DbSnapshot> published under a mutex (RCU-style). A worker
 //     acquires the current snapshot once per request and keeps its
@@ -21,7 +23,8 @@
 //     the caller can act on).
 //   - Deadlines: a request whose deadline passes while still queued
 //     fails fast with kDeadlineExceeded without occupying a worker for
-//     the query itself.
+//     the query itself; so does a cached answer that is ready only
+//     after the deadline.
 //   - Results of refined queries are memoized in a sharded LRU
 //     ResultCache. Keys carry the snapshot's generation, so a swap
 //     logically invalidates every older entry without a stop-the-world
@@ -79,7 +82,9 @@ struct QueryOptions {
 
   // 0 = no deadline, and so is a timeout too long for the service's
   // nanosecond clock (e.g. +inf). The deadline is checked when a worker
-  // picks the request up; execution itself is not interrupted.
+  // picks the request up, or, for an answer found in the result cache
+  // at submission, when that answer is ready; execution itself is not
+  // interrupted.
   double timeout_seconds = 0.0;
 };
 
@@ -179,11 +184,14 @@ class QueryService {
   // kUnavailable immediately when the admission queue is full, and
   // `done` is then never invoked, so the caller can turn the rejection
   // into a backpressure signal (a kUnavailable wire frame) without
-  // waiting. Otherwise invokes `done` exactly once, on the worker
-  // thread that executed the request, with the response or a
-  // per-request error (kDeadlineExceeded, validation). `done` must not
-  // block for long and must not submit and wait on another request (it
-  // runs on a pool worker; a slow callback occupies a query slot).
+  // waiting. Otherwise invokes `done` exactly once with the response or
+  // a per-request error (kDeadlineExceeded, validation). A request
+  // whose answer is in the result cache is answered on the calling
+  // thread, and `done` runs there before this call returns; every
+  // other request is queued, and `done` runs on the worker thread that
+  // executed it. So the caller must not hold a lock that `done` takes,
+  // and `done` must not block for long or submit and wait on another
+  // request (on a pool worker, a slow callback occupies a query slot).
   Status SubmitWithCallback(
       ServiceRequest request,
       std::function<void(StatusOr<ServiceResponse>)> done);
@@ -208,7 +216,9 @@ class QueryService {
   uint64_t generation() const { return snapshot()->generation(); }
 
   // Quiesce the workers (in-flight tasks finish, queued ones wait).
-  // Queued requests can still time out while paused.
+  // This holds queued requests only: a request answered from the result
+  // cache at submission still completes while paused. Queued requests
+  // can still time out while paused.
   void Pause();
   void Resume();
 
@@ -248,14 +258,28 @@ class QueryService {
   // submission and either reserves a queue slot (OK) or rejects with
   // kUnavailable.
   Status Admit();
-  // The worker-side body of a submission: deadline check, execution,
-  // stats, trace and span recording. Runs on a pool
-  // thread with the queue slot from Admit() held. Timestamps are
-  // obs::MonotonicNowNs() nanoseconds (deadline_ns = UINT64_MAX means
-  // no deadline) so every stage boundary is span-attributable.
+  // The submission-side result-cache lookup on the current snapshot:
+  // true, with the answer and its generation in *hit, on a hit. No
+  // lookup is made when the cache is off, the request fails
+  // validation, or its stored id's set must first be read from the
+  // store; such requests, and misses, are left to a worker, whose
+  // lookup is the one counted.
+  bool ProbeCache(const ServiceRequest& request, ServiceResponse* hit);
+  // The worker-side body of a queued submission: releases the queue
+  // slot from Admit(), checks the deadline, executes and finishes.
+  // Timestamps are obs::MonotonicNowNs() nanoseconds (deadline_ns =
+  // UINT64_MAX means no deadline) so every stage boundary is
+  // span-attributable.
   StatusOr<ServiceResponse> RunAdmitted(const ServiceRequest& request,
                                         uint64_t submitted_ns,
                                         uint64_t deadline_ns);
+  // Completes an admitted request whose outcome is known: stats, trace,
+  // registry instruments and span tree. `pickup_ns` is when its
+  // execution began, equal to `submitted_ns` for an answer found at
+  // submission (a zero queue wait).
+  StatusOr<ServiceResponse> Finish(const ServiceRequest& request,
+                                   StatusOr<ServiceResponse> response,
+                                   uint64_t submitted_ns, uint64_t pickup_ns);
   // Builds the service-layer span tree for one picked-up request
   // (request root, queue/admission children, engine-stage children
   // synthesized from the trace's measured stage splits) and publishes

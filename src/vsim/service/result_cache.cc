@@ -48,13 +48,14 @@ ResultCache::ResultCache(size_t capacity_bytes, int num_shards)
   if (capacity_bytes_ > 0 && shard_capacity_ == 0) shard_capacity_ = 1;
 }
 
-bool ResultCache::Lookup(const ResultCacheKey& key, CachedResult* out) {
+bool ResultCache::Lookup(const ResultCacheKey& key, CachedResult* out,
+                         bool count_miss) {
   if (!enabled()) return false;
   Shard& shard = ShardFor(key);
   MutexLock lock(&shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);

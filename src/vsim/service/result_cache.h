@@ -101,8 +101,11 @@ class ResultCache {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // Copies the cached value into *out and returns true on a hit.
-  // Takes (only) the target shard's mutex.
-  bool Lookup(const ResultCacheKey& key, CachedResult* out);
+  // Takes (only) the target shard's mutex. A hit always counts; a miss
+  // counts unless `count_miss` is false, for a first look whose miss
+  // the caller follows with a counted lookup (one request, one count).
+  bool Lookup(const ResultCacheKey& key, CachedResult* out,
+              bool count_miss = true);
 
   // Inserts (or refreshes) an entry, evicting least-recently-used
   // entries of the target shard until it fits its byte budget. Values

@@ -19,7 +19,7 @@ struct ServiceStatsSnapshot {
   uint64_t submitted = 0;
   uint64_t completed = 0;
   uint64_t rejected = 0;   // admission-queue backpressure
-  uint64_t timed_out = 0;  // deadline passed before execution
+  uint64_t timed_out = 0;  // deadline passed before execution or a hit
   uint64_t failed = 0;     // invalid requests etc.
   uint64_t snapshot_swaps = 0;  // reindex publications (SwapSnapshot)
   // Every request that reached a worker, failed and timed-out ones

@@ -36,6 +36,11 @@ class ThreadPool {
   // Tasks queued but not yet picked up by a worker.
   size_t QueuedTasks() const EXCLUDES(mu_);
 
+  // Schedules `task` for execution. The task hands over whatever it
+  // produces itself (QueryService's requests end in a callback), so no
+  // future's shared state is allocated for it.
+  void Enqueue(std::function<void()> task) EXCLUDES(mu_);
+
   // Schedules `fn` for execution and returns a future for its result.
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
@@ -62,7 +67,6 @@ class ThreadPool {
   void Resume() EXCLUDES(mu_);
 
  private:
-  void Enqueue(std::function<void()> task) EXCLUDES(mu_);
   void WorkerLoop() EXCLUDES(mu_);
 
   mutable Mutex mu_{"service.thread_pool"};

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -79,6 +81,49 @@ TEST(DiskServingTest, DiskBackedSnapshotMatchesRamResidentEngine) {
   EXPECT_GT((*snap)->store()->pool().Stats().hits() +
                 (*snap)->store()->pool().Stats().misses,
             0u);
+}
+
+// A stored id on a demoted disk-backed snapshot needs its vector set
+// from the store before it can be hashed into a cache key, so the
+// submission does not look it up: even with its answer cached, the
+// request queues for a worker, and the submitting thread reads no page.
+TEST(DiskServingTest, HitPathLeavesStoredIdQueriesToTheWorkers) {
+  const TempStore store("ds_hit_path.vsstore");
+  StatusOr<CadDatabase> db = BuildDb();
+  ASSERT_TRUE(db.ok());
+  StatusOr<std::shared_ptr<const DbSnapshot>> snap =
+      DbSnapshot::CreateDiskBacked(std::move(*db), store.path(), 1,
+                                   IoCostParams{}, 8);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  options.cache_bytes = 4 << 20;
+  QueryService service(*snap, options);
+  ServiceRequest request;
+  request.object_id = 3;
+  request.options.k = 4;
+  ASSERT_TRUE(service.Execute(request).ok());  // the answer is now cached
+  service.Pause();
+
+  const cache::PoolStatsSnapshot before = (*snap)->store()->pool().Stats();
+  auto done = std::make_shared<std::promise<StatusOr<ServiceResponse>>>();
+  std::future<StatusOr<ServiceResponse>> result = done->get_future();
+  ASSERT_TRUE(service
+                  .SubmitWithCallback(request,
+                                      [done](StatusOr<ServiceResponse> r) {
+                                        done->set_value(std::move(r));
+                                      })
+                  .ok());
+  EXPECT_EQ(result.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  const cache::PoolStatsSnapshot after = (*snap)->store()->pool().Stats();
+  EXPECT_EQ(after.hits(), before.hits());
+  EXPECT_EQ(after.misses, before.misses);
+
+  service.Resume();
+  const StatusOr<ServiceResponse> response = result.get();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->cache_hit);  // the worker's lookup found it
 }
 
 TEST(DiskServingTest, ConcurrentClientsOverDiskBackedSnapshot) {

@@ -219,11 +219,10 @@ TEST_F(NetHostileTest, PipelinedBurstPastAdmissionQueueShedsLoad) {
   sopts.num_threads = 1;
   sopts.max_queue = 2;
   sopts.cache_bytes = 0;
-  // Slow each executed query to multi-millisecond wall time so the
-  // burst decisively outruns the single worker.
-  sopts.simulate_io_wait = true;
-  sopts.io_params.seconds_per_page_access = 2e-4;
   Loopback loop(MakeService(sopts));
+  // Hold the worker (the cache is off, so every request queues) so the
+  // burst decisively outruns it.
+  loop.service->Pause();
   Client client = loop.Connect();
 
   constexpr int kBurst = 64;
@@ -236,6 +235,12 @@ TEST_F(NetHostileTest, PipelinedBurstPastAdmissionQueueShedsLoad) {
     ASSERT_TRUE(client.Send(req, &id).ok());
     sent_ids.push_back(id);
   }
+  // The queue's worth is admitted and the next request shed; then the
+  // worker may go.
+  while (loop.service->Stats().rejected == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.service->Resume();
 
   int ok_count = 0;
   int shed_count = 0;
@@ -274,11 +279,12 @@ TEST_F(NetHostileTest, TinyPipelineWindowBackpressuresWithoutLoss) {
   QueryServiceOptions sopts;
   sopts.num_threads = 2;
   sopts.cache_bytes = 0;
-  sopts.simulate_io_wait = true;
-  sopts.io_params.seconds_per_page_access = 5e-5;
   ServerOptions options;
   options.max_pipeline = 4;
   Loopback loop(MakeService(sopts), options);
+  // Hold the workers (the cache is off, so every request queues) until
+  // the window has filled and the reader has paused for a while.
+  loop.service->Pause();
   Client client = loop.Connect();
 
   constexpr int kBurst = 32;
@@ -291,6 +297,11 @@ TEST_F(NetHostileTest, TinyPipelineWindowBackpressuresWithoutLoss) {
     ASSERT_TRUE(client.Send(req, &id).ok());
     sent_ids.push_back(id);
   }
+  while (loop.server->stats().requests_received < options.max_pipeline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  loop.service->Resume();
   for (int i = 0; i < kBurst; ++i) {
     uint64_t id = 0;
     StatusOr<ServiceResponse> response = client.Receive(&id);

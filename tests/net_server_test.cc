@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -403,14 +404,13 @@ TEST_F(NetServerTest, MalformedFramesNeverCrashOrHangTheServer) {
 }
 
 TEST_F(NetServerTest, GracefulStopDrainsInFlightRequests) {
-  // Slow the service down (simulated I/O wait) so requests are still in
-  // flight when Stop() lands.
+  // Hold the workers (the cache is off, so every request queues) so the
+  // requests are still in flight when Stop() lands.
   QueryServiceOptions sopts;
   sopts.num_threads = 2;
   sopts.cache_bytes = 0;
-  sopts.simulate_io_wait = true;
-  sopts.io_params.seconds_per_page_access = 2e-4;
   Loopback loop(MakeService(sopts));
+  loop.service->Pause();
   Client client = loop.Connect();
 
   constexpr int kInFlight = 12;
@@ -429,8 +429,16 @@ TEST_F(NetServerTest, GracefulStopDrainsInFlightRequests) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Stop while the pipeline is full: every accepted request must still
-  // complete and reach the client before the socket closes.
-  loop.server->Stop();
+  // complete and reach the client before the socket closes. Stop()
+  // returns only once the drain is done, which needs the workers: let
+  // them go once the loops have woken for the stop.
+  const uint64_t idle_iterations = loop.server->stats().reactor_loop_iterations;
+  std::thread stopper([&loop]() { loop.server->Stop(); });
+  while (loop.server->stats().reactor_loop_iterations == idle_iterations) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.service->Resume();
+  stopper.join();
   for (int i = 0; i < kInFlight; ++i) {
     StatusOr<ServiceResponse> response = client.Receive();
     ASSERT_TRUE(response.ok())
@@ -439,6 +447,31 @@ TEST_F(NetServerTest, GracefulStopDrainsInFlightRequests) {
   // After the drain, the server is gone: the next receive sees EOF.
   StatusOr<ServiceResponse> after = client.Receive();
   EXPECT_FALSE(after.ok());
+}
+
+// A result-cache hit is answered by the event loop during the
+// submission, so it needs no worker: it completes while they are all
+// paused.
+TEST_F(NetServerTest, HitPathAnswersWhileWorkersPaused) {
+  Loopback loop(MakeService());
+  Client client = loop.Connect();
+  ServiceRequest req;
+  req.object_id = 2;
+  req.options.k = 4;
+  const StatusOr<ServiceResponse> first = client.Execute(req);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  loop.service->Pause();
+  std::future<StatusOr<ServiceResponse>> cached = std::async(
+      std::launch::async, [&client, &req]() { return client.Execute(req); });
+  const bool answered = cached.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  loop.service->Resume();  // a queued request could finish now
+  ASSERT_TRUE(answered) << "the cached request waited for a worker";
+  const StatusOr<ServiceResponse> response = cached.get();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->cache_hit);
+  EXPECT_EQ(response->neighbors, first->neighbors);
 }
 
 // Snapshot swaps under live remote load: generation-tagged responses

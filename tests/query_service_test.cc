@@ -6,6 +6,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,6 +169,123 @@ TEST_F(QueryServiceTest, BackpressureRejectsBeyondBound) {
   auto fourth = SubmitForFuture(service, request);
   ASSERT_TRUE(fourth.ok());
   EXPECT_TRUE(fourth.value().get().ok());
+}
+
+// A result-cache hit is answered at submission: `done` runs on the
+// calling thread before SubmitWithCallback returns, even with every
+// worker paused, and leaves the bookkeeping a worker-served hit would.
+// A request that has to run stays queued until the pool resumes.
+TEST_F(QueryServiceTest, HitPathAnswersOnTheSubmittingThread) {
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(db_, engine_, options);
+  ServiceRequest cached;
+  cached.object_id = 4;
+  cached.options.k = 3;
+  ASSERT_TRUE(service.Execute(cached).ok());  // fills the cache
+  service.Pause();
+
+  std::optional<StatusOr<ServiceResponse>> answer;
+  std::thread::id answered_on;
+  ASSERT_TRUE(service
+                  .SubmitWithCallback(cached,
+                                      [&](StatusOr<ServiceResponse> result) {
+                                        answered_on =
+                                            std::this_thread::get_id();
+                                        answer = std::move(result);
+                                      })
+                  .ok());
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answered_on, std::this_thread::get_id());
+  ASSERT_TRUE(answer->ok()) << answer->status().ToString();
+  EXPECT_TRUE((*answer)->cache_hit);
+  EXPECT_EQ((*answer)->neighbors,
+            engine_->Knn(QueryStrategy::kVectorSetFilter, 4, 3));
+  EXPECT_EQ(service.Stats().completed, 2u);
+  const std::vector<obs::QueryTrace> traces =
+      service.flight_recorder().Snapshot(8);
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_EQ(traces[0].cache_hit, 1);  // newest first
+  EXPECT_EQ(traces[1].cache_hit, 0);
+  EXPECT_EQ(traces[0].queue_seconds, 0.0);
+  const obs::SpanTreeRecord tree = service.span_ring().Snapshot(1).at(0);
+  EXPECT_EQ(tree.query_trace_id, traces[0].trace_id);
+  bool saw_queue = false;
+  for (uint32_t i = 0; i < tree.span_count; ++i) {
+    if (tree.spans[i].name == static_cast<uint8_t>(obs::SpanName::kQueue)) {
+      saw_queue = true;
+      EXPECT_EQ(tree.spans[i].end_ns, tree.spans[i].start_ns);
+    }
+  }
+  EXPECT_TRUE(saw_queue);
+
+  ServiceRequest uncached;
+  uncached.object_id = 7;
+  uncached.options.k = 3;
+  auto queued = SubmitForFuture(service, uncached);
+  ASSERT_TRUE(queued.ok());
+  EXPECT_EQ(queued->wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  service.Resume();
+  const StatusOr<ServiceResponse> ran = queued->get();
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_FALSE(ran->cache_hit);
+  EXPECT_EQ(service.Stats().completed, 3u);
+}
+
+// A request counts as one cache lookup: a miss at submission is not
+// counted, because the worker that runs the request looks it up again
+// and that lookup counts. So a duplicate queued behind the request that
+// computes its answer is still served from the cache.
+TEST_F(QueryServiceTest, HitPathCountsOneLookupPerRequest) {
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  QueryService service(db_, engine_, options);
+  ServiceRequest request;
+  request.object_id = 2;
+  request.options.k = 4;
+  ASSERT_TRUE(service.Execute(request).ok());
+  StatusOr<ServiceResponse> hit = service.Execute(request);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->cache_hit);
+  ResultCacheStats cache = service.Stats().cache;
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, 1u);
+
+  service.Pause();
+  request.object_id = 9;
+  auto first = SubmitForFuture(service, request);
+  auto second = SubmitForFuture(service, request);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  service.Resume();
+  const StatusOr<ServiceResponse> computed = first->get();
+  const StatusOr<ServiceResponse> replayed = second->get();
+  ASSERT_TRUE(computed.ok()) << computed.status().ToString();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_FALSE(computed->cache_hit);
+  EXPECT_TRUE(replayed->cache_hit);
+  cache = service.Stats().cache;
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.hits, 2u);
+}
+
+// A cached answer is subject to the deadline too: it is tested once
+// the answer is ready, and a timeout shorter than the lookup expires.
+TEST_F(QueryServiceTest, HitPathExpiredDeadlineTimesOut) {
+  QueryService service(db_, engine_, {});
+  ServiceRequest request;
+  request.object_id = 6;
+  request.options.k = 3;
+  ASSERT_TRUE(service.Execute(request).ok());
+  request.options.timeout_seconds = 1e-9;
+  const StatusOr<ServiceResponse> late = service.Execute(request);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.timed_out, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 TEST_F(QueryServiceTest, ExpiredDeadlineFailsFast) {
