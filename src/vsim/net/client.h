@@ -74,8 +74,8 @@ class Client {
   // like every completion).
   StatusOr<ServerInfo> Info();
 
-  // Pulls the server's metrics exposition and flight-recorder traces
-  // (kStatsRequest/kStatsResponse; servers advertise support via
+  // Pulls the server's metrics exposition and recent (or slow) request
+  // traces (kStatsRequest/kStatsResponse; servers advertise support via
   // kFeatureStats in Info().feature_flags). Requires no other requests
   // outstanding.
   StatusOr<StatsResponse> Stats(uint32_t max_traces = 64,

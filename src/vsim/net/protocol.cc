@@ -344,9 +344,9 @@ void AppendStatsResponseFrame(uint64_t request_id,
     const uint32_t count =
         std::min<uint32_t>(tree.span_count,
                            static_cast<uint32_t>(obs::kSpanArenaCapacity));
-    PutU64(&payload, tree.trace_hi);
-    PutU64(&payload, tree.trace_lo);
-    PutU64(&payload, tree.query_trace_id);
+    PutU64(&payload, tree.summary.trace_hi);
+    PutU64(&payload, tree.summary.trace_lo);
+    PutU64(&payload, tree.summary.trace_id);
     PutU32(&payload, count);
     PutU32(&payload, tree.spans_dropped);
     for (uint32_t s = 0; s < count; ++s) {
@@ -700,8 +700,8 @@ Status DecodeStatsResponsePayload(const uint8_t* data, size_t size,
     response->span_trees.reserve(n_trees);
     for (uint32_t i = 0; i < n_trees; ++i) {
       obs::SpanTreeRecord tree;
-      if (!c.U64(&tree.trace_hi) || !c.U64(&tree.trace_lo) ||
-          !c.U64(&tree.query_trace_id) || !c.U32(&tree.span_count) ||
+      if (!c.U64(&tree.summary.trace_hi) || !c.U64(&tree.summary.trace_lo) ||
+          !c.U64(&tree.summary.trace_id) || !c.U32(&tree.span_count) ||
           !c.U32(&tree.spans_dropped)) {
         return Truncated("span tree");
       }

@@ -66,7 +66,7 @@ inline constexpr uint32_t kMaxWireDim = 4096;       // doubles per vector
 inline constexpr uint32_t kMaxWireMessageBytes = 1u << 16;
 inline constexpr uint32_t kMaxWireResults = 1u << 20;  // per response
 inline constexpr uint32_t kMaxWireStatsTextBytes = 1u << 20;  // exposition
-inline constexpr uint32_t kMaxWireTraces = 1024;  // flight-recorder pull
+inline constexpr uint32_t kMaxWireTraces = 1024;  // trace-summary pull
 inline constexpr uint32_t kMaxWireSpanTrees = 256;  // span-ring pull
 inline constexpr uint32_t kMaxWireProfileBytes = 1u << 20;  // collapsed stacks
 
@@ -81,7 +81,7 @@ enum class FrameType : uint8_t {
                        // (request id 0 = connection-level error)
   kInfoRequest = 4,    // client -> server: snapshot/extraction metadata
   kInfoResponse = 5,   // server -> client: ServerInfo
-  kStatsRequest = 6,   // client -> server: metrics + flight-recorder pull
+  kStatsRequest = 6,   // client -> server: metrics + trace pull
   kStatsResponse = 7,  // server -> client: StatsResponse
 };
 
@@ -131,14 +131,16 @@ inline constexpr uint8_t kProfileArm = 1;
 inline constexpr uint8_t kProfileDisarm = 2;
 inline constexpr uint8_t kProfileCollect = 3;
 
-// kStatsRequest payload: how much of the flight recorder to pull
-// alongside the metrics exposition. The trailing fields (include_spans
+// kStatsRequest payload: how many request traces to pull alongside the
+// metrics exposition. The trailing fields (include_spans
 // onward) are tolerant extensions: old peers omit them and get the
 // pre-span behavior.
 struct StatsRequest {
   uint32_t max_traces = 64;  // capped server-side at kMaxWireTraces
-  bool slow_only = false;    // pull the slow ring instead of the recent
-  // Pull span trees from the span ring alongside the traces
+  // Pull the span ring's slow sub-ring instead of its recent ring, for
+  // the traces and the span trees alike.
+  bool slow_only = false;
+  // Pull the ring's span trees alongside the traces
   // (docs/PROTOCOL.md §12; capped at kMaxWireSpanTrees).
   bool include_spans = false;
   // Profiler control (kProfile* above). Arm uses profile_hz.
@@ -147,7 +149,7 @@ struct StatsRequest {
 };
 
 // kStatsResponse payload: the full Prometheus text exposition plus the
-// requested flight-recorder traces (most recent first), span trees and
+// requested request traces (most recent first), span trees and
 // profiler output when requested (empty otherwise; tolerant trailing
 // blocks on the wire).
 struct StatsResponse {

@@ -542,7 +542,6 @@ void EpollReactor::FlushConn(Loop* loop, const std::shared_ptr<Conn>& conn) {
     uint64_t encode_end_ns;
   };
   std::vector<TracedSlot> traced;
-  const bool publish_spans = service_->spans_enabled();
   {
     MutexLock lock(&conn->mu);
     while (!conn->slots.empty() && conn->slots.front().done &&
@@ -550,7 +549,7 @@ void EpollReactor::FlushConn(Loop* loop, const std::shared_ptr<Conn>& conn) {
       Slot& slot = conn->slots.front();
       conn->outbuf.append(slot.bytes);
       close_after = slot.close_after;
-      if (publish_spans && slot.trace.valid()) {
+      if (slot.trace.valid()) {
         traced.push_back(TracedSlot{slot.trace, slot.request_id,
                                     slot.read_ns, slot.decode_ns,
                                     slot.encode_start_ns,
@@ -601,7 +600,7 @@ void EpollReactor::FlushConn(Loop* loop, const std::shared_ptr<Conn>& conn) {
       arena.Add(obs::SpanName::kFlush, t.trace.parent_span_id,
                 flush_start_ns, flush_end_ns);
       obs::SpanTreeRecord record;
-      obs::RenderSpanTree(arena, 0, &record);
+      obs::RenderSpanTree(arena, obs::QueryTrace{}, &record);
       service_->span_ring().Record(record);
     }
   }

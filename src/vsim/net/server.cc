@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "vsim/net/reactor.h"
 #include "vsim/net/socket_util.h"
@@ -13,10 +14,17 @@ StatsResponse BuildStatsResponse(QueryService* service,
                                  const StatsRequest& request) {
   StatsResponse stats;
   stats.metrics_text = service->metrics().TextExposition();
-  stats.traces = service->flight_recorder().Snapshot(request.max_traces,
-                                                     request.slow_only);
-  if (request.include_spans) {
-    stats.span_trees = service->span_ring().Snapshot(kMaxWireSpanTrees);
+  // One ring, recent or slow, feeds both lists: the traces are the
+  // summaries of its service records (a net-layer tree's summary holds
+  // only its trace id).
+  if (request.max_traces > 0 || request.include_spans) {
+    std::vector<obs::SpanTreeRecord> records =
+        service->span_ring().Snapshot(kMaxWireSpanTrees, request.slow_only);
+    for (const obs::SpanTreeRecord& record : records) {
+      if (stats.traces.size() == request.max_traces) break;
+      if (record.summary.trace_id != 0) stats.traces.push_back(record.summary);
+    }
+    if (request.include_spans) stats.span_trees = std::move(records);
   }
   switch (request.profile_op) {
     case kProfileArm:

@@ -64,9 +64,10 @@ enum class Transport {
 // query objects (the kInfoRequest handler).
 ServerInfo MakeServerInfo(const DbSnapshot& snapshot);
 
-// The kStatsRequest handler: metrics exposition + flight-recorder
-// pull, plus the §12 extensions -- span trees when `include_spans` and
-// the profiler sub-request (arm / disarm / collect against the
+// The kStatsRequest handler: metrics exposition + the trace summaries
+// of the span ring's recent (or, with `slow_only`, slow) records, plus
+// the §12 extensions -- those records' span trees when `include_spans`
+// and the profiler sub-request (arm / disarm / collect against the
 // process-wide obs::Profiler). Allocates; runs on an event-loop
 // thread, never on the record path.
 StatsResponse BuildStatsResponse(QueryService* service,

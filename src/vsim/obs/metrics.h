@@ -1,10 +1,11 @@
 // Unified serving metrics (docs/OBSERVABILITY.md): lock-free
 // counters/gauges/histograms registered by name (+ optional Prometheus
 // labels) in a MetricsRegistry, with text exposition in the Prometheus
-// format. This is the single place the serving stack's previously
-// ad-hoc statistics (ServiceStats, ResultCacheStats, IoStats,
-// ServerStats) surface from, so a dashboard or `vsim stats` sees one
-// coherent metric namespace.
+// format. This is the single place the serving stack's statistics
+// surface from -- the service's own request counters are registry
+// instruments; ResultCacheStats, IoStats, the span ring's counters and
+// ServerStats are collected -- so a dashboard, `vsim stats` and
+// QueryService::PrintStats see one coherent metric namespace.
 //
 // Design contract, matching the paper's cost-model instrumentation
 // needs (Section 5.4 charges every page access and byte read -- these
@@ -19,7 +20,7 @@
 //     recording. Registered instruments live in deques, so the
 //     pointers handed out stay valid for the registry's lifetime.
 //   - Collector callbacks let existing externally-owned atomics
-//     (ServiceStats, ResultCacheStats, net::ServerStats) appear in the
+//     (ResultCacheStats, SpanRing, net::ServerStats) appear in the
 //     exposition without double bookkeeping: a collector is invoked at
 //     scrape time and appends name/value samples.
 //

@@ -8,7 +8,7 @@
 // Mechanism: ITIMER_PROF delivers SIGPROF at the requested rate while
 // the process consumes CPU; the handler captures a backtrace() into a
 // fixed lock-free sample ring (per-slot seqlock claim, same discipline
-// as FlightRecorder/SpanRing) and returns. Symbolization
+// as SpanRing) and returns. Symbolization
 // (backtrace_symbols) and collapsing happen only at collect time, off
 // the signal path. backtrace() is pre-warmed at Arm() because its
 // first call may lazily load libgcc, which is not async-signal-safe.

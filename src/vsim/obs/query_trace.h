@@ -5,10 +5,11 @@
 // filter produced, how many reached the O(k^3) Kuhn-Munkres refinement,
 // and what the charged I/O cost model billed.
 //
+// It is the summary of the request's one SpanTreeRecord (obs/span.h).
 // The struct is a trivially-copyable POD sized in whole 64-bit words so
-// the flight recorder can publish it through a seqlock of atomic words
-// (flight_recorder.h) and the wire protocol can encode it field by
-// field (net/protocol.h, kStatsResponse frames).
+// the span ring can publish it through a seqlock of atomic words and
+// the wire protocol can encode it field by field (net/protocol.h,
+// kStatsResponse frames).
 #ifndef VSIM_OBS_QUERY_TRACE_H_
 #define VSIM_OBS_QUERY_TRACE_H_
 

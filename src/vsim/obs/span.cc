@@ -111,11 +111,11 @@ uint64_t SpanArena::span_id(int index) const {
   return spans_[static_cast<size_t>(index)].span_id;
 }
 
-void RenderSpanTree(const SpanArena& arena, uint64_t query_trace_id,
+void RenderSpanTree(const SpanArena& arena, const QueryTrace& summary,
                     SpanTreeRecord* out) {
-  out->trace_hi = arena.context().trace_hi;
-  out->trace_lo = arena.context().trace_lo;
-  out->query_trace_id = query_trace_id;
+  out->summary = summary;
+  out->summary.trace_hi = arena.context().trace_hi;
+  out->summary.trace_lo = arena.context().trace_lo;
   out->span_count = arena.count();
   out->spans_dropped = arena.dropped();
   for (uint32_t i = 0; i < arena.count(); ++i) {
@@ -126,9 +126,13 @@ void RenderSpanTree(const SpanArena& arena, uint64_t query_trace_id,
   }
 }
 
-SpanRing::SpanRing(size_t capacity) : slots_(capacity == 0 ? 1 : capacity) {}
+SpanRing::SpanRing(double slow_threshold_seconds, size_t capacity,
+                   size_t slow_capacity)
+    : slow_threshold_(slow_threshold_seconds),
+      ring_(capacity),
+      slow_ring_(slow_capacity) {}
 
-bool SpanRing::WriteSlot(Slot* slot, const SpanTreeRecord& tree) {
+bool SpanRing::WriteSlot(Slot* slot, const SpanTreeRecord& record) {
   uint64_t seq = slot->seq.load(std::memory_order_relaxed);
   if (seq & 1) return false;  // another writer owns the slot: lossy drop
   if (!slot->seq.compare_exchange_strong(seq, seq + 1,
@@ -136,49 +140,58 @@ bool SpanRing::WriteSlot(Slot* slot, const SpanTreeRecord& tree) {
                                          std::memory_order_relaxed)) {
     return false;
   }
-  uint64_t words[kTreeWords];
-  std::memcpy(words, &tree, sizeof(tree));
-  for (size_t i = 0; i < kTreeWords; ++i) {
+  uint64_t words[kRecordWords];
+  std::memcpy(words, &record, sizeof(record));
+  for (size_t i = 0; i < kRecordWords; ++i) {
     slot->words[i].store(words[i], std::memory_order_relaxed);
   }
   slot->seq.store(seq + 2, std::memory_order_release);
   return true;
 }
 
-bool SpanRing::ReadSlot(const Slot& slot, SpanTreeRecord* tree) {
+bool SpanRing::ReadSlot(const Slot& slot, SpanTreeRecord* record) {
   const uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
-  if (seq1 == 0 || (seq1 & 1)) return false;
-  uint64_t words[kTreeWords];
-  for (size_t i = 0; i < kTreeWords; ++i) {
+  if (seq1 == 0 || (seq1 & 1)) return false;  // empty or mid-write
+  uint64_t words[kRecordWords];
+  for (size_t i = 0; i < kRecordWords; ++i) {
     words[i] = slot.words[i].load(std::memory_order_relaxed);
   }
   std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.seq.load(std::memory_order_relaxed) != seq1) return false;
-  std::memcpy(tree, words, sizeof(*tree));
+  std::memcpy(record, words, sizeof(*record));
   return true;
 }
 
-void SpanRing::Record(const SpanTreeRecord& tree) {
-  const uint64_t ticket = tickets_.fetch_add(1, std::memory_order_relaxed);
-  Slot* slot = &slots_[ticket % slots_.size()];
-  if (WriteSlot(slot, tree)) {
-    recorded_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+void SpanRing::RecordInto(Ring* ring, const SpanTreeRecord& record) {
+  const uint64_t ticket =
+      ring->tickets.fetch_add(1, std::memory_order_relaxed);
+  if (!WriteSlot(&ring->slots[ticket % ring->slots.size()], record)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-std::vector<SpanTreeRecord> SpanRing::Snapshot(size_t max_trees) const {
+void SpanRing::Record(const SpanTreeRecord& record) {
+  recorded_.fetch_add(1, std::memory_order_relaxed);
+  RecordInto(&ring_, record);
+  if (record.summary.trace_id != 0 &&
+      record.summary.total_seconds >= slow_threshold_) {
+    RecordInto(&slow_ring_, record);
+  }
+}
+
+std::vector<SpanTreeRecord> SpanRing::Snapshot(size_t max_records,
+                                               bool slow_only) const {
+  const Ring& ring = slow_only ? slow_ring_ : ring_;
   std::vector<SpanTreeRecord> out;
-  const uint64_t newest = tickets_.load(std::memory_order_acquire);
-  const size_t capacity = slots_.size();
+  const uint64_t newest = ring.tickets.load(std::memory_order_acquire);
+  const size_t capacity = ring.slots.size();
   const size_t walk = newest < capacity ? static_cast<size_t>(newest) : capacity;
-  out.reserve(walk < max_trees ? walk : max_trees);
-  for (size_t i = 0; i < walk && out.size() < max_trees; ++i) {
-    const size_t index = static_cast<size_t>((newest - 1 - i) % capacity);
-    SpanTreeRecord tree;
-    if (ReadSlot(slots_[index], &tree)) {
-      out.push_back(tree);
+  out.reserve(walk < max_records ? walk : max_records);
+  // Newest first: walk backwards from the most recently claimed slot.
+  for (size_t i = 0; i < walk && out.size() < max_records; ++i) {
+    SpanTreeRecord record;
+    if (ReadSlot(ring.slots[(newest - 1 - i) % capacity], &record)) {
+      out.push_back(record);
     }
   }
   return out;

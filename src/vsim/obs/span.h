@@ -14,16 +14,19 @@
 // across threads mid-request; the export side (obs/trace_export.h)
 // groups trees by trace id and nests spans by timestamp, which is
 // sound because every layer stamps the same CLOCK_MONOTONIC timebase.
+// The service layer's record is the request's one record: its
+// QueryTrace summary (obs/query_trace.h) rides in the same ring slot
+// as its spans.
 //
-// Concurrency and allocation contract (tested by tests/obs_alloc_test
+// Concurrency and allocation contract (tested by tests/obs_alloc_check
 // and the TSan Span* suites):
 //   - SpanArena is a per-request value: fixed inline storage
 //     (kSpanArenaCapacity spans), no heap, no locks. A request that
 //     outgrows the arena degrades to a counted `spans_dropped`, never
 //     an allocation.
-//   - SpanRing::Record publishes a finished tree through the same
-//     per-slot seqlock design as FlightRecorder: lock-free,
-//     allocation-free, lossy under >= capacity concurrent writers.
+//   - SpanRing::Record publishes a finished record through a per-slot
+//     seqlock: lock-free, allocation-free, lossy under >= capacity
+//     concurrent writers.
 //   - MonotonicNowNs() is the one sanctioned timing entry point for
 //     service/ and net/ hot paths (the vsim-lint `raw-clock` rule
 //     forbids direct clock_gettime / steady_clock::now() there, so
@@ -37,6 +40,8 @@
 #include <cstdint>
 #include <type_traits>
 #include <vector>
+
+#include "vsim/obs/query_trace.h"
 
 namespace vsim::obs {
 
@@ -152,11 +157,10 @@ class SpanArena {
 // The finished tree of one layer for one request, as published into
 // the SpanRing. POD sized in whole 64-bit words (seqlock + wire).
 struct SpanTreeRecord {
-  uint64_t trace_hi = 0;
-  uint64_t trace_lo = 0;
-  // The service-local QueryTrace.trace_id this tree summarizes (0 for
-  // net-layer trees, which are keyed by trace id alone).
-  uint64_t query_trace_id = 0;
+  // A service-layer record's summary is the request's whole QueryTrace
+  // (trace_id != 0). A net-layer tree's holds only the trace-id pair
+  // (trace_hi, trace_lo); its trace_id is 0.
+  QueryTrace summary;
   uint32_t span_count = 0;
   uint32_t spans_dropped = 0;
   SpanRecord spans[kSpanArenaCapacity] = {};
@@ -167,46 +171,79 @@ static_assert(std::is_trivially_copyable_v<SpanTreeRecord>,
 static_assert(sizeof(SpanTreeRecord) % 8 == 0,
               "SpanTreeRecord must be sized in whole 64-bit words");
 
-// Renders the arena into a ring-publishable record.
-void RenderSpanTree(const SpanArena& arena, uint64_t query_trace_id,
+// Renders the arena into a ring-publishable record: `summary` copied,
+// except that its trace-id pair is the arena's context. A layer that
+// summarizes nothing passes a default QueryTrace.
+void RenderSpanTree(const SpanArena& arena, const QueryTrace& summary,
                     SpanTreeRecord* out);
 
-// Lock-free ring of recent span trees: the FlightRecorder seqlock
-// design applied to SpanTreeRecord payloads. Record is lock- and
-// allocation-free and lossy under >= capacity concurrent writers;
-// Snapshot never blocks recording.
+// Lock-free ring of recent records, plus a slow sub-ring that also
+// keeps every service record (summary.trace_id != 0) whose
+// summary.total_seconds is at or above the slow threshold, so a burst
+// of fast requests cannot evict the slow one being hunted.
+//
+// Each slot is a per-slot *seqlock*: an atomic sequence number that is
+// odd while a write is in progress, plus the record stored as relaxed
+// atomic 64-bit words (a plain struct would be a data race under
+// concurrent snapshot reads). A writer claims its round-robin slot by
+// CAS-ing the sequence from even to odd; if another writer got there
+// first (possible only when >= capacity records race at once) the
+// write is dropped and counted -- lossy by design, never blocking.
+// Snapshot reads a slot's words between two sequence loads and skips
+// the slot if the sequence changed or was odd (torn read).
+//
+// Thread-safety: Record and Snapshot are safe from any thread, any
+// number of threads, with no locks anywhere.
 class SpanRing {
  public:
-  explicit SpanRing(size_t capacity = 128);
+  // Capacities are clamped to >= 1.
+  explicit SpanRing(double slow_threshold_seconds = 0.100,
+                    size_t capacity = 256, size_t slow_capacity = 64);
 
   SpanRing(const SpanRing&) = delete;
   SpanRing& operator=(const SpanRing&) = delete;
 
-  void Record(const SpanTreeRecord& tree);
+  // Lock- and allocation-free; writes the recent ring, and the slow
+  // ring too for a slow service record.
+  void Record(const SpanTreeRecord& record);
 
-  // Most-recent-first trees, at most `max_trees`. A slot overwritten
+  // Most-recent-first records of the recent ring (or of the slow ring
+  // with slow_only), at most `max_records`. A slot overwritten
   // mid-read is skipped, not torn.
-  std::vector<SpanTreeRecord> Snapshot(size_t max_trees) const;
+  std::vector<SpanTreeRecord> Snapshot(size_t max_records,
+                                       bool slow_only = false) const;
 
-  size_t capacity() const { return slots_.size(); }
+  double slow_threshold_seconds() const { return slow_threshold_; }
+  size_t capacity() const { return ring_.slots.size(); }
+  // Records offered to Record, each counted once.
   uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
   }
+  // Ring writes lost to slot contention (a slow record can lose either
+  // of its two writes).
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
  private:
-  static constexpr size_t kTreeWords = sizeof(SpanTreeRecord) / 8;
+  static constexpr size_t kRecordWords = sizeof(SpanTreeRecord) / 8;
 
   struct Slot {
     std::atomic<uint64_t> seq{0};  // odd while a write is in progress
-    std::array<std::atomic<uint64_t>, kTreeWords> words{};
+    std::array<std::atomic<uint64_t>, kRecordWords> words{};
   };
 
-  static bool WriteSlot(Slot* slot, const SpanTreeRecord& tree);
-  static bool ReadSlot(const Slot& slot, SpanTreeRecord* tree);
+  struct Ring {
+    explicit Ring(size_t capacity) : slots(capacity == 0 ? 1 : capacity) {}
+    std::atomic<uint64_t> tickets{0};  // writes attempted
+    std::vector<Slot> slots;
+  };
 
-  std::atomic<uint64_t> tickets_{0};
-  std::vector<Slot> slots_;
+  void RecordInto(Ring* ring, const SpanTreeRecord& record);
+  static bool WriteSlot(Slot* slot, const SpanTreeRecord& record);
+  static bool ReadSlot(const Slot& slot, SpanTreeRecord* record);
+
+  const double slow_threshold_;
+  Ring ring_;
+  Ring slow_ring_;
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
 };

@@ -30,7 +30,8 @@ std::string RenderChromeTrace(const std::vector<SpanTreeRecord>& trees) {
   // the output is deterministic regardless of snapshot order.
   std::map<std::pair<uint64_t, uint64_t>, int> tids;
   for (const SpanTreeRecord& tree : trees) {
-    tids.emplace(std::make_pair(tree.trace_hi, tree.trace_lo), 0);
+    tids.emplace(std::make_pair(tree.summary.trace_hi, tree.summary.trace_lo),
+                 0);
   }
   int next_tid = 1;
   for (auto& entry : tids) entry.second = next_tid++;
@@ -47,7 +48,8 @@ std::string RenderChromeTrace(const std::vector<SpanTreeRecord>& trees) {
                  entry.second, entry.first.first, entry.first.second);
   }
   for (const SpanTreeRecord& tree : trees) {
-    const int tid = tids.at(std::make_pair(tree.trace_hi, tree.trace_lo));
+    const int tid =
+        tids.at(std::make_pair(tree.summary.trace_hi, tree.summary.trace_lo));
     const uint32_t count = tree.span_count <= kSpanArenaCapacity
                                ? tree.span_count
                                : static_cast<uint32_t>(kSpanArenaCapacity);
@@ -70,7 +72,7 @@ std::string RenderChromeTrace(const std::vector<SpanTreeRecord>& trees) {
           span.start_ns / 1000, span.start_ns % 1000,
           (end_ns - span.start_ns) / 1000, (end_ns - span.start_ns) % 1000,
           span.span_id, span.parent_span_id, span.counter,
-          tree.query_trace_id);
+          tree.summary.trace_id);
     }
   }
   // Trailing newline: the string is written verbatim to export files.

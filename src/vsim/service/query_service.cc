@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "vsim/cache/metrics_adapter.h"
+#include "vsim/common/table_printer.h"
 #include "vsim/service/request_parse.h"
 
 namespace vsim {
@@ -58,10 +59,8 @@ QueryService::QueryService(std::shared_ptr<const DbSnapshot> snapshot,
                            QueryServiceOptions options)
     : snapshot_(std::move(snapshot)),
       options_(options),
-      cache_(options.cache_bytes, options.cache_shards),
-      recorder_(options.flight_recorder_capacity, options.slow_trace_seconds,
-                options.slow_ring_capacity),
-      span_ring_(options.span_ring_capacity),
+      cache_(options.cache_bytes),
+      span_ring_(options.slow_trace_seconds),
       pool_(options.num_threads) {
   std::random_device rd;
   trace_seed_hi_ = (static_cast<uint64_t>(rd()) << 32) | rd();
@@ -71,6 +70,24 @@ QueryService::QueryService(std::shared_ptr<const DbSnapshot> snapshot,
 }
 
 void QueryService::RegisterMetrics() {
+  submitted_total_ = metrics_.RegisterCounter(
+      "vsim_requests_submitted_total",
+      "Requests admitted (rejected offers are not counted)");
+  completed_total_ = metrics_.RegisterCounter(
+      "vsim_requests_completed_total", "Requests completed successfully");
+  rejected_total_ = metrics_.RegisterCounter(
+      "vsim_requests_rejected_total",
+      "Requests rejected by admission backpressure");
+  timed_out_total_ = metrics_.RegisterCounter(
+      "vsim_requests_timed_out_total",
+      "Requests whose deadline passed before they were served");
+  failed_total_ = metrics_.RegisterCounter(
+      "vsim_requests_failed_total", "Requests failed (validation etc.)");
+  snapshot_swaps_total_ = metrics_.RegisterCounter(
+      "vsim_snapshot_swaps_total", "Reindex snapshot publications");
+  spans_truncated_total_ = metrics_.RegisterCounter(
+      "vsim_spans_truncated_total",
+      "Spans dropped because a request outgrew its span arena");
   latency_hist_ = metrics_.RegisterHistogram(
       "vsim_request_latency_seconds",
       "End-to-end request latency, admission to completion");
@@ -111,9 +128,9 @@ void QueryService::RegisterMetrics() {
     MutexLock lock(&snapshot_mu_);
     generation_gauge_->Set(static_cast<double>(snapshot_->generation()));
   }
-  // The pre-existing ad-hoc stat blocks (ServiceStats, ResultCacheStats)
-  // keep their relaxed atomics; a collector folds them into the same
-  // exposition instead of double-counting them into owned instruments.
+  // State owned elsewhere -- the result cache's counters, the span
+  // ring's and the buffer pool's -- is sampled by a collector at scrape
+  // time instead of double-counted into owned instruments.
   metrics_.RegisterCollector([this](std::vector<obs::MetricSample>* out) {
     auto add = [out](const char* name, const char* help, double value,
                      obs::MetricSample::Type type =
@@ -125,21 +142,6 @@ void QueryService::RegisterMetrics() {
       s.value = value;
       out->push_back(std::move(s));
     };
-    add("vsim_requests_submitted_total", "Requests offered to admission",
-        static_cast<double>(stats_.submitted.load(std::memory_order_relaxed)));
-    add("vsim_requests_completed_total", "Requests completed successfully",
-        static_cast<double>(stats_.completed.load(std::memory_order_relaxed)));
-    add("vsim_requests_rejected_total",
-        "Requests rejected by admission backpressure",
-        static_cast<double>(stats_.rejected.load(std::memory_order_relaxed)));
-    add("vsim_requests_timed_out_total",
-        "Requests whose deadline passed before they were served",
-        static_cast<double>(stats_.timed_out.load(std::memory_order_relaxed)));
-    add("vsim_requests_failed_total", "Requests failed (validation etc.)",
-        static_cast<double>(stats_.failed.load(std::memory_order_relaxed)));
-    add("vsim_snapshot_swaps_total", "Reindex snapshot publications",
-        static_cast<double>(
-            stats_.snapshot_swaps.load(std::memory_order_relaxed)));
     const ResultCacheStats cache = cache_.stats();
     add("vsim_cache_hits_total", "Result cache hits",
         static_cast<double>(cache.hits));
@@ -149,24 +151,16 @@ void QueryService::RegisterMetrics() {
         static_cast<double>(cache.insertions));
     add("vsim_cache_evictions_total", "Result cache evictions",
         static_cast<double>(cache.evictions));
-    add("vsim_flight_recorder_recorded_total", "Traces recorded",
-        static_cast<double>(recorder_.recorded()));
-    add("vsim_flight_recorder_dropped_total",
-        "Traces dropped on slot contention",
-        static_cast<double>(recorder_.dropped()));
     add("vsim_flight_recorder_slow_threshold_seconds",
-        "Latency at or above which a trace enters the slow ring",
-        recorder_.slow_threshold_seconds(), obs::MetricSample::Type::kGauge);
+        "Latency at or above which a record enters the slow ring",
+        span_ring_.slow_threshold_seconds(),
+        obs::MetricSample::Type::kGauge);
     add("vsim_span_trees_recorded_total",
-        "Span trees published into the span ring",
+        "Records published into the span ring",
         static_cast<double>(span_ring_.recorded()));
     add("vsim_span_trees_dropped_total",
-        "Span trees dropped on span-ring slot contention",
+        "Span-ring writes dropped on slot contention",
         static_cast<double>(span_ring_.dropped()));
-    add("vsim_spans_truncated_total",
-        "Spans dropped because a request outgrew its span arena",
-        static_cast<double>(
-            spans_truncated_.load(std::memory_order_relaxed)));
     // Disk-backed snapshots expose their buffer pool's hot/cold tier
     // counters (vsim_cache_pool_*; distinct from the result-cache
     // vsim_cache_* series above). Lock order here is registry mutex ->
@@ -185,8 +179,7 @@ void QueryService::RegisterMetrics() {
   });
 }
 
-void QueryService::RecordTrace(const obs::QueryTrace& trace) {
-  recorder_.Record(trace);
+void QueryService::RecordMetrics(const obs::QueryTrace& trace) {
   queue_wait_hist_->Record(trace.queue_seconds);
   latency_hist_->Record(trace.total_seconds);
   if (trace.status_code != 0) return;  // failures carry no stage data
@@ -206,6 +199,47 @@ QueryService::QueryService(const CadDatabase* db, const QueryEngine* engine,
     : QueryService(DbSnapshot::Wrap(db, engine, 0), options) {}
 
 QueryService::~QueryService() = default;
+
+ServiceStatsSnapshot QueryService::Stats() const {
+  ServiceStatsSnapshot s;
+  s.submitted = submitted_total_->Value();
+  s.completed = completed_total_->Value();
+  s.rejected = rejected_total_->Value();
+  s.timed_out = timed_out_total_->Value();
+  s.failed = failed_total_->Value();
+  s.snapshot_swaps = snapshot_swaps_total_->Value();
+  s.latency_mean_s = latency_hist_->MeanSeconds();
+  s.latency_p50_s = latency_hist_->PercentileSeconds(0.50);
+  s.latency_p95_s = latency_hist_->PercentileSeconds(0.95);
+  s.latency_p99_s = latency_hist_->PercentileSeconds(0.99);
+  s.cache = cache_.stats();
+  return s;
+}
+
+void QueryService::PrintStats(std::FILE* out) const {
+  const ServiceStatsSnapshot s = Stats();
+  TablePrinter table({"metric", "value"});
+  table.AddRow({"requests submitted", std::to_string(s.submitted)});
+  table.AddRow({"requests completed", std::to_string(s.completed)});
+  table.AddRow({"rejected (queue full)", std::to_string(s.rejected)});
+  table.AddRow({"timed out (deadline)", std::to_string(s.timed_out)});
+  table.AddRow({"failed", std::to_string(s.failed)});
+  table.AddRow({"snapshot swaps", std::to_string(s.snapshot_swaps)});
+  table.AddRow({"cache hits", std::to_string(s.cache.hits)});
+  table.AddRow({"cache misses", std::to_string(s.cache.misses)});
+  table.AddRow({"cache evictions", std::to_string(s.cache.evictions)});
+  table.AddRow(
+      {"cache hit rate", TablePrinter::Num(100.0 * s.cache.HitRate()) + "%"});
+  table.AddRow({"latency mean",
+                TablePrinter::Num(s.latency_mean_s * 1e3, 3) + " ms"});
+  table.AddRow({"latency p50 <=",
+                TablePrinter::Num(s.latency_p50_s * 1e3, 3) + " ms"});
+  table.AddRow({"latency p95 <=",
+                TablePrinter::Num(s.latency_p95_s * 1e3, 3) + " ms"});
+  table.AddRow({"latency p99 <=",
+                TablePrinter::Num(s.latency_p99_s * 1e3, 3) + " ms"});
+  table.Print(out);
+}
 
 void QueryService::Pause() { pool_.Pause(); }
 void QueryService::Resume() { pool_.Resume(); }
@@ -227,7 +261,7 @@ Status QueryService::SwapSnapshot(std::shared_ptr<const DbSnapshot> next) {
         std::to_string(snapshot_->generation()));
   }
   snapshot_ = std::move(next);
-  stats_.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
+  snapshot_swaps_total_->Increment();
   generation_gauge_->Set(static_cast<double>(snapshot_->generation()));
   return Status::OK();
 }
@@ -387,21 +421,21 @@ StatusOr<ServiceResponse> QueryService::RunRequest(
 }
 
 Status QueryService::Admit() {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
   if (queued_.fetch_add(1, std::memory_order_acq_rel) >= options_.max_queue) {
     queued_.fetch_sub(1, std::memory_order_acq_rel);
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+    rejected_total_->Increment();
     return Status::Unavailable(
         "admission queue full (bound " + std::to_string(options_.max_queue) +
         "); retry with backoff");
   }
+  submitted_total_->Increment();
   return Status::OK();
 }
 
-void QueryService::PublishSpans(const obs::TraceContext& context,
-                                const obs::QueryTrace& trace,
-                                uint64_t submitted_ns, uint64_t pickup_ns,
-                                uint64_t end_ns) {
+void QueryService::PublishRecord(const obs::TraceContext& context,
+                                 const obs::QueryTrace& trace,
+                                 uint64_t submitted_ns, uint64_t pickup_ns,
+                                 uint64_t end_ns) {
   obs::SpanArena arena(context, trace.trace_id);
   const int root =
       arena.Add(obs::SpanName::kRequest, context.parent_span_id, submitted_ns,
@@ -427,10 +461,8 @@ void QueryService::PublishSpans(const obs::TraceContext& context,
               trace.hungarian_invocations);
   }
   obs::SpanTreeRecord record;
-  obs::RenderSpanTree(arena, trace.trace_id, &record);
-  if (arena.dropped() > 0) {
-    spans_truncated_.fetch_add(arena.dropped(), std::memory_order_relaxed);
-  }
+  obs::RenderSpanTree(arena, trace, &record);
+  if (arena.dropped() > 0) spans_truncated_total_->Increment(arena.dropped());
   span_ring_.Record(record);
 }
 
@@ -452,8 +484,8 @@ StatusOr<ServiceResponse> QueryService::Finish(
     const ServiceRequest& request, StatusOr<ServiceResponse> response,
     uint64_t submitted_ns, uint64_t pickup_ns) {
   const uint64_t end_ns = obs::MonotonicNowNs();
-  // Every admitted request leaves a trace, successful or not: the
-  // flight recorder is most valuable precisely when requests fail.
+  // Every admitted request leaves one record, successful or not: the
+  // record is most valuable precisely when requests fail.
   obs::QueryTrace trace;
   trace.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   trace.kind = static_cast<uint8_t>(request.kind);
@@ -477,7 +509,7 @@ StatusOr<ServiceResponse> QueryService::Finish(
     r.latency_seconds = trace.total_seconds;
     r.trace_hi = context.trace_hi;
     r.trace_lo = context.trace_lo;
-    stats_.completed.fetch_add(1, std::memory_order_relaxed);
+    completed_total_->Increment();
     trace.generation = r.generation;
     trace.cache_hit = r.cache_hit ? 1 : 0;
     trace.cpu_seconds = r.cost.cpu_seconds;
@@ -491,16 +523,14 @@ StatusOr<ServiceResponse> QueryService::Finish(
   } else {
     const StatusCode code = response.status().code();
     if (code == StatusCode::kDeadlineExceeded) {
-      stats_.timed_out.fetch_add(1, std::memory_order_relaxed);
+      timed_out_total_->Increment();
     } else {
-      stats_.failed.fetch_add(1, std::memory_order_relaxed);
+      failed_total_->Increment();
     }
     trace.status_code = static_cast<uint8_t>(code);
   }
-  RecordTrace(trace);
-  if (options_.enable_spans) {
-    PublishSpans(context, trace, submitted_ns, pickup_ns, end_ns);
-  }
+  RecordMetrics(trace);
+  PublishRecord(context, trace, submitted_ns, pickup_ns, end_ns);
   return response;
 }
 

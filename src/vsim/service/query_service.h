@@ -43,6 +43,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <memory>
 
@@ -50,13 +51,11 @@
 #include "vsim/common/thread_annotations.h"
 #include "vsim/core/query_engine.h"
 #include "vsim/core/similarity.h"
-#include "vsim/obs/flight_recorder.h"
 #include "vsim/obs/metrics.h"
 #include "vsim/obs/query_trace.h"
 #include "vsim/obs/span.h"
 #include "vsim/service/db_snapshot.h"
 #include "vsim/service/result_cache.h"
-#include "vsim/service/service_stats.h"
 #include "vsim/service/thread_pool.h"
 
 namespace vsim {
@@ -132,7 +131,6 @@ struct QueryServiceOptions {
   int num_threads = 0;        // 0 = hardware concurrency
   size_t max_queue = 1024;    // admission bound (queued, not running)
   size_t cache_bytes = 32ull << 20;  // 0 disables the result cache
-  int cache_shards = 16;
 
   // Deployment emulation: after executing a request, the worker sleeps
   // the request's simulated I/O time (cost.IoSeconds(io_params)). This
@@ -143,19 +141,32 @@ struct QueryServiceOptions {
   bool simulate_io_wait = false;
   IoCostParams io_params;  // conversion constants for the emulated wait
 
-  // Observability (docs/OBSERVABILITY.md): every request leaves a
-  // QueryTrace in the flight recorder; traces at or above the slow
-  // threshold are additionally retained in a separate slow ring.
-  size_t flight_recorder_capacity = 256;
-  size_t slow_ring_capacity = 64;
+  // Observability (docs/OBSERVABILITY.md): every admitted request
+  // publishes one record -- its QueryTrace summary and service span
+  // tree -- into the span ring; records of requests at or above this
+  // latency are also kept in the ring's slow sub-ring.
   double slow_trace_seconds = 0.100;
+};
 
-  // Hierarchical span tracing (obs/span.h). When enabled every request
-  // publishes a span tree into the span ring; the record path stays
-  // lock- and allocation-free either way, disabling only skips the
-  // arena bookkeeping and the ring publication.
-  bool enable_spans = true;
-  size_t span_ring_capacity = 128;
+// The service's request counters, read from its metrics registry, plus
+// the result-cache counters and the request-latency percentiles of the
+// vsim_request_latency_seconds histogram. Once the service is drained,
+// submitted == completed + failed + timed_out; rejected offers were
+// never admitted.
+struct ServiceStatsSnapshot {
+  uint64_t submitted = 0;  // admitted requests
+  uint64_t completed = 0;
+  uint64_t rejected = 0;   // admission-queue backpressure
+  uint64_t timed_out = 0;  // deadline passed before execution or a hit
+  uint64_t failed = 0;     // invalid requests etc.
+  uint64_t snapshot_swaps = 0;  // reindex publications (SwapSnapshot)
+  // Every request that reached a worker or was answered at submission,
+  // failed and timed-out ones included (the histogram's population).
+  double latency_mean_s = 0.0;
+  double latency_p50_s = 0.0;
+  double latency_p95_s = 0.0;
+  double latency_p99_s = 0.0;
+  ResultCacheStats cache;
 };
 
 class QueryService {
@@ -223,13 +234,10 @@ class QueryService {
   void Resume();
 
   int num_threads() const { return pool_.num_threads(); }
-  ServiceStatsSnapshot Stats() const {
-    return stats_.Snapshot(cache_.stats(), *latency_hist_);
-  }
+  ServiceStatsSnapshot Stats() const;
   const ResultCache& cache() const { return cache_; }
-  void PrintStats(std::FILE* out = stdout) const {
-    PrintServiceStats(Stats(), out);
-  }
+  // Stats() as a two-column metric/value table.
+  void PrintStats(std::FILE* out = stdout) const;
 
   // The unified metric namespace (Prometheus text exposition via
   // metrics().TextExposition()). The registry is also the attachment
@@ -238,25 +246,22 @@ class QueryService {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  // Recent / slow query traces (docs/OBSERVABILITY.md trace schema).
-  const obs::FlightRecorder& flight_recorder() const { return recorder_; }
-
-  // Recent span trees (docs/OBSERVABILITY.md "Tracing"). Transports
-  // publish their net-layer trees here too, so one ring holds every
-  // layer of a trace.
+  // Recent and slow per-request records (docs/OBSERVABILITY.md
+  // "Tracing"): each admitted request's QueryTrace summary with its
+  // service span tree. Transports publish their net-layer trees here
+  // too, so one ring holds every layer of a trace.
   obs::SpanRing& span_ring() { return span_ring_; }
   const obs::SpanRing& span_ring() const { return span_ring_; }
-  bool spans_enabled() const { return options_.enable_spans; }
 
  private:
   void RegisterMetrics();
-  // Records the trace into the flight recorder and rolls its counters
-  // and stage timings into the registry instruments.
-  void RecordTrace(const obs::QueryTrace& trace);
+  // Rolls the trace's counters and stage timings into the registry
+  // instruments.
+  void RecordMetrics(const obs::QueryTrace& trace);
 
-  // Admission-control check of SubmitWithCallback: accounts the
-  // submission and either reserves a queue slot (OK) or rejects with
-  // kUnavailable.
+  // Admission-control check of SubmitWithCallback: either reserves a
+  // queue slot and counts the request as submitted (OK), or counts a
+  // rejection and returns kUnavailable.
   Status Admit();
   // The submission-side result-cache lookup on the current snapshot:
   // true, with the answer and its generation in *hit, on a hit. No
@@ -273,20 +278,20 @@ class QueryService {
   StatusOr<ServiceResponse> RunAdmitted(const ServiceRequest& request,
                                         uint64_t submitted_ns,
                                         uint64_t deadline_ns);
-  // Completes an admitted request whose outcome is known: stats, trace,
-  // registry instruments and span tree. `pickup_ns` is when its
-  // execution began, equal to `submitted_ns` for an answer found at
-  // submission (a zero queue wait).
+  // Completes an admitted request whose outcome is known: registry
+  // counters and instruments, and its one record in the span ring.
+  // `pickup_ns` is when its execution began, equal to `submitted_ns`
+  // for an answer found at submission (a zero queue wait).
   StatusOr<ServiceResponse> Finish(const ServiceRequest& request,
                                    StatusOr<ServiceResponse> response,
                                    uint64_t submitted_ns, uint64_t pickup_ns);
-  // Builds the service-layer span tree for one picked-up request
-  // (request root, queue/admission children, engine-stage children
-  // synthesized from the trace's measured stage splits) and publishes
-  // it into the span ring. Allocation-free.
-  void PublishSpans(const obs::TraceContext& context,
-                    const obs::QueryTrace& trace, uint64_t submitted_ns,
-                    uint64_t pickup_ns, uint64_t end_ns);
+  // Builds the request's record -- the trace as its summary, and the
+  // service-layer span tree (request root, queue/admission children,
+  // engine-stage children synthesized from the trace's measured stage
+  // splits) -- and publishes it into the span ring. Allocation-free.
+  void PublishRecord(const obs::TraceContext& context,
+                     const obs::QueryTrace& trace, uint64_t submitted_ns,
+                     uint64_t pickup_ns, uint64_t end_ns);
   StatusOr<ServiceResponse> RunRequest(const ServiceRequest& request);
   Status Validate(const ServiceRequest& request,
                   const CadDatabase& db) const;
@@ -301,21 +306,23 @@ class QueryService {
   std::shared_ptr<const DbSnapshot> snapshot_ GUARDED_BY(snapshot_mu_);
 
   // Immutable after construction (options_) or internally synchronized
-  // (cache_, stats_, metrics_, recorder_, queued_, pool_); no mutex
-  // needed.
+  // (cache_, metrics_, span_ring_, queued_, pool_); no mutex needed.
   QueryServiceOptions options_;
   ResultCache cache_;
-  ServiceStats stats_;
   obs::MetricsRegistry metrics_;
-  obs::FlightRecorder recorder_;
   obs::SpanRing span_ring_;
-  // Spans dropped by arena-capacity truncation, accumulated across
-  // requests (surfaced as vsim_spans_truncated_total).
-  std::atomic<uint64_t> spans_truncated_{0};
 
   // Registry-owned instruments recorded on the request path (the
   // pointers are stable for the registry's lifetime; recording through
   // them is lock- and allocation-free). Set once in RegisterMetrics().
+  obs::Counter* submitted_total_ = nullptr;
+  obs::Counter* completed_total_ = nullptr;
+  obs::Counter* rejected_total_ = nullptr;
+  obs::Counter* timed_out_total_ = nullptr;
+  obs::Counter* failed_total_ = nullptr;
+  obs::Counter* snapshot_swaps_total_ = nullptr;
+  // Spans dropped by arena-capacity truncation, across requests.
+  obs::Counter* spans_truncated_total_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* filter_stage_hist_ = nullptr;

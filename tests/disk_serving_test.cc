@@ -335,7 +335,7 @@ TEST(DiskServingTest, FailedStoreReadFailsTheRequestWithoutAborting) {
     EXPECT_EQ(response.status().code(), StatusCode::kIOError)
         << response.status().ToString();
   }
-  const obs::QueryTrace trace = service.flight_recorder().Snapshot(1)[0];
+  const obs::QueryTrace trace = service.span_ring().Snapshot(1).at(0).summary;
   EXPECT_EQ(trace.status_code, static_cast<uint8_t>(StatusCode::kIOError));
 }
 

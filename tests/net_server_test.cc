@@ -549,7 +549,7 @@ TEST_F(RemoteSwapTest, SwapUnderRemoteLoad) {
 // The observability acceptance claim: after one remote 10-NN query, a
 // `vsim stats`-style scrape over the same wire fully attributes it --
 // the metrics text shows the request and its paper counters, and the
-// flight recorder returns the request's trace.
+// span ring returns the request's trace.
 TEST_F(NetServerTest, StatsScrapeAttributesRemoteQuery) {
   QueryServiceOptions sopts;
   sopts.cache_bytes = 0;
@@ -606,7 +606,7 @@ TEST_F(NetServerTest, StatsScrapeAttributesRemoteQuery) {
   EXPECT_TRUE(client.ok());
 }
 
-// An empty recorder and the slow_only filter behave over the wire.
+// An empty slow ring and the slow_only filter behave over the wire.
 TEST_F(NetServerTest, StatsSlowOnlyFiltersFastQueries) {
   QueryServiceOptions sopts;
   sopts.cache_bytes = 0;
@@ -622,6 +622,60 @@ TEST_F(NetServerTest, StatsSlowOnlyFiltersFastQueries) {
   StatusOr<StatsResponse> all = client.Stats(8, /*slow_only=*/false);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->traces.size(), 1u);
+}
+
+// The slow ring keeps a slow request's whole record: its trace and its
+// service span tree come back together from a slow pull, while the
+// net-layer tree, which summarizes no request, stays in the recent
+// ring only.
+TEST_F(NetServerTest, StatsSlowOnlyReturnsSlowRequestsWithTheirSpanTrees) {
+  QueryServiceOptions sopts;
+  sopts.cache_bytes = 0;
+  sopts.slow_trace_seconds = 0.0;  // every request qualifies as slow
+  Loopback loop(MakeService(sopts));
+  Client client = loop.Connect();
+  ServiceRequest req;
+  req.object_id = 4;
+  req.options.k = 5;
+  StatusOr<ServiceResponse> response = client.Execute(req);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+
+  StatsRequest slow_request;
+  slow_request.max_traces = 8;
+  slow_request.slow_only = true;
+  slow_request.include_spans = true;
+  StatusOr<StatsResponse> slow = client.Stats(slow_request);
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  ASSERT_EQ(slow->traces.size(), 1u);
+  ASSERT_EQ(slow->span_trees.size(), 1u);
+  EXPECT_EQ(slow->traces[0].trace_hi, response->trace_hi);
+  EXPECT_EQ(slow->traces[0].trace_lo, response->trace_lo);
+  EXPECT_EQ(slow->span_trees[0].summary.trace_hi, response->trace_hi);
+  EXPECT_EQ(slow->span_trees[0].summary.trace_lo, response->trace_lo);
+  EXPECT_EQ(slow->span_trees[0].summary.trace_id, slow->traces[0].trace_id);
+
+  // The recent ring holds the same one trace and, beside its service
+  // tree, the net-layer tree published at flush (which can land just
+  // after the response reaches the client).
+  StatsRequest recent_request = slow_request;
+  recent_request.slow_only = false;
+  StatusOr<StatsResponse> recent = Status::Internal("unset");
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    recent = client.Stats(recent_request);
+    ASSERT_TRUE(recent.ok()) << recent.status().ToString();
+    if (recent->span_trees.size() >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(recent->traces.size(), 1u);
+  EXPECT_EQ(recent->traces[0].trace_id, slow->traces[0].trace_id);
+  ASSERT_EQ(recent->span_trees.size(), 2u);
+  bool saw_net_tree = false;
+  for (const obs::SpanTreeRecord& tree : recent->span_trees) {
+    EXPECT_EQ(tree.summary.trace_hi, response->trace_hi);
+    EXPECT_EQ(tree.summary.trace_lo, response->trace_lo);
+    if (tree.summary.trace_id == 0) saw_net_tree = true;
+  }
+  EXPECT_TRUE(saw_net_tree);
 }
 
 }  // namespace

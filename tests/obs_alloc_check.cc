@@ -2,8 +2,9 @@
 // as CTest `obs_alloc_check`): global operator new/delete are replaced
 // with counting hooks, and these paths must execute with ZERO
 // allocations:
-//   - the observability record paths: SpanArena build, RenderSpanTree,
-//     SpanRing::Record, and FlightRecorder::Record;
+//   - the observability record path: SpanArena build, RenderSpanTree
+//     with a QueryTrace summary, and SpanRing::Record into both the
+//     recent and the slow ring;
 //   - the refinement paths: a 7x7 VectorSetDistance (the paper's
 //     cardinality, Kuhn-Munkres included) and one store-record decode
 //     (VectorSetStore::GetFlat) into a reused buffer.
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "vsim/distance/min_matching.h"
-#include "vsim/obs/flight_recorder.h"
 #include "vsim/obs/query_trace.h"
 #include "vsim/obs/span.h"
 #include "vsim/storage/vector_set_store.h"
@@ -75,7 +75,6 @@ void CheckNoAllocations(const char* phase) {
 }  // namespace
 
 int main() {
-  using vsim::obs::FlightRecorder;
   using vsim::obs::kSpanArenaCapacity;
   using vsim::obs::MonotonicNowNs;
   using vsim::obs::QueryTrace;
@@ -88,8 +87,7 @@ int main() {
 
   // Construction may allocate (ring storage); only the record paths
   // must not.
-  SpanRing ring(64);
-  FlightRecorder recorder(64, 0.100, 16);
+  SpanRing ring(/*slow_threshold_seconds=*/0.100, 64, 16);
   TraceContext context;
   context.trace_hi = 0x1234;
   context.trace_lo = 0x5678;
@@ -97,7 +95,11 @@ int main() {
   // Warm the monotonic clock (first call may touch vDSO setup paths).
   (void)MonotonicNowNs();
 
-  // --- span arena build + render + ring publish, including overflow --
+  // --- record build + render + publish, including arena overflow ----
+  // A service record over the slow threshold: both rings are written.
+  QueryTrace summary{};
+  summary.trace_id = 1;
+  summary.total_seconds = 0.5;
   g_counting = true;
   {
     SpanArena arena(context, 99);
@@ -114,27 +116,21 @@ int main() {
       (void)arena.Start(SpanName::kRefine);
     }
     SpanTreeRecord record;
-    RenderSpanTree(arena, 7, &record);
+    RenderSpanTree(arena, summary, &record);
     for (int i = 0; i < 256; ++i) ring.Record(record);
     g_counting = false;
     Check(arena.dropped() > 0, "arena overflow counted");
   }
-  CheckNoAllocations("span record path");
+  CheckNoAllocations("record path");
 
-  // --- flight recorder record path (both rings: fast + slow) ---------
-  QueryTrace trace{};
-  trace.trace_id = 1;
-  trace.total_seconds = 0.5;  // above the slow threshold: both rings
-  g_counting = true;
-  for (int i = 0; i < 256; ++i) recorder.Record(trace);
-  g_counting = false;
-  CheckNoAllocations("flight recorder record path");
-
-  // Sanity: the rings actually recorded (snapshots allocate -- that is
-  // their contract -- so they run outside the counting phases).
+  // Sanity: both rings actually recorded (snapshots allocate -- that
+  // is their contract -- so they run outside the counting phase).
   Check(ring.recorded() == 256, "span ring recorded");
   Check(!ring.Snapshot(4).empty(), "span ring snapshot");
-  Check(!recorder.Snapshot(4, true).empty(), "slow ring snapshot");
+  const std::vector<SpanTreeRecord> slow = ring.Snapshot(4, true);
+  Check(!slow.empty() && slow[0].summary.trace_id == 1 &&
+            slow[0].summary.trace_hi == context.trace_hi,
+        "slow ring snapshot");
 
   // --- refinement: one 7x7 minimal matching --------------------------
   vsim::VectorSet a, b;

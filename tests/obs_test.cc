@@ -1,10 +1,9 @@
 // Observability-layer tests: metrics registry exposition, histogram
-// bucket boundaries / overflow / the p=0 percentile contract, the
-// flight recorder's rings (newest-first, wraparound, slow-query
-// retention) under single- and multi-threaded recording, and the
-// IoStats counters under concurrent mutation (the latter two run under
-// TSan via tools/check_tsan.sh -- the record paths must be data-race
-// free by construction, not by luck).
+// bucket boundaries / overflow / the p=0 percentile contract, and the
+// IoStats counters under concurrent mutation (run under TSan via
+// tools/check_tsan.sh -- the record paths must be data-race free by
+// construction, not by luck). The span ring's tests, slow sub-ring
+// included, are in span_test.cc.
 #include "vsim/obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -15,8 +14,6 @@
 #include <vector>
 
 #include "vsim/index/io_stats.h"
-#include "vsim/obs/flight_recorder.h"
-#include "vsim/obs/query_trace.h"
 
 namespace vsim::obs {
 namespace {
@@ -241,162 +238,6 @@ TEST(ObsRegistryTest, ConcurrentRecordingDuringExposition) {
   scraper.join();
   EXPECT_EQ(c->Value(), static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(h->TotalCount(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-// --- flight recorder -------------------------------------------------
-
-// A trace whose fields are all derived from `id`, so a torn read (a
-// mix of two writes) is detectable.
-QueryTrace DerivedTrace(uint64_t id, double total_seconds = 0.001) {
-  QueryTrace t{};
-  t.trace_id = id;
-  t.generation = id * 3 + 1;
-  t.k = static_cast<int32_t>(id % 97);
-  t.total_seconds = total_seconds;
-  t.filter_hits = id + 1000;
-  t.candidates_refined = id + 500;
-  t.hungarian_invocations = id + 500;
-  t.page_accesses = id * 7;
-  t.bytes_read = id * 11;
-  return t;
-}
-
-void ExpectDerived(const QueryTrace& t) {
-  const uint64_t id = t.trace_id;
-  EXPECT_EQ(t.generation, id * 3 + 1);
-  EXPECT_EQ(t.k, static_cast<int32_t>(id % 97));
-  EXPECT_EQ(t.filter_hits, id + 1000);
-  EXPECT_EQ(t.candidates_refined, id + 500);
-  EXPECT_EQ(t.page_accesses, id * 7);
-  EXPECT_EQ(t.bytes_read, id * 11);
-}
-
-TEST(FlightRecorderTest, SnapshotReturnsNewestFirst) {
-  FlightRecorder recorder(8, 1.0, 4);
-  for (uint64_t i = 0; i < 5; ++i) recorder.Record(DerivedTrace(i));
-  const std::vector<QueryTrace> traces = recorder.Snapshot(16);
-  ASSERT_EQ(traces.size(), 5u);
-  for (size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(traces[i].trace_id, 4 - i);
-    ExpectDerived(traces[i]);
-  }
-  EXPECT_EQ(recorder.Snapshot(2).size(), 2u);
-  EXPECT_EQ(recorder.Snapshot(2)[0].trace_id, 4u);
-}
-
-TEST(FlightRecorderTest, WraparoundKeepsTheMostRecentCapacity) {
-  FlightRecorder recorder(4, 1.0, 4);
-  for (uint64_t i = 0; i < 10; ++i) recorder.Record(DerivedTrace(i));
-  const std::vector<QueryTrace> traces = recorder.Snapshot(16);
-  ASSERT_EQ(traces.size(), 4u);
-  for (size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(traces[i].trace_id, 9 - i);
-  }
-  EXPECT_EQ(recorder.recorded(), 10u);
-  EXPECT_EQ(recorder.dropped(), 0u);
-}
-
-TEST(FlightRecorderTest, SlowRingRetainsSlowTracesPastFastBursts) {
-  // One slow query, then a burst of fast ones large enough to evict it
-  // from the main ring: the slow ring must still hold it.
-  FlightRecorder recorder(8, 0.100, 4);
-  recorder.Record(DerivedTrace(1, 0.250));
-  for (uint64_t i = 10; i < 30; ++i) {
-    recorder.Record(DerivedTrace(i, 0.001));
-  }
-  const std::vector<QueryTrace> recent = recorder.Snapshot(64);
-  for (const QueryTrace& t : recent) EXPECT_NE(t.trace_id, 1u);
-  const std::vector<QueryTrace> slow =
-      recorder.Snapshot(64, /*slow_only=*/true);
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].trace_id, 1u);
-  EXPECT_EQ(slow[0].total_seconds, 0.250);
-}
-
-TEST(FlightRecorderTest, ThresholdBoundaryIsInclusive) {
-  FlightRecorder recorder(8, 0.100, 4);
-  recorder.Record(DerivedTrace(1, 0.100));   // exactly at threshold
-  recorder.Record(DerivedTrace(2, 0.0999));  // just under
-  const std::vector<QueryTrace> slow = recorder.Snapshot(64, true);
-  ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].trace_id, 1u);
-}
-
-TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTear) {
-  FlightRecorder recorder(64, 1.0, 4);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 5000;
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> observed{0};
-  std::thread reader([&]() {
-    while (!stop.load(std::memory_order_seq_cst)) {
-      for (const QueryTrace& t : recorder.Snapshot(64)) {
-        ExpectDerived(t);  // any mix of two writes would fail here
-        observed.fetch_add(1, std::memory_order_seq_cst);
-      }
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t]() {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        recorder.Record(DerivedTrace(t * kPerThread + i));
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  // Writers can finish before the reader thread is even scheduled;
-  // keep the reader alive until it has seen at least one coherent
-  // trace (the ring is full now, so one more pass suffices).
-  while (observed.load(std::memory_order_seq_cst) == 0) std::this_thread::yield();
-  stop.store(true, std::memory_order_seq_cst);
-  reader.join();
-  EXPECT_EQ(recorder.recorded(), kThreads * kPerThread);
-  // The ring is lossy by design: a writer whose claimed slot is still
-  // mid-write drops instead of spinning. That needs another writer to
-  // stall for a full ring revolution and wrap onto the same slot, so
-  // drops are rare -- but nonzero is legal under scheduling jitter
-  // (TSan routinely deschedules a writer long enough).
-  EXPECT_LT(recorder.dropped(), kThreads * kPerThread / 10);
-  EXPECT_GT(observed.load(std::memory_order_seq_cst), 0u);
-  const std::vector<QueryTrace> final_traces = recorder.Snapshot(64);
-  EXPECT_EQ(final_traces.size(), 64u);
-  for (const QueryTrace& t : final_traces) ExpectDerived(t);
-}
-
-TEST(FlightRecorderTest, WraparoundAndSlowRetentionUnderConcurrentWriters) {
-  // Concurrent writers mixing fast and slow traces: after the dust
-  // settles the main ring holds exactly its capacity of coherent
-  // traces (wraparound), and the slow ring retains only slow ones --
-  // fast bursts from other threads must never evict or corrupt them.
-  // Runs under TSan via tools/check_tsan.sh.
-  FlightRecorder recorder(16, 0.100, 8);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 4000;
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&recorder, t]() {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        const uint64_t id = static_cast<uint64_t>(t) * kPerThread + i;
-        // Every 16th trace is slow (0.25s); the rest are fast (1ms).
-        recorder.Record(DerivedTrace(id, (id % 16 == 0) ? 0.250 : 0.001));
-      }
-    });
-  }
-  for (auto& w : writers) w.join();
-  EXPECT_EQ(recorder.recorded(), kThreads * kPerThread);
-
-  const std::vector<QueryTrace> recent = recorder.Snapshot(64);
-  EXPECT_EQ(recent.size(), 16u);  // wraparound: capacity, no more
-  for (const QueryTrace& t : recent) ExpectDerived(t);
-
-  const std::vector<QueryTrace> slow = recorder.Snapshot(64, true);
-  EXPECT_EQ(slow.size(), 8u);  // slow ring full after 1000 slow records
-  for (const QueryTrace& t : slow) {
-    ExpectDerived(t);
-    EXPECT_EQ(t.trace_id % 16, 0u);  // only slow traces land here
-    EXPECT_EQ(t.total_seconds, 0.250);
-  }
 }
 
 // --- IoStats under concurrency ---------------------------------------

@@ -459,9 +459,9 @@ TEST(ProtocolTest, StatsResponseRoundTripsSpanTreesAndProfile) {
   resp.traces[0].trace_hi = 0x0102030405060708ULL;
   resp.traces[0].trace_lo = 0x1112131415161718ULL;
   obs::SpanTreeRecord tree{};
-  tree.trace_hi = 0x0102030405060708ULL;
-  tree.trace_lo = 0x1112131415161718ULL;
-  tree.query_trace_id = 401;
+  tree.summary.trace_hi = 0x0102030405060708ULL;
+  tree.summary.trace_lo = 0x1112131415161718ULL;
+  tree.summary.trace_id = 401;
   tree.span_count = 2;
   tree.spans_dropped = 3;
   tree.spans[0].span_id = 77;
@@ -491,9 +491,9 @@ TEST(ProtocolTest, StatsResponseRoundTripsSpanTreesAndProfile) {
   EXPECT_EQ(out.traces[0].trace_lo, resp.traces[0].trace_lo);
   ASSERT_EQ(out.span_trees.size(), 1u);
   const obs::SpanTreeRecord& got = out.span_trees[0];
-  EXPECT_EQ(got.trace_hi, tree.trace_hi);
-  EXPECT_EQ(got.trace_lo, tree.trace_lo);
-  EXPECT_EQ(got.query_trace_id, tree.query_trace_id);
+  EXPECT_EQ(got.summary.trace_hi, tree.summary.trace_hi);
+  EXPECT_EQ(got.summary.trace_lo, tree.summary.trace_lo);
+  EXPECT_EQ(got.summary.trace_id, tree.summary.trace_id);
   ASSERT_EQ(got.span_count, 2u);
   EXPECT_EQ(got.spans_dropped, 3u);
   for (uint32_t i = 0; i < got.span_count; ++i) {
@@ -538,9 +538,9 @@ TEST(ProtocolTest, NonZeroReservedStatsBlockIsIgnored) {
   resp.traces[1].trace_hi = 0xb1;
   resp.traces[1].trace_lo = 0xb2;
   obs::SpanTreeRecord tree{};
-  tree.trace_hi = 0xa1;
-  tree.trace_lo = 0xa2;
-  tree.query_trace_id = 501;
+  tree.summary.trace_hi = 0xa1;
+  tree.summary.trace_lo = 0xa2;
+  tree.summary.trace_id = 501;
   tree.span_count = 2;
   tree.spans[0].span_id = 5;
   tree.spans[0].start_ns = 100;
@@ -583,9 +583,9 @@ TEST(ProtocolTest, NonZeroReservedStatsBlockIsIgnored) {
   }
   ASSERT_EQ(out.span_trees.size(), 1u);
   const obs::SpanTreeRecord& got = out.span_trees[0];
-  EXPECT_EQ(got.trace_hi, tree.trace_hi);
-  EXPECT_EQ(got.trace_lo, tree.trace_lo);
-  EXPECT_EQ(got.query_trace_id, tree.query_trace_id);
+  EXPECT_EQ(got.summary.trace_hi, tree.summary.trace_hi);
+  EXPECT_EQ(got.summary.trace_lo, tree.summary.trace_lo);
+  EXPECT_EQ(got.summary.trace_id, tree.summary.trace_id);
   ASSERT_EQ(got.span_count, 2u);
   for (uint32_t i = 0; i < got.span_count; ++i) {
     EXPECT_EQ(got.spans[i].span_id, tree.spans[i].span_id);

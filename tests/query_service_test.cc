@@ -58,6 +58,17 @@ StatusOr<std::future<StatusOr<ServiceResponse>>> SubmitForFuture(
   return result;
 }
 
+// The QueryTrace summaries of the newest `n` records in the service's
+// span ring, newest first (in process, every record is a service one).
+std::vector<obs::QueryTrace> RecentTraces(const QueryService& service,
+                                          size_t n) {
+  std::vector<obs::QueryTrace> traces;
+  for (const obs::SpanTreeRecord& record : service.span_ring().Snapshot(n)) {
+    traces.push_back(record.summary);
+  }
+  return traces;
+}
+
 // The tentpole correctness claim: many threads hammering the service
 // produce exactly the single-threaded engine's answers, with the cache
 // on (hits must replay identical payloads) and off.
@@ -169,6 +180,12 @@ TEST_F(QueryServiceTest, BackpressureRejectsBeyondBound) {
   auto fourth = SubmitForFuture(service, request);
   ASSERT_TRUE(fourth.ok());
   EXPECT_TRUE(fourth.value().get().ok());
+  // A rejected offer was never admitted: once drained, every submitted
+  // request completed, failed or timed out.
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.timed_out);
+  EXPECT_EQ(stats.rejected, 1u);
 }
 
 // A result-cache hit is answered at submission: `done` runs on the
@@ -202,14 +219,12 @@ TEST_F(QueryServiceTest, HitPathAnswersOnTheSubmittingThread) {
   EXPECT_EQ((*answer)->neighbors,
             engine_->Knn(QueryStrategy::kVectorSetFilter, 4, 3));
   EXPECT_EQ(service.Stats().completed, 2u);
-  const std::vector<obs::QueryTrace> traces =
-      service.flight_recorder().Snapshot(8);
+  const std::vector<obs::QueryTrace> traces = RecentTraces(service, 8);
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_EQ(traces[0].cache_hit, 1);  // newest first
   EXPECT_EQ(traces[1].cache_hit, 0);
   EXPECT_EQ(traces[0].queue_seconds, 0.0);
   const obs::SpanTreeRecord tree = service.span_ring().Snapshot(1).at(0);
-  EXPECT_EQ(tree.query_trace_id, traces[0].trace_id);
   bool saw_queue = false;
   for (uint32_t i = 0; i < tree.span_count; ++i) {
     if (tree.spans[i].name == static_cast<uint8_t>(obs::SpanName::kQueue)) {
@@ -492,7 +507,7 @@ TEST_F(QueryServiceTest, StatsSnapshotAndPrint) {
 }
 
 TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
-  // Every completed request leaves a QueryTrace in the flight recorder.
+  // Every completed request's span-ring record carries its QueryTrace.
   // For the filter strategy the paper's pipeline shape must hold in the
   // counters themselves: the Lemma-2 lower bound admits filter_hits
   // candidates, the optimal multi-step loop refines a subset of them,
@@ -509,8 +524,7 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_EQ(response->neighbors.size(), static_cast<size_t>(k));
 
-  const std::vector<obs::QueryTrace> traces =
-      service.flight_recorder().Snapshot(1);
+  const std::vector<obs::QueryTrace> traces = RecentTraces(service, 1);
   ASSERT_EQ(traces.size(), 1u);
   const obs::QueryTrace& t = traces[0];
   EXPECT_EQ(t.kind, static_cast<uint8_t>(QueryKind::kKnn));
@@ -561,7 +575,7 @@ TEST_F(QueryServiceTest, HungarianInvocationsCountOnlyKuhnMunkresSolves) {
     request.options.k = static_cast<int>(db_->size());
     request.strategy = QueryStrategy::kVectorSetFilter;
     ASSERT_TRUE(service.Execute(request).ok());
-    const obs::QueryTrace t = service.flight_recorder().Snapshot(1)[0];
+    const obs::QueryTrace t = RecentTraces(service, 1).at(0);
     EXPECT_EQ(t.candidates_refined, engine_->centroid_index().entry_count());
     EXPECT_EQ(t.hungarian_invocations, t.candidates_refined);
   }
@@ -585,7 +599,7 @@ TEST_F(QueryServiceTest, HungarianInvocationsCountOnlyKuhnMunkresSolves) {
     request.options.k = 6;
     request.strategy = QueryStrategy::kVectorSetFilter;
     ASSERT_TRUE(service.Execute(request).ok());
-    const obs::QueryTrace t = service.flight_recorder().Snapshot(1)[0];
+    const obs::QueryTrace t = RecentTraces(service, 1).at(0);
     EXPECT_LE(t.hungarian_invocations, t.candidates_refined);
     refined += t.candidates_refined;
     solves += t.hungarian_invocations;
@@ -615,13 +629,13 @@ TEST_F(QueryServiceTest, CompletedRequestPublishesServiceSpanTree) {
       service.span_ring().Snapshot(4);
   ASSERT_EQ(trees.size(), 1u);
   const obs::SpanTreeRecord& tree = trees[0];
-  EXPECT_EQ(tree.trace_hi, response->trace_hi);
-  EXPECT_EQ(tree.trace_lo, response->trace_lo);
+  EXPECT_EQ(tree.summary.trace_hi, response->trace_hi);
+  EXPECT_EQ(tree.summary.trace_lo, response->trace_lo);
   EXPECT_EQ(tree.spans_dropped, 0u);
   ASSERT_GE(tree.span_count, 4u);
 
-  const obs::QueryTrace trace = service.flight_recorder().Snapshot(1)[0];
-  EXPECT_EQ(tree.query_trace_id, trace.trace_id);
+  const obs::QueryTrace& trace = tree.summary;
+  EXPECT_NE(trace.trace_id, 0u);
   uint64_t root_id = 0;
   bool saw_queue = false, saw_filter = false, saw_refine = false;
   for (uint32_t i = 0; i < tree.span_count; ++i) {
@@ -672,16 +686,49 @@ TEST_F(QueryServiceTest, CompletedRequestPublishesServiceSpanTree) {
             std::string::npos);
 }
 
-TEST_F(QueryServiceTest, SpanRecordingDisabledLeavesRingEmpty) {
-  QueryServiceOptions options;
-  options.enable_spans = false;
-  QueryService service(db_, engine_, options);
+TEST_F(QueryServiceTest, EachAdmittedRequestPublishesOneRecord) {
+  // One record per admitted request, whatever its outcome: a miss, a
+  // cache hit answered at submission and a validation failure leave
+  // three records, each summarizing its own request.
+  QueryService service(db_, engine_, {});
   ServiceRequest request;
-  request.object_id = 0;
-  request.options.k = 2;
-  ASSERT_TRUE(service.Execute(request).ok());
-  EXPECT_FALSE(service.spans_enabled());
-  EXPECT_TRUE(service.span_ring().Snapshot(4).empty());
+  request.object_id = 5;
+  request.options.k = 3;
+  std::vector<ServiceRequest> requests(3, request);
+  requests[2].object_id = static_cast<int>(db_->size());  // out of range
+  std::vector<StatusOr<ServiceResponse>> responses;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].trace.trace_hi = 0xa0 + i;
+    requests[i].trace.trace_lo = 0xb0 + i;
+    responses.push_back(service.Execute(requests[i]));
+  }
+  ASSERT_TRUE(responses[0].ok());
+  ASSERT_TRUE(responses[1].ok());
+  EXPECT_FALSE(responses[0]->cache_hit);
+  EXPECT_TRUE(responses[1]->cache_hit);
+  EXPECT_EQ(responses[2].status().code(), StatusCode::kOutOfRange);
+
+  EXPECT_NE(service.metrics().TextExposition().find(
+                "vsim_span_trees_recorded_total 3\n"),
+            std::string::npos);
+  const std::vector<obs::SpanTreeRecord> records =
+      service.span_ring().Snapshot(8);
+  ASSERT_EQ(records.size(), 3u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const obs::QueryTrace& summary = records[requests.size() - 1 - i].summary;
+    EXPECT_NE(summary.trace_id, 0u);
+    EXPECT_EQ(summary.trace_hi, requests[i].trace.trace_hi);
+    EXPECT_EQ(summary.trace_lo, requests[i].trace.trace_lo);
+    EXPECT_EQ(summary.status_code,
+              static_cast<uint8_t>(responses[i].status().code()));
+    if (responses[i].ok()) {
+      EXPECT_EQ(summary.trace_hi, responses[i]->trace_hi);
+      EXPECT_EQ(summary.trace_lo, responses[i]->trace_lo);
+      EXPECT_EQ(summary.cache_hit, responses[i]->cache_hit ? 1 : 0);
+    } else {
+      EXPECT_EQ(summary.cache_hit, 0);
+    }
+  }
 }
 
 TEST_F(QueryServiceTest, CallerTraceContextFlowsToSpanTreeAndEcho) {
@@ -701,8 +748,8 @@ TEST_F(QueryServiceTest, CallerTraceContextFlowsToSpanTreeAndEcho) {
   const std::vector<obs::SpanTreeRecord> trees =
       service.span_ring().Snapshot(1);
   ASSERT_EQ(trees.size(), 1u);
-  EXPECT_EQ(trees[0].trace_hi, request.trace.trace_hi);
-  EXPECT_EQ(trees[0].trace_lo, request.trace.trace_lo);
+  EXPECT_EQ(trees[0].summary.trace_hi, request.trace.trace_hi);
+  EXPECT_EQ(trees[0].summary.trace_lo, request.trace.trace_lo);
   // The remote parent becomes the root span's parent: the service tree
   // nests under the caller's span in the exported timeline.
   bool root_found = false;
@@ -795,8 +842,7 @@ TEST_F(QueryServiceTest, CacheHitTraceSkipsStageCounters) {
   StatusOr<ServiceResponse> hit = service.Execute(request);
   ASSERT_TRUE(hit.ok());
   ASSERT_TRUE(hit->cache_hit);
-  const std::vector<obs::QueryTrace> traces =
-      service.flight_recorder().Snapshot(2);
+  const std::vector<obs::QueryTrace> traces = RecentTraces(service, 2);
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_EQ(traces[0].cache_hit, 1);  // newest first: the replay
   EXPECT_EQ(traces[1].cache_hit, 0);

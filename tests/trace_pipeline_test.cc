@@ -55,7 +55,8 @@ std::set<uint8_t> SpanNamesForTrace(
     const obs::TraceContext& trace) {
   std::set<uint8_t> names;
   for (const obs::SpanTreeRecord& tree : trees) {
-    if (tree.trace_hi != trace.trace_hi || tree.trace_lo != trace.trace_lo) {
+    if (tree.summary.trace_hi != trace.trace_hi ||
+        tree.summary.trace_lo != trace.trace_lo) {
       continue;
     }
     const uint32_t count =
@@ -120,8 +121,8 @@ TEST_F(TracePipelineTest, RemoteQueryPropagatesTraceAcrossAllLayers) {
         << "missing span " << obs::SpanNameString(expected);
   }
 
-  // The flight-recorder trace of this query carries the same id, so
-  // QueryTrace rows and span trees cross-reference.
+  // The trace row of this query carries the same id, so QueryTrace
+  // rows and span trees cross-reference.
   bool trace_row_found = false;
   for (const obs::QueryTrace& t : stats->traces) {
     if (t.trace_hi == trace.trace_hi && t.trace_lo == trace.trace_lo) {
@@ -136,7 +137,8 @@ TEST_F(TracePipelineTest, RemoteQueryPropagatesTraceAcrossAllLayers) {
   // a complete ("ph":"X") event.
   std::vector<obs::SpanTreeRecord> ours;
   for (const obs::SpanTreeRecord& tree : stats->span_trees) {
-    if (tree.trace_hi == trace.trace_hi && tree.trace_lo == trace.trace_lo) {
+    if (tree.summary.trace_hi == trace.trace_hi &&
+        tree.summary.trace_lo == trace.trace_lo) {
       ours.push_back(tree);
     }
   }
@@ -176,32 +178,6 @@ TEST_F(TracePipelineTest, CallerProvidedTraceContextIsPreserved) {
   EXPECT_EQ(client->last_trace().trace_hi, req.trace.trace_hi);
   EXPECT_EQ(response->trace_hi, req.trace.trace_hi);
   EXPECT_EQ(response->trace_lo, req.trace.trace_lo);
-  server.Stop();
-}
-
-TEST_F(TracePipelineTest, SpansDisabledKeepsWireContractIntact) {
-  QueryServiceOptions sopts;
-  sopts.enable_spans = false;
-  auto service = std::make_unique<QueryService>(
-      DbSnapshot::Create(CadDatabase(*db_), 0), sopts);
-  Server server(service.get());
-  ASSERT_TRUE(server.Start().ok());
-  StatusOr<Client> client = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-
-  ServiceRequest req;
-  req.kind = QueryKind::kKnn;
-  req.object_id = 0;
-  req.options.k = 3;
-  StatusOr<ServiceResponse> response = client->Execute(req);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->trace_hi, client->last_trace().trace_hi);
-
-  StatsRequest stats_request;
-  stats_request.include_spans = true;
-  StatusOr<StatsResponse> stats = client->Stats(stats_request);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(stats->span_trees.empty());
   server.Stop();
 }
 

@@ -877,10 +877,10 @@ int CmdServe(const Flags& flags) {
   sopts.io_params.seconds_per_page_access =
       flags.GetDouble("io-page-us", 100.0) * 1e-6;
   sopts.io_params.seconds_per_byte = 0.0;
-  // --slow-query-ms: the flight recorder's slow-query threshold
-  // (docs/OPERATIONS.md "Slow-query triage"). Traces at or above it are
-  // retained in the dedicated slow ring (`vsim stats --slow`); the
-  // active value is exported as
+  // --slow-query-ms: the span ring's slow-query threshold
+  // (docs/OPERATIONS.md "Slow-query triage"). Records of requests at or
+  // above it are retained in the dedicated slow ring (`vsim stats
+  // --slow`); the active value is exported as
   // vsim_flight_recorder_slow_threshold_seconds.
   const double slow_query_ms = flags.GetDouble("slow-query-ms", 100.0);
   if (slow_query_ms < 0.0) {
@@ -1147,8 +1147,9 @@ int CmdRemoteQuery(const Flags& flags) {
 
 // Scrapes a running `vsim serve` endpoint: prints the server's metrics
 // exposition (the same text a --stats-interval-s dump shows) followed
-// by the most recent flight-recorder traces, newest first. With --slow,
-// only traces over the server's slow-query threshold are returned.
+// by the most recent request traces, newest first. With --slow, the
+// traces (and --spans trees) come from the slow ring: requests at or
+// over the server's slow-query threshold.
 int CmdStats(const Flags& flags) {
   VSIM_CLI_CHECK_FLAGS(flags, "stats",
                        {"host", "port", "traces", "slow", "no-metrics",
@@ -1226,9 +1227,9 @@ int CmdStats(const Flags& flags) {
                 stats->span_trees.size());
     for (const obs::SpanTreeRecord& tree : stats->span_trees) {
       std::printf("  trace %016llx%016llx (query #%llu, %u spans%s):\n",
-                  static_cast<unsigned long long>(tree.trace_hi),
-                  static_cast<unsigned long long>(tree.trace_lo),
-                  static_cast<unsigned long long>(tree.query_trace_id),
+                  static_cast<unsigned long long>(tree.summary.trace_hi),
+                  static_cast<unsigned long long>(tree.summary.trace_lo),
+                  static_cast<unsigned long long>(tree.summary.trace_id),
                   tree.span_count,
                   tree.spans_dropped > 0 ? ", some dropped" : "");
       const uint32_t shown =
