@@ -1,7 +1,9 @@
 // Kernel benchmark (docs/KERNELS.md): measures the cost-matrix build
 // kernel against the pinned scalar reference, per implementation, at
 // the paper's set shape (7x7 vectors, 6-d ground space) and at a
-// larger block.
+// larger block; and, per implementation at 7x7, the prepared
+// row-minimum bound against building the matrix and summing its row
+// minima, the refinement prune it replaces.
 //
 // Prints a table plus one JSON line; `--json FILE` additionally writes
 // the raw JSON (BENCH_kernels.json is checked in from such a run).
@@ -102,9 +104,57 @@ int main(int argc, char** argv) {
   }
   cost_table.Print();
 
+  // --- prepared query at 7x7 ---------------------------------------
+  // Both sets hold 7 vectors, so the matrix is 7x7 with no weight
+  // columns; the query's lanes and weights are laid out once, outside
+  // the timed calls, as PreparedQuery does once per query.
+  const size_t kSet = 7, kDim = 6;
+  const std::vector<double> query = RandomBlock(kSet * kDim, 3);
+  const std::vector<double> candidate = RandomBlock(kSet * kDim, 4);
+  std::vector<double> lanes(kDim * kernels::PreparedStride(kSet));
+  kernels::LayOutLanes(query.data(), kSet, kDim, lanes.data());
+  const std::vector<double> weights(kernels::PreparedStride(kSet), 1.0);
+  const kernels::PreparedSet prepared{query.data(), lanes.data(),
+                                      weights.data(), kSet, kDim};
+  const FlatVectorSet cand{candidate.data(), kSet, kDim};
+  std::vector<double> matrix(kSet * kSet);
+  double sink = 0.0;
+  TablePrinter prepared_table(
+      {"prepared 7x7", "matrix + row min ns", "bound ns", "bound speedup"});
+  std::string prepared_json;
+  for (const Variant& v : variants) {
+    const kernels::KernelSet& ks = *v.set;
+    const double rowmin_ns = NsPerCall([&] {
+      ks.cost_matrix_build(kernels::GroundKind::kEuclidean, query.data(), kSet,
+                           candidate.data(), kSet, kDim, matrix.data(), kSet);
+      double bound = 0.0;
+      for (size_t i = 0; i < kSet; ++i) {
+        const double* row = matrix.data() + i * kSet;
+        bound += *std::min_element(row, row + kSet);
+      }
+      sink += bound;
+    });
+    const double bound_ns = NsPerCall(
+        [&] { sink += ks.prepared_bound(prepared, cand, nullptr); });
+    const double speedup = rowmin_ns / bound_ns;
+    prepared_table.AddRow({v.label, TablePrinter::Num(rowmin_ns, 1),
+                           TablePrinter::Num(bound_ns, 1),
+                           TablePrinter::Num(speedup, 2) + "x"});
+    if (!prepared_json.empty()) prepared_json += ",";
+    prepared_json += "\"" + std::string(v.label) +
+                     "\":{\"matrix_row_min_ns\":" +
+                     TablePrinter::Num(rowmin_ns, 1) +
+                     ",\"bound_ns\":" + TablePrinter::Num(bound_ns, 1) +
+                     ",\"speedup_bound\":" + TablePrinter::Num(speedup, 3) +
+                     "}";
+  }
+  std::printf("\n");
+  prepared_table.Print();
+  if (sink == 0.0) std::printf("(checksum %g)\n", sink);
+
   const std::string json =
       "{\"bench\":\"kernels\",\"active\":\"" +
       std::string(kernels::Active().name) + "\",\"cost_matrix\":{" +
-      cost_json + "}}";
+      cost_json + "},\"prepared_7x7\":{" + prepared_json + "}}";
   return bench::EmitJson(json, bench::JsonOutPath(argc, argv));
 }

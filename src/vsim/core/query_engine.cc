@@ -17,19 +17,21 @@ namespace vsim {
 
 namespace {
 
-// Splits a query's elapsed CPU time into filter and refine stages.
-// The X-tree filter strategy measures refinement inside MultiStep*
-// (time in exact_distance calls), so filter = elapsed - refine. The
-// strategies without a measured split charge the whole execution to
-// the stage that dominates them by construction: scan and M-tree
-// spend their CPU in exact distance evaluations (refine); the
-// one-vector model has no refinement at all (filter).
+// Splits a query's elapsed wall time (steady clock) into filter and
+// refine stages. The X-tree filter strategy measures its filter stage
+// inside MultiStep* -- the ranking cursor's node expansions, or the
+// range query's one traversal -- and books the rest as refinement, so
+// no clock is read per candidate. The strategies without a measured
+// split charge the whole execution to the stage that dominates them by
+// construction: scan and M-tree spend their time in exact distance
+// evaluations (refine); the one-vector model has no refinement at all
+// (filter).
 void FinishStageAttribution(QueryStrategy strategy, double elapsed,
                             QueryCost* cost) {
   cost->cpu_seconds = elapsed;
   switch (strategy) {
     case QueryStrategy::kVectorSetFilter:
-      cost->filter_seconds = std::max(0.0, elapsed - cost->refine_seconds);
+      cost->refine_seconds = std::max(0.0, elapsed - cost->filter_seconds);
       break;
     case QueryStrategy::kOneVectorXTree:
       cost->filter_seconds = elapsed;
@@ -42,21 +44,21 @@ void FinishStageAttribution(QueryStrategy strategy, double elapsed,
 }
 
 // The one refinement closure behind every vector-set strategy that
-// refines through the engine (filter, scan). It flattens the query
+// refines through the engine (filter, scan). It prepares the query
 // once, decodes each candidate into a reused flat buffer -- from the
 // store through the buffer pool when one is attached, else from the
 // RAM-resident set -- and computes the minimal matching distance with
 // the row-minimum prune, so refinement allocates nothing per
-// candidate. A failed store read is kept in
-// status() and rules the candidate out; the caller then discards the
-// whole answer.
+// candidate. A failed store read is kept in status() and rules the
+// candidate out; the caller then discards the whole answer.
 class Refiner {
  public:
   Refiner(const CadDatabase& db, const VectorSetStore* store,
           const VectorSet& query)
-      : db_(db), store_(store), query_values_(query.size() * query.dim()) {
-    query_ = FlattenInto(query, query_values_.data());
-  }
+      : db_(db),
+        store_(store),
+        query_values_(query.size() * query.dim()),
+        prepared_(FlattenInto(query, query_values_.data())) {}
 
   Refinement operator()(int id, double prune_above, IoStats* stats) {
     constexpr Refinement kFailed{kNoPrune, false};
@@ -85,7 +87,7 @@ class Refiner {
       candidate = FlattenInto(repr.vector_set, candidate_values_.data());
     }
     Refinement r;
-    r.distance = VectorSetDistance(query_, candidate, prune_above, &r.exact);
+    r.distance = prepared_.Distance(candidate, prune_above, &r.exact);
     return r;
   }
 
@@ -102,7 +104,7 @@ class Refiner {
   const CadDatabase& db_;
   const VectorSetStore* store_;
   std::vector<double> query_values_;
-  FlatVectorSet query_;
+  PreparedQuery prepared_;  // views query_values_
   std::vector<double> candidate_values_;
   Status status_;
 };
@@ -250,20 +252,27 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy, int query_id,
   if (!stored.vector_set.empty() || store_ == nullptr) {
     return Knn(strategy, stored, k, cost);
   }
-  // The RAM copy was released: hydrate the fields the strategies read.
-  ObjectRepr query;
-  StatusOr<VectorSet> set = store_->Get(query_id);
-  if (!set.ok()) {
+  StatusOr<ObjectRepr> query = HydrateStoredQuery(query_id);
+  if (!query.ok()) {
     if (cost != nullptr) {
       *cost = QueryCost{};
-      cost->status = set.status();
+      cost->status = query.status();
     }
     return {};
   }
+  return Knn(strategy, *query, k, cost);
+}
+
+StatusOr<ObjectRepr> QueryEngine::HydrateStoredQuery(int query_id) const {
+  assert(store_ != nullptr);
+  StatusOr<VectorSet> set = store_->Get(query_id);
+  if (!set.ok()) return set.status();
+  const ObjectRepr& stored = db_->object(query_id);
+  ObjectRepr query;
   query.vector_set = std::move(set).value();
   query.centroid = stored.centroid;
   query.cover_vector = stored.cover_vector;
-  return Knn(strategy, query, k, cost);
+  return query;
 }
 
 std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
@@ -287,7 +296,7 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
       local.hungarian_invocations = ms.hungarian_invocations;
-      local.refine_seconds = ms.refine_seconds;
+      local.filter_seconds = ms.filter_seconds;
       break;
     }
     case QueryStrategy::kVectorSetScan: {
@@ -415,7 +424,7 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       local.candidates_refined = ms.candidates_refined;
       local.filter_hits = ms.filter_hits;
       local.hungarian_invocations = ms.hungarian_invocations;
-      local.refine_seconds = ms.refine_seconds;
+      local.filter_seconds = ms.filter_seconds;
       break;
     }
     case QueryStrategy::kVectorSetScan: {

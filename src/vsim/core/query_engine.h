@@ -85,9 +85,12 @@ struct QueryCost {
   // the refinements whose row-minimum bound did not already exceed the
   // current threshold (so <= candidates_refined); one per refinement on
   // scan and M-tree; zero for the one-vector model.
-  // filter/refine_seconds split cpu_seconds for filter-and-refine
-  // strategies; strategies without a split report the whole execution
-  // as one stage (scan/M-tree: refine; one-vector: filter).
+  // cpu_seconds is the engine's elapsed wall time (steady clock);
+  // filter/refine_seconds split it for the filter strategy: filter is
+  // the measured X-tree node expansions (k-NN) or index traversal
+  // (range), refine the rest of the engine's time -- no clock is read
+  // per candidate. Strategies without a split report the whole
+  // execution as one stage (scan/M-tree: refine; one-vector: filter).
   size_t filter_hits = 0;
   size_t hungarian_invocations = 0;
   double filter_seconds = 0.0;
@@ -136,6 +139,12 @@ class QueryEngine {
   // k-NN with an external query object.
   std::vector<Neighbor> Knn(QueryStrategy strategy, const ObjectRepr& query,
                             int k, QueryCost* cost = nullptr) const;
+
+  // A stored object whose RAM vector set was released, rebuilt as a
+  // query: its set read from the attached store (which must be set),
+  // plus the RAM-resident fields the strategies read -- centroid and
+  // cover_vector. Or the store read's error.
+  StatusOr<ObjectRepr> HydrateStoredQuery(int query_id) const;
 
   // eps-range query on the vector set model (filter+refine vs scan).
   std::vector<int> Range(QueryStrategy strategy, const ObjectRepr& query,

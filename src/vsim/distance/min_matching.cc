@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cmath>
 
-#include "vsim/common/scratch_array.h"
-#include "vsim/distance/hungarian.h"
 #include "vsim/distance/min_cost_flow.h"
 #include "vsim/distance/lp.h"
-#include "vsim/kernels/kernels.h"
 
 namespace vsim {
 
@@ -44,6 +41,9 @@ double Weight(GroundDistance g, const double* x, size_t dim,
   return g == GroundDistance::kEuclidean ? std::sqrt(sum) : sum;
 }
 
+// The vector set model's omega: the origin.
+const FeatureVector kOrigin;
+
 double Finish(const MinMatchingOptions& opt, double total) {
   return opt.sqrt_of_total ? std::sqrt(total) : total;
 }
@@ -61,19 +61,17 @@ class FlatCopy {
   FlatVectorSet view_;
 };
 
-// The minimal-matching core, shared by every public form. `large` has
-// at least as many vectors (m) as `small` (n). Builds the square m x m
+// The minimal-matching core of the option-taking forms. `large` has at
+// least as many vectors (m) as `small` (n). Builds the square m x m
 // cost matrix -- columns [0, n) are the elements of `small`, columns
 // [n, m) are "unmatched" slots charging w(x) -- with one batched kernel
 // call for the ground block (docs/KERNELS.md), then solves it. Returns
-// the total before Finish(); see the header for `prune_above`. Writes
-// the solver's column per row and the identity pairing cost (the
-// matrix trace: element i with element i, surplus unmatched) when
-// asked.
+// the total before Finish(). Writes the solver's column per row and the
+// identity pairing cost (the matrix trace: element i with element i,
+// surplus unmatched) when asked.
 double Match(const FlatVectorSet& large, const FlatVectorSet& small,
-             const MinMatchingOptions& opt, double prune_above, bool* solved,
-             int* column_of, double* identity_cost) {
-  if (solved != nullptr) *solved = true;
+             const MinMatchingOptions& opt, int* column_of,
+             double* identity_cost) {
   if (identity_cost != nullptr) *identity_cost = 0.0;
   const int m = static_cast<int>(large.size);
   const int n = static_cast<int>(small.size);
@@ -96,17 +94,6 @@ double Match(const FlatVectorSet& large, const FlatVectorSet& small,
       *identity_cost += cost[static_cast<size_t>(i) * m + i];
     }
   }
-  if (prune_above < kNoPrune) {
-    double bound = 0.0;
-    for (int i = 0; i < m; ++i) {
-      const double* row = cost + static_cast<size_t>(i) * m;
-      bound += *std::min_element(row, row + m);
-    }
-    if (Finish(opt, bound) > prune_above) {
-      if (solved != nullptr) *solved = false;
-      return bound;
-    }
-  }
   return SolveAssignment(cost, m, m, column_of);
 }
 
@@ -121,8 +108,8 @@ MatchingDistanceResult MinimalMatchingDistanceDetailed(
   const int n = static_cast<int>(small.view().size);
   result.assignment.resize(large.view().size);
   double identity = 0.0;
-  const double total = Match(large.view(), small.view(), opt, kNoPrune,
-                             nullptr, result.assignment.data(), &identity);
+  const double total = Match(large.view(), small.view(), opt,
+                             result.assignment.data(), &identity);
   for (int& partner : result.assignment) {
     if (partner >= n) partner = -1;  // an "unmatched" slot
   }
@@ -140,21 +127,60 @@ double MinimalMatchingDistance(const VectorSet& a, const VectorSet& b,
 
 double VectorSetDistance(const VectorSet& a, const VectorSet& b) {
   const FlatCopy fa(a), fb(b);
-  return VectorSetDistance(fa.view(), fb.view());
+  return MinimalMatchingDistance(fa.view(), fb.view(), MinMatchingOptions{});
 }
 
 double MinimalMatchingDistance(const FlatVectorSet& a, const FlatVectorSet& b,
-                               const MinMatchingOptions& opt,
-                               double prune_above, bool* solved) {
+                               const MinMatchingOptions& opt) {
   const bool a_is_larger = a.size >= b.size;
   return Finish(opt, Match(a_is_larger ? a : b, a_is_larger ? b : a, opt,
-                           prune_above, solved, nullptr, nullptr));
+                           nullptr, nullptr));
+}
+
+PreparedQuery::PreparedQuery(const FlatVectorSet& query)
+    : kernels_(kernels::Active()),
+      lanes_(query.dim * kernels::PreparedStride(query.size)),
+      weights_(kernels::PreparedStride(query.size)) {
+  const size_t stride = kernels::PreparedStride(query.size);
+  kernels::LayOutLanes(query.data, query.size, query.dim, lanes_.data());
+  double* weights = weights_.data();
+  for (size_t i = 0; i < query.size; ++i) {
+    weights[i] = Weight(GroundDistance::kEuclidean,
+                        query.data + i * query.dim, query.dim, kOrigin);
+  }
+  std::fill(weights + query.size, weights + stride, 0.0);
+  set_ = {query.data, lanes_.data(), weights, query.size, query.dim};
+}
+
+double PreparedQuery::Distance(const FlatVectorSet& candidate,
+                               double prune_above, bool* solved) const {
+  if (solved != nullptr) *solved = true;
+  const FlatVectorSet query{set_.rows, set_.size, set_.dim};
+  if (prune_above < kNoPrune && std::max(query.size, candidate.size) > 0) {
+    assert(query.dim == candidate.dim || query.size == 0 ||
+           candidate.size == 0);
+    // The candidate's weights price the unmatched slots only when it is
+    // the larger set, whose vectors are the matrix rows.
+    const size_t rows = candidate.size > query.size ? candidate.size : 0;
+    ScratchArray<double, kInlineVectors> candidate_weights(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      candidate_weights.data()[i] =
+          Weight(GroundDistance::kEuclidean,
+                 candidate.data + i * candidate.dim, candidate.dim, kOrigin);
+    }
+    const double bound =
+        kernels_.prepared_bound(set_, candidate, candidate_weights.data());
+    if (bound > prune_above) {
+      if (solved != nullptr) *solved = false;
+      return bound;
+    }
+  }
+  return MinimalMatchingDistance(query, candidate, MinMatchingOptions{});
 }
 
 double VectorSetDistance(const FlatVectorSet& a, const FlatVectorSet& b,
                          double prune_above, bool* solved) {
-  return MinimalMatchingDistance(a, b, MinMatchingOptions{}, prune_above,
-                                 solved);
+  return PreparedQuery(a).Distance(b, prune_above, solved);
 }
 
 StatusOr<double> PartialMatchingDistance(const VectorSet& a,

@@ -9,8 +9,11 @@
 #include <limits>
 #include <vector>
 
+#include "vsim/common/scratch_array.h"
 #include "vsim/common/status.h"
+#include "vsim/distance/hungarian.h"
 #include "vsim/features/feature_vector.h"
+#include "vsim/kernels/kernels.h"
 
 namespace vsim {
 
@@ -72,21 +75,45 @@ double VectorSetDistance(const VectorSet& a, const VectorSet& b);
 // Flat-set forms: the allocation-free core every form above runs
 // through. Up to kInlineAssignmentCols vectors per set, the cost matrix
 // and the Kuhn-Munkres scratch stay on the stack.
+double MinimalMatchingDistance(const FlatVectorSet& a, const FlatVectorSet& b,
+                               const MinMatchingOptions& opt);
+
+inline constexpr double kNoPrune = std::numeric_limits<double>::infinity();
+
+// The vector set model's distance from one query to many candidates: the
+// query is laid out once for the kernels (kernels::PreparedSet,
+// docs/KERNELS.md) with its vectors' weights, in stack scratch up to
+// kInlineAssignmentCols vectors of 16 dimensions. It views the query's
+// values, which must outlive it.
 //
 // `prune_above` lets a filter-and-refine loop skip hopeless solves.
 // The sum of the cost matrix's row minima lower-bounds the distance;
 // it is summed in the solver's own row order, so it never exceeds the
 // solved total. When it is greater than `prune_above`, it is returned
-// without running Kuhn-Munkres and *solved (if given) is set to false.
-// A candidate whose returned value exceeds the caller's threshold thus
-// never enters an answer, exactly as with the solved distance.
-inline constexpr double kNoPrune = std::numeric_limits<double>::infinity();
+// without building the matrix or running Kuhn-Munkres, and *solved (if
+// given) is set to false. A candidate whose returned value exceeds the
+// caller's threshold thus never enters an answer, exactly as with the
+// solved distance. Otherwise the result is the exact distance:
+// MinimalMatchingDistance with default options.
+class PreparedQuery {
+ public:
+  explicit PreparedQuery(const FlatVectorSet& query);
+  PreparedQuery(const PreparedQuery&) = delete;
+  PreparedQuery& operator=(const PreparedQuery&) = delete;
 
-double MinimalMatchingDistance(const FlatVectorSet& a, const FlatVectorSet& b,
-                               const MinMatchingOptions& opt,
-                               double prune_above = kNoPrune,
-                               bool* solved = nullptr);
+  double Distance(const FlatVectorSet& candidate,
+                  double prune_above = kNoPrune,
+                  bool* solved = nullptr) const;
 
+ private:
+  static constexpr size_t kInlineVectors = kInlineAssignmentCols;
+  const kernels::KernelSet& kernels_;  // kernels::Active(), resolved once
+  ScratchArray<double, kInlineVectors * 16> lanes_;
+  ScratchArray<double, kInlineVectors> weights_;
+  kernels::PreparedSet set_;
+};
+
+// The one-shot form: PreparedQuery(a).Distance(b, prune_above, solved).
 double VectorSetDistance(const FlatVectorSet& a, const FlatVectorSet& b,
                          double prune_above = kNoPrune,
                          bool* solved = nullptr);

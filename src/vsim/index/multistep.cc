@@ -71,12 +71,10 @@ class FilterRounding {
   double gamma_;
 };
 
-// One timed, counted refine call.
+// One counted refine call.
 Refinement Refine(const RefineFn& refine, int id, double prune_above,
                   IoStats* stats, MultiStepStats* ms) {
-  Stopwatch refine_watch;
   const Refinement r = refine(id, prune_above, stats);
-  ms->refine_seconds += refine_watch.ElapsedSeconds();
   ++ms->candidates_refined;
   if (r.exact) ++ms->hungarian_invocations;
   return r;
@@ -133,6 +131,7 @@ std::vector<Neighbor> MultiStepKnn(const XTree& filter_index,
     }
   }
   std::sort_heap(best.begin(), best.end(), Closer);
+  local.filter_seconds = cursor.expansion_seconds();
   if (msstats != nullptr) *msstats = local;
   return best;
 }
@@ -152,9 +151,11 @@ std::vector<int> MultiStepRange(const XTree& filter_index,
                                 const RefineFn& refine, IoStats* stats,
                                 MultiStepStats* msstats) {
   const FilterRounding rounding(filter_index, filter_scale);
+  const Stopwatch filter_watch;
   const std::vector<std::span<const int>> candidates =
       filter_index.RangeEntries(filter_query, rounding.Radius(eps), stats);
   MultiStepStats local;
+  local.filter_seconds = filter_watch.ElapsedSeconds();
   local.filter_hits = candidates.size();
   std::vector<int> result;
   for (std::span<const int> members : candidates) {

@@ -73,9 +73,11 @@ struct MultiStepStats {
   // refine function's bound. Equals candidates_refined for
   // ExactDistanceFn callers.
   size_t hungarian_invocations = 0;
-  // Wall time spent inside refine calls (the refinement stage); the
-  // caller's total elapsed time minus this is the filter stage.
-  double refine_seconds = 0.0;
+  // Wall time (steady clock) of the filter stage: the ranking cursor's
+  // node expansions (k-NN) or the one index traversal (range). No clock
+  // is read per candidate; the caller books the rest of its elapsed
+  // time as refinement.
+  double filter_seconds = 0.0;
 };
 
 // Optimal multi-step k-NN. `filter_index` must index a filter vector

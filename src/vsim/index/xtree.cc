@@ -7,6 +7,8 @@
 #include <limits>
 #include <numeric>
 
+#include "vsim/common/stopwatch.h"
+
 namespace vsim {
 
 namespace {
@@ -512,6 +514,8 @@ XTree::RankingCursor::RankingCursor(const XTree* tree, FeatureVector query,
 }
 
 void XTree::RankingCursor::Settle() {
+  if (heap_.empty() || heap_.top().node < 0) return;  // nothing to expand
+  const Stopwatch watch;
   while (!heap_.empty() && heap_.top().node >= 0) {
     const QueueItem item = heap_.top();
     heap_.pop();
@@ -524,6 +528,7 @@ void XTree::RankingCursor::Settle() {
                            : QueueItem{d, e.child, -1});
     }
   }
+  expansion_seconds_ += watch.ElapsedSeconds();
 }
 
 bool XTree::RankingCursor::HasNext() {

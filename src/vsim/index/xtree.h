@@ -104,6 +104,10 @@ class XTree {
     RankedEntry Next();
     // Distance of the next entry without consuming it (inf if none).
     double NextDistance();
+    // Wall time (steady clock) spent expanding nodes so far: the
+    // ranking's share of the caller's time, with two clock reads per
+    // call that expands nodes and none per entry.
+    double expansion_seconds() const { return expansion_seconds_; }
 
    private:
     friend class XTree;
@@ -123,6 +127,7 @@ class XTree {
     FeatureVector query_;
     IoStats* stats_;
     std::priority_queue<QueueItem> heap_;
+    double expansion_seconds_ = 0.0;
   };
 
   RankingCursor Rank(const FeatureVector& query, IoStats* stats = nullptr) const;

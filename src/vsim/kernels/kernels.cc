@@ -17,16 +17,19 @@ namespace {
 constexpr KernelSet kScalar = {
     "scalar",
     &internal::CostMatrixBuildScalar,
+    &internal::PreparedBoundScalar,
 };
 
 constexpr KernelSet kPortable = {
     "portable",
     &internal::CostMatrixBuildPortable,
+    &internal::PreparedBoundPortable,
 };
 
 constexpr KernelSet kAvx2 = {
     "avx2",
     &internal::CostMatrixBuildAvx2,
+    &internal::PreparedBoundAvx2,
 };
 
 bool CpuExecutesAvx2() {
@@ -66,6 +69,15 @@ const KernelSet& Active() {
     return forced != nullptr ? *forced : BestAvailable();
   }();
   return active;
+}
+
+void LayOutLanes(const double* rows, size_t size, size_t dim, double* lanes) {
+  const size_t stride = PreparedStride(size);
+  for (size_t d = 0; d < dim; ++d) {
+    double* lane = lanes + d * stride;
+    for (size_t i = 0; i < size; ++i) lane[i] = rows[i * dim + d];
+    for (size_t i = size; i < stride; ++i) lane[i] = 0.0;
+  }
 }
 
 double CentroidFilterBound(const FeatureVector& ca, const FeatureVector& cb,

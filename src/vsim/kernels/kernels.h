@@ -22,6 +22,13 @@
 // helpers inside loops outside this directory so batched work cannot
 // silently regress to scalar per-pair calls.
 //
+// A query refined against many candidates is laid out once as a
+// `PreparedSet` (distance/min_matching.h's PreparedQuery builds it);
+// the prepared bound then computes, from it and a candidate's flat
+// record, the row-minimum bound of their minimal-matching cost matrix
+// without building the matrix, with the same per-element arithmetic as
+// the variant's cost_matrix_build.
+//
 // Thread-safety: resolution is a one-time atomic publication; the
 // KernelSet tables are immutable. Any number of threads may call any
 // kernel concurrently.
@@ -53,9 +60,46 @@ using CostMatrixBuildFn = void (*)(GroundKind ground, const double* a,
                                    size_t dim, double* out,
                                    size_t out_stride);
 
+// Lane stride of a prepared set of `size` vectors: `size` rounded up to
+// a multiple of 4, one AVX2 register of doubles.
+constexpr size_t PreparedStride(size_t size) {
+  return (size + 3) & ~size_t{3};
+}
+
+// A query vector set laid out for the prepared bound: `size` vectors
+// of `dim` coordinates, row-major in `rows` and dim-major in `lanes`
+// (coordinate d of vector i at lanes[d * PreparedStride(size) + i], pad
+// lanes 0; LayOutLanes writes them), with each vector's unmatched cost
+// w(x) in weights[0, size) (readable up to PreparedStride(size)).
+struct PreparedSet {
+  const double* rows = nullptr;
+  const double* lanes = nullptr;
+  const double* weights = nullptr;
+  size_t size = 0;
+  size_t dim = 0;
+};
+
+// Writes the dim-major lanes of `size` row-major vectors into
+// lanes[0, dim * PreparedStride(size)).
+void LayOutLanes(const double* rows, size_t size, size_t dim, double* lanes);
+
+// The row-minimum bound of the square minimal-matching cost matrix of
+// a prepared query `q` and a candidate `c` under the Euclidean ground
+// distance. That matrix has m = max(q.size, c.size) rows, one per
+// vector of the larger set (q's on a tie); columns [0, n) hold the
+// ground distances to the smaller set's n vectors, columns [n, m) the
+// row vector's weight -- q.weights, or `c_weights` (c.size values, read
+// only when c is the larger set). q.dim == c.dim unless one of them is
+// empty. The bound is the sum, in row order, of each row's minimum:
+// one pass over the pairs, one square root per row, no matrix.
+using PreparedBoundFn = double (*)(const PreparedSet& q,
+                                   const FlatVectorSet& c,
+                                   const double* c_weights);
+
 struct KernelSet {
   const char* name;  // "scalar" | "portable" | "avx2"
   CostMatrixBuildFn cost_matrix_build;
+  PreparedBoundFn prepared_bound;
 };
 
 // The reference implementation (always available; tests pin it to

@@ -13,7 +13,12 @@
 //                against four contiguous columns -- 4 ground distances
 //                per dim-length FMA chain, no horizontal reductions in
 //                the inner loop.
+//   prepared     the query's lanes are that block, laid out once per
+//   bound        query: the bound broadcasts each candidate vector
+//                against four query vectors at a time, whichever set
+//                the rows are.
 #include <cmath>
+#include <limits>
 
 #include "vsim/kernels/kernels_internal.h"
 
@@ -35,35 +40,48 @@ inline __m256d AbsPd(__m256d v) {
   return _mm256_andnot_pd(_mm256_set1_pd(-0.0), v);
 }
 
-}  // namespace
+// Lanes [0, tail) of a 4-wide group (none for tail 0).
+inline __m256i TailMask(size_t tail) {
+  return _mm256_setr_epi64x(tail > 0 ? -1 : 0, tail > 1 ? -1 : 0,
+                            tail > 2 ? -1 : 0, 0);
+}
 
-bool Avx2CompiledIn() { return true; }
-
-void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
-                         const double* b, size_t n, size_t dim, double* out,
-                         size_t out_stride) {
-  if (dim > kMaxDim) {
-    CostMatrixBuildPortable(ground, a, m, b, n, dim, out, out_stride);
-    return;
+// Squared Euclidean distances from the vector x to the four vectors in
+// lanes [0, 4) of a dim-major block whose coordinates lie `stride`
+// apart: one FMA per coordinate in dimension order, no horizontal
+// reduction. The cost matrix and the prepared bound share this chain,
+// and x - y only flips the sign of y - x, so their sums agree bit for
+// bit whichever set is broadcast. kDim is the dimension when known at
+// compile time (the paper's 6, fully unrolled), else 0.
+template <size_t kDim>
+inline __m256d SquaredDistances4(const double* x, const double* lanes,
+                                 size_t stride, size_t dim) {
+  const size_t dims = kDim > 0 ? kDim : dim;
+  __m256d acc = _mm256_setzero_pd();
+  for (size_t d = 0; d < dims; ++d) {
+    const __m256d diff = _mm256_sub_pd(_mm256_set1_pd(x[d]),
+                                       _mm256_loadu_pd(lanes + d * stride));
+    acc = _mm256_fmadd_pd(diff, diff, acc);
   }
-  // Block width padded to a lane multiple and zero-filled, so every
-  // column group -- including the tail -- runs the full 4-wide chain;
-  // the tail's lanes beyond bw are discarded by a masked store (the
-  // caller's out_stride pad is never written). At the paper's 7x7 this
-  // turns 3 scalar remainder columns per row into one vector group.
+  return acc;
+}
+
+// The column set is transposed in blocks of kBlockCols, so the scratch
+// stays on the stack, padded to a lane multiple and zero-filled: every
+// column group -- including the tail -- runs the full 4-wide chain,
+// and the tail's lanes beyond bw are discarded by a masked store (the
+// caller's out_stride pad is never written). At the paper's 7x7 this
+// turns 3 scalar remainder columns per row into one vector group.
+template <size_t kDim>
+void CostMatrixBlocks(GroundKind ground, const double* a, size_t m,
+                      const double* b, size_t n, size_t dim, double* out,
+                      size_t out_stride) {
   double scratch[kMaxDim * kBlockCols];
   for (size_t j0 = 0; j0 < n; j0 += kBlockCols) {
     const size_t bw = n - j0 < kBlockCols ? n - j0 : kBlockCols;
-    const size_t bwp = (bw + 3) & ~size_t{3};
-    // Transpose this block of b to dim-major: scratch[d*bwp + j] = b_j[d].
-    for (size_t d = 0; d < dim; ++d) {
-      double* lane = scratch + d * bwp;
-      for (size_t j = 0; j < bw; ++j) lane[j] = b[(j0 + j) * dim + d];
-      for (size_t j = bw; j < bwp; ++j) lane[j] = 0.0;
-    }
-    const size_t tail = bw & 3;
-    const __m256i tail_mask = _mm256_setr_epi64x(
-        tail > 0 ? -1 : 0, tail > 1 ? -1 : 0, tail > 2 ? -1 : 0, 0);
+    const size_t bwp = PreparedStride(bw);
+    LayOutLanes(b + j0 * dim, bw, dim, scratch);
+    const __m256i tail_mask = TailMask(bw & 3);
     for (size_t i = 0; i < m; ++i) {
       const double* ai = a + i * dim;
       double* row = out + i * out_stride + j0;
@@ -75,35 +93,8 @@ void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
                 _mm256_set1_pd(ai[d]), _mm256_loadu_pd(scratch + d * bwp + j));
             acc = _mm256_add_pd(acc, AbsPd(diff));
           }
-        } else if (dim == 6) {
-          // The paper's ground space, fully unrolled: six FMAs, no
-          // loop-carried counter in the hot chain.
-          const double* s = scratch + j;
-          __m256d diff = _mm256_sub_pd(_mm256_set1_pd(ai[0]),
-                                       _mm256_loadu_pd(s));
-          acc = _mm256_mul_pd(diff, diff);
-          diff = _mm256_sub_pd(_mm256_set1_pd(ai[1]),
-                               _mm256_loadu_pd(s + bwp));
-          acc = _mm256_fmadd_pd(diff, diff, acc);
-          diff = _mm256_sub_pd(_mm256_set1_pd(ai[2]),
-                               _mm256_loadu_pd(s + 2 * bwp));
-          acc = _mm256_fmadd_pd(diff, diff, acc);
-          diff = _mm256_sub_pd(_mm256_set1_pd(ai[3]),
-                               _mm256_loadu_pd(s + 3 * bwp));
-          acc = _mm256_fmadd_pd(diff, diff, acc);
-          diff = _mm256_sub_pd(_mm256_set1_pd(ai[4]),
-                               _mm256_loadu_pd(s + 4 * bwp));
-          acc = _mm256_fmadd_pd(diff, diff, acc);
-          diff = _mm256_sub_pd(_mm256_set1_pd(ai[5]),
-                               _mm256_loadu_pd(s + 5 * bwp));
-          acc = _mm256_fmadd_pd(diff, diff, acc);
-          if (ground == GroundKind::kEuclidean) acc = _mm256_sqrt_pd(acc);
         } else {
-          for (size_t d = 0; d < dim; ++d) {
-            const __m256d diff = _mm256_sub_pd(
-                _mm256_set1_pd(ai[d]), _mm256_loadu_pd(scratch + d * bwp + j));
-            acc = _mm256_fmadd_pd(diff, diff, acc);
-          }
+          acc = SquaredDistances4<kDim>(ai, scratch + j, bwp, dim);
           if (ground == GroundKind::kEuclidean) acc = _mm256_sqrt_pd(acc);
         }
         if (j + 4 <= bw) {
@@ -113,6 +104,76 @@ void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
         }
       }
     }
+  }
+}
+
+template <size_t kDim>
+double PreparedBound(const PreparedSet& q, const MatrixShape& s) {
+  const size_t stride = PreparedStride(q.size);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  double bound = 0.0;
+  if (s.query_rows) {
+    // Four query rows at a time, each candidate vector broadcast; the
+    // pad rows past m are computed and dropped.
+    for (size_t g = 0; g < s.m; g += 4) {
+      __m256d best = inf;
+      for (size_t j = 0; j < s.n; ++j) {
+        best = _mm256_min_pd(best, SquaredDistances4<kDim>(
+                                       s.cols + j * s.dim, q.lanes + g,
+                                       stride, s.dim));
+      }
+      __m256d row_min = _mm256_sqrt_pd(best);
+      if (s.n < s.m) {
+        row_min = _mm256_min_pd(row_min, _mm256_loadu_pd(q.weights + g));
+      }
+      alignas(32) double mins[4];
+      _mm256_store_pd(mins, row_min);
+      for (size_t l = 0; l < 4 && g + l < s.m; ++l) bound += mins[l];
+    }
+    return bound;
+  }
+  // Candidate rows: each broadcast against the query's columns, whose
+  // pad lanes must never be a row's minimum.
+  const __m256d pad =
+      _mm256_castsi256_pd(_mm256_xor_si256(TailMask(s.n & 3),
+                                           _mm256_set1_epi64x(-1)));
+  for (size_t i = 0; i < s.m; ++i) {
+    const double* x = s.rows + i * s.dim;
+    __m256d best = inf;
+    for (size_t g = 0; g < s.n; g += 4) {
+      __m256d d2 = SquaredDistances4<kDim>(x, q.lanes + g, stride, s.dim);
+      if (g + 4 > s.n) d2 = _mm256_blendv_pd(d2, inf, pad);
+      best = _mm256_min_pd(best, d2);
+    }
+    __m128d min2 = _mm_min_pd(_mm256_castpd256_pd128(best),
+                              _mm256_extractf128_pd(best, 1));
+    min2 = _mm_min_sd(min2, _mm_unpackhi_pd(min2, min2));
+    const double row_min = std::sqrt(_mm_cvtsd_f64(min2));
+    bound += s.row_weights[i] < row_min ? s.row_weights[i] : row_min;
+  }
+  return bound;
+}
+
+}  // namespace
+
+double PreparedBoundAvx2(const PreparedSet& q, const FlatVectorSet& c,
+                         const double* c_weights) {
+  const MatrixShape s = ShapeOf(q, c, c_weights);
+  if (s.dim > kMaxDim) return PreparedBoundPortable(q, c, c_weights);
+  return s.dim == 6 ? PreparedBound<6>(q, s) : PreparedBound<0>(q, s);
+}
+
+bool Avx2CompiledIn() { return true; }
+
+void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
+                         const double* b, size_t n, size_t dim, double* out,
+                         size_t out_stride) {
+  if (dim > kMaxDim) {
+    CostMatrixBuildPortable(ground, a, m, b, n, dim, out, out_stride);
+  } else if (dim == 6) {
+    CostMatrixBlocks<6>(ground, a, m, b, n, dim, out, out_stride);
+  } else {
+    CostMatrixBlocks<0>(ground, a, m, b, n, dim, out, out_stride);
   }
 }
 
@@ -128,6 +189,11 @@ void CostMatrixBuildAvx2(GroundKind ground, const double* a, size_t m,
                          const double* b, size_t n, size_t dim, double* out,
                          size_t out_stride) {
   CostMatrixBuildPortable(ground, a, m, b, n, dim, out, out_stride);
+}
+
+double PreparedBoundAvx2(const PreparedSet& q, const FlatVectorSet& c,
+                         const double* c_weights) {
+  return PreparedBoundPortable(q, c, c_weights);
 }
 
 }  // namespace vsim::kernels::internal

@@ -10,6 +10,23 @@
 
 namespace vsim::kernels::internal {
 
+namespace {
+
+// The squared Euclidean distance of one pair, reduced over the
+// dimensions under `omp simd`. The cost matrix and the prepared bound
+// both run this one loop, so their sums agree bit for bit.
+inline double SquaredPair(const double* a, const double* b, size_t dim) {
+  double acc = 0.0;
+#pragma omp simd reduction(+ : acc)
+  for (size_t d = 0; d < dim; ++d) {
+    const double diff = a[d] - b[d];
+    acc += diff * diff;
+  }
+  return acc;
+}
+
+}  // namespace
+
 void CostMatrixBuildPortable(GroundKind ground, const double* a, size_t m,
                              const double* b, size_t n, size_t dim,
                              double* out, size_t out_stride) {
@@ -27,16 +44,18 @@ void CostMatrixBuildPortable(GroundKind ground, const double* a, size_t m,
       continue;
     }
     for (size_t j = 0; j < n; ++j) {
-      const double* bj = b + j * dim;
-      double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-      for (size_t d = 0; d < dim; ++d) {
-        const double diff = ai[d] - bj[d];
-        acc += diff * diff;
-      }
+      const double acc = SquaredPair(ai, b + j * dim, dim);
       row[j] = ground == GroundKind::kEuclidean ? std::sqrt(acc) : acc;
     }
   }
+}
+
+double PreparedBoundPortable(const PreparedSet& q, const FlatVectorSet& c,
+                             const double* c_weights) {
+  return RowMinimumBound(ShapeOf(q, c, c_weights),
+                         [](const double* a, const double* b, size_t dim) {
+                           return SquaredPair(a, b, dim);
+                         });
 }
 
 }  // namespace vsim::kernels::internal

@@ -27,6 +27,15 @@ double GroundPair(GroundKind ground, const double* a, const double* b,
 
 }  // namespace
 
+double PreparedBoundScalar(const PreparedSet& q, const FlatVectorSet& c,
+                           const double* c_weights) {
+  return RowMinimumBound(
+      ShapeOf(q, c, c_weights), [](const double* a, const double* b,
+                                   size_t dim) {
+        return GroundPair(GroundKind::kSquaredEuclidean, a, b, dim);
+      });
+}
+
 void CostMatrixBuildScalar(GroundKind ground, const double* a, size_t m,
                            const double* b, size_t n, size_t dim, double* out,
                            size_t out_stride) {

@@ -96,10 +96,12 @@ void QueryService::RegisterMetrics() {
       "Time a request waited in the admission queue for a worker");
   filter_stage_hist_ = metrics_.RegisterHistogram(
       "vsim_filter_stage_seconds",
-      "CPU time in the filter stage (Lemma-2 centroid bound lookup)");
+      "Wall time of the filter stage (Lemma-2 X-tree node expansions or "
+      "range traversal)");
   refine_stage_hist_ = metrics_.RegisterHistogram(
       "vsim_refine_stage_seconds",
-      "CPU time in the refinement stage (exact minimal matching)");
+      "Wall time of the refinement stage (engine time outside the filter "
+      "stage: exact minimal matching)");
   filter_hits_total_ = metrics_.RegisterCounter(
       "vsim_filter_hits_total",
       "Candidates produced by the filter step across all queries");
@@ -355,16 +357,16 @@ StatusOr<ServiceResponse> QueryService::RunRequest(
   const QueryEngine& engine = snap->engine();
 
   VSIM_RETURN_NOT_OK(Validate(request, db));
-  // A stored id whose set lives only in the store: rebuild the query's
-  // set from it, so the exact pipeline and the cache digest see the
-  // same representation a RAM-resident snapshot would.
+  // A stored id whose set lives only in the store: rebuild the query
+  // from it (the fields QueryEngine and DigestQueryObject read), so the
+  // exact pipeline and the cache digest see the same representation a
+  // RAM-resident snapshot would.
   ObjectRepr hydrated;
   const ObjectRepr* query_ptr = ResidentQuery(request, *snap);
   if (query_ptr == nullptr) {
-    StatusOr<VectorSet> set = snap->store()->Get(request.object_id);
-    VSIM_RETURN_NOT_OK(set.status());
-    hydrated = db.object(request.object_id);
-    hydrated.vector_set = std::move(set).value();
+    StatusOr<ObjectRepr> stored = engine.HydrateStoredQuery(request.object_id);
+    VSIM_RETURN_NOT_OK(stored.status());
+    hydrated = std::move(stored).value();
     query_ptr = &hydrated;
   }
   const ObjectRepr& query = *query_ptr;

@@ -7,11 +7,16 @@
 // and with groups of one. A grouped answer gives every member the
 // distance of the group's first record; the last case pins two objects
 // that hold one set in different vector orders, whose distances from a
-// smaller query differ in the last bit, to their own distances.
+// smaller query differ in the last bit, to their own distances. A
+// last suite checks the prepared refinement path on every pair of the
+// corpus against the unpruned solve and the row-minimum bound.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -21,7 +26,9 @@
 #include "vsim/core/query_engine.h"
 #include "vsim/data/dataset.h"
 #include "vsim/distance/centroid_filter.h"
+#include "vsim/distance/lp.h"
 #include "vsim/distance/min_matching.h"
+#include "vsim/kernels/kernels.h"
 #include "vsim/service/db_snapshot.h"
 #include "vsim/storage/vector_set_store.h"
 
@@ -63,7 +70,8 @@ constexpr QueryStrategy kStrategies[] = {QueryStrategy::kVectorSetFilter,
                                          QueryStrategy::kVectorSetScan};
 
 // A store file path private to this process: ctest runs this suite in
-// its own entries and in kernel_force_scalar at the same time.
+// its own entries, kernel_force_scalar and kernel_force_portable at the
+// same time.
 std::string StorePath(const std::string& name) {
   return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
@@ -77,15 +85,28 @@ bool SameSetOtherOrder(const VectorSet& a, const VectorSet& b) {
   return x == y;
 }
 
-class BitExactOracleTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
+// The oracle's corpus, built once per process for both suites below
+// (and never freed: the suites share it until exit).
+const CadDatabase* OracleCorpus() {
+  static const CadDatabase* corpus = []() -> const CadDatabase* {
     ExtractionOptions opt;
     opt.extract_histograms = false;
     StatusOr<CadDatabase> db =
         CadDatabase::FromDataset(MakeAircraftDataset(kObjects, 7), opt, 2);
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    oracle_ = new CadDatabase(std::move(*db));
+    if (!db.ok()) {
+      ADD_FAILURE() << db.status().ToString();
+      return nullptr;
+    }
+    return new CadDatabase(std::move(*db));
+  }();
+  return corpus;
+}
+
+class BitExactOracleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    oracle_ = OracleCorpus();
+    ASSERT_NE(oracle_, nullptr);
     distances_ = new std::vector<double>(kObjects * kObjects);
     for (int q = 0; q < kObjects; ++q) {
       for (int c = 0; c < kObjects; ++c) {
@@ -97,7 +118,6 @@ class BitExactOracleTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete distances_;
     distances_ = nullptr;
-    delete oracle_;
     oracle_ = nullptr;
   }
 
@@ -142,11 +162,11 @@ class BitExactOracleTest : public ::testing::Test {
     return disk.ok() ? *disk : nullptr;
   }
 
-  static CadDatabase* oracle_;
+  static const CadDatabase* oracle_;
   static std::vector<double>* distances_;  // [query * kObjects + id]
 };
 
-CadDatabase* BitExactOracleTest::oracle_ = nullptr;
+const CadDatabase* BitExactOracleTest::oracle_ = nullptr;
 std::vector<double>* BitExactOracleTest::distances_ = nullptr;
 
 TEST_F(BitExactOracleTest, RamGrouped) {
@@ -247,6 +267,81 @@ TEST_F(BitExactOracleTest, TwoVectorOrdersOfOneSetKeepTheirOwnDistances) {
       EXPECT_TRUE(cost.status.ok()) << cost.status.ToString();
     }
   }
+}
+
+// The prepared refinement path (PreparedQuery, as every engine strategy
+// refines) on every (query, candidate) pair of the oracle's corpus, at
+// thresholds +inf, the exact distance and the next double below it. It
+// must return the unpruned MinimalMatchingDistanceDetailed's distance
+// bits with `solved`, or -- exactly when the row-minimum sum over the
+// active kernels' cost_matrix_build matrix exceeds the threshold -- that
+// sum's bits without. Registered under kernel_force_scalar and
+// kernel_force_portable too, so every variant's prune is checked.
+TEST(FlatMatchingOracleTest, PreparedPathMatchesDetailedOnEveryPair) {
+  const CadDatabase* corpus = OracleCorpus();
+  ASSERT_NE(corpus, nullptr);
+  std::vector<std::vector<double>> values(kObjects);
+  std::vector<FlatVectorSet> sets(kObjects);
+  std::vector<std::vector<double>> weights(kObjects);
+  for (int id = 0; id < kObjects; ++id) {
+    const VectorSet& set = corpus->object(id).vector_set;
+    values[id].resize(set.size() * set.dim());
+    sets[id] = FlattenInto(set, values[id].data());
+    for (const FeatureVector& v : set.vectors) {
+      weights[id].push_back(EuclideanNorm(v));
+    }
+  }
+  // The test-side bound: the matrix MinimalMatchingDistanceDetailed
+  // solves, then each row's minimum summed in row order.
+  std::vector<double> cost;
+  auto row_minimum_sum = [&](int q, int c) {
+    const bool q_rows = sets[q].size >= sets[c].size;
+    const FlatVectorSet& large = sets[q_rows ? q : c];
+    const FlatVectorSet& small = sets[q_rows ? c : q];
+    const size_t m = large.size, n = small.size;
+    cost.assign(m * m, 0.0);
+    kernels::Active().cost_matrix_build(kernels::GroundKind::kEuclidean,
+                                        large.data, m, small.data, n,
+                                        large.dim, cost.data(), m);
+    double sum = 0.0;
+    for (size_t i = 0; i < m; ++i) {
+      double* row = cost.data() + i * m;
+      std::fill(row + n, row + m, weights[q_rows ? q : c][i]);
+      sum += *std::min_element(row, row + m);
+    }
+    return sum;
+  };
+  int mismatches = 0;
+  size_t pruned = 0;
+  for (int q = 0; q < kObjects && mismatches < 10; ++q) {
+    const PreparedQuery prepared(sets[q]);
+    for (int c = 0; c < kObjects; ++c) {
+      const double exact = MinimalMatchingDistanceDetailed(
+                               corpus->object(q).vector_set,
+                               corpus->object(c).vector_set, {})
+                               .distance;
+      const double bound = row_minimum_sum(q, c);
+      for (double threshold :
+           {kNoPrune, exact, std::nextafter(exact, 0.0)}) {
+        bool solved = false;
+        const double got = prepared.Distance(sets[c], threshold, &solved);
+        const bool expect_solved = !(bound > threshold);
+        const double expect = expect_solved ? exact : bound;
+        if (solved != expect_solved ||
+            std::bit_cast<uint64_t>(got) != std::bit_cast<uint64_t>(expect)) {
+          ADD_FAILURE() << "query " << q << " candidate " << c
+                        << " threshold " << threshold << ": got " << got
+                        << (solved ? " solved" : " pruned") << ", expected "
+                        << expect << (expect_solved ? " solved" : " pruned");
+          ++mismatches;
+        }
+        pruned += solved ? 0 : 1;
+      }
+    }
+  }
+  // The boundary case occurs: a bound equal to the distance prunes at
+  // the next double below it.
+  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace

@@ -3,14 +3,19 @@
 // reference -- exactly on integer-representable inputs, and to tight
 // relative tolerance on random doubles (the AVX2 cost-matrix kernel
 // reassociates the dimension reduction, so bit-exactness is only
-// guaranteed where every intermediate is exact). Plus the dispatch
-// surface: ByName round-trips, and VSIM_KERNELS is honored via
-// ForceScalar CTest runs.
+// guaranteed where every intermediate is exact) -- and each variant's
+// prepared bound equals the row-minimum sum of its own
+// cost_matrix_build bit for bit. Plus
+// the dispatch surface: ByName round-trips, and VSIM_KERNELS is honored
+// via the kernel_force_scalar and kernel_force_portable CTest runs.
 #include "vsim/kernels/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +26,8 @@
 
 namespace vsim::kernels {
 namespace {
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 std::vector<const KernelSet*> AllVariants() {
   std::vector<const KernelSet*> variants = {&ForceScalar(), &Portable(),
@@ -103,6 +110,51 @@ TEST(KernelEquivalenceTest, CostMatrixStridePadLeftUntouched) {
   }
 }
 
+// The prepared bound against the same variant's cost_matrix_build, bit
+// for bit: the sum, in row order, of the row minima of the matrix
+// (ground block plus the larger set's weight columns), for queries
+// larger than, equal to and smaller than the candidate.
+TEST(KernelPreparedTest, BoundEqualsOwnCostMatrixRowMinimaBitForBit) {
+  Rng rng(45);
+  for (const KernelSet* ks : AllVariants()) {
+    for (size_t dim : {3u, 6u}) {
+      for (size_t qn = 0; qn <= 24; ++qn) {
+        for (size_t cn = 0; cn <= 24; ++cn) {
+          std::vector<double> q(qn * dim), c(cn * dim);
+          for (double& x : q) x = rng.Uniform(-2, 2);
+          for (double& x : c) x = rng.Uniform(-2, 2);
+          // Any weights will do: both sides read the same ones.
+          std::vector<double> qw(PreparedStride(qn), 0.0), cw(cn);
+          for (size_t i = 0; i < qn; ++i) qw[i] = rng.Uniform(0, 3);
+          for (double& w : cw) w = rng.Uniform(0, 3);
+          std::vector<double> lanes(dim * PreparedStride(qn));
+          LayOutLanes(q.data(), qn, dim, lanes.data());
+          const PreparedSet prepared{q.data(), lanes.data(), qw.data(), qn,
+                                     dim};
+          const FlatVectorSet candidate{c.data(), cn, dim};
+
+          const bool query_rows = qn >= cn;
+          const size_t m = query_rows ? qn : cn, n = query_rows ? cn : qn;
+          std::vector<double> matrix(m * m);
+          ks->cost_matrix_build(GroundKind::kEuclidean,
+                                query_rows ? q.data() : c.data(), m,
+                                query_rows ? c.data() : q.data(), n, dim,
+                                matrix.data(), m);
+          double expect = 0.0;
+          for (size_t i = 0; i < m; ++i) {
+            double* row = matrix.data() + i * m;
+            std::fill(row + n, row + m, query_rows ? qw[i] : cw[i]);
+            expect += *std::min_element(row, row + m);
+          }
+          EXPECT_EQ(Bits(ks->prepared_bound(prepared, candidate, cw.data())),
+                    Bits(expect))
+              << ks->name << " dim=" << dim << " |q|=" << qn << " |c|=" << cn;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDispatchTest, ByNameRoundTripsAndRejectsUnknown) {
   EXPECT_STREQ(ForceScalar().name, "scalar");
   EXPECT_STREQ(Portable().name, "portable");
@@ -117,12 +169,14 @@ TEST(KernelDispatchTest, ByNameRoundTripsAndRejectsUnknown) {
 }
 
 TEST(KernelDispatchTest, ActiveHonorsEnvironmentOverride) {
-  // The CTest registration kernel_force_scalar runs this whole suite
-  // with VSIM_KERNELS=scalar; in that configuration Active() must be
-  // the scalar set, otherwise it must match BestAvailable().
+  // The CTest registrations kernel_force_scalar and
+  // kernel_force_portable run this whole suite with VSIM_KERNELS set;
+  // Active() must then be that set, otherwise BestAvailable().
   const char* env = std::getenv("VSIM_KERNELS");
   if (env != nullptr && std::string(env) == "scalar") {
     EXPECT_EQ(&Active(), &ForceScalar());
+  } else if (env != nullptr && std::string(env) == "portable") {
+    EXPECT_EQ(&Active(), &Portable());
   } else if (env == nullptr) {
     EXPECT_EQ(&Active(), &BestAvailable());
   }

@@ -153,8 +153,8 @@ TEST(MinMatchingTest, SquaredEuclideanWithSqrtObeysDefinition) {
   EXPECT_NEAR(MinimalMatchingDistance(a, b, opt), std::sqrt(2.0), 1e-12);
 }
 
-// --- The flat core (also run with VSIM_KERNELS=scalar by the
-// kernel_force_scalar CTest, so every kernel set is covered) ---------
+// --- The flat core (also run by the kernel_force_scalar and
+// kernel_force_portable CTests, so every kernel set is covered) -------
 
 FlatVectorSet Flat(const VectorSet& set, std::vector<double>* buffer) {
   buffer->resize(set.size() * set.dim());

@@ -6,8 +6,10 @@
 //     with a QueryTrace summary, and SpanRing::Record into both the
 //     recent and the slow ring;
 //   - the refinement paths: a 7x7 VectorSetDistance (the paper's
-//     cardinality, Kuhn-Munkres included) and one store-record decode
-//     (VectorSetStore::GetFlat) into a reused buffer.
+//     cardinality, Kuhn-Munkres included), a PreparedQuery of 7 vectors
+//     refining 64 candidates, half pruned by its row-minimum bound and
+//     half solved, and one store-record decode (VectorSetStore::GetFlat)
+//     into a reused buffer.
 // A future change that sneaks a std::string or vector resize into one
 // of them fails this binary, not a profiler session in production.
 //
@@ -144,6 +146,36 @@ int main() {
   g_counting = false;
   CheckNoAllocations("7x7 VectorSetDistance");
   Check(distance > 0.0, "matching distance computed");
+
+  // --- refinement: a prepared 7-vector query, 64 candidates ----------
+  // What every engine strategy runs per candidate: the bound alone for
+  // the pruned ones, the bound, the matrix and Kuhn-Munkres for the
+  // solved ones. The candidates are flattened before counting starts.
+  std::vector<double> query_values(a.size() * a.dim());
+  const vsim::FlatVectorSet query = vsim::FlattenInto(a, query_values.data());
+  std::vector<std::vector<double>> candidate_values(64);
+  std::vector<vsim::FlatVectorSet> candidates;
+  for (int i = 0; i < 64; ++i) {
+    vsim::VectorSet c = b;
+    for (vsim::FeatureVector& v : c.vectors) v[i % 6] += 0.01 * i;
+    candidate_values[i].resize(c.size() * c.dim());
+    candidates.push_back(vsim::FlattenInto(c, candidate_values[i].data()));
+  }
+  int pruned = 0, solved_count = 0;
+  g_counting = true;
+  {
+    const vsim::PreparedQuery prepared(query);
+    for (int i = 0; i < 64; ++i) {
+      bool solved = false;
+      distance += prepared.Distance(candidates[i], i % 2 == 0 ? 0.0 : 1e9,
+                                    &solved);
+      ++(solved ? solved_count : pruned);
+    }
+  }
+  g_counting = false;
+  CheckNoAllocations("prepared 7-vector query refining 64 candidates");
+  Check(pruned == 32 && solved_count == 32,
+        "prepared refinements: 32 pruned, 32 solved");
 
   // --- refinement: one store-record decode into a reused buffer ------
   const char* tmp = std::getenv("TMPDIR");

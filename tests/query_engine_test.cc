@@ -1,14 +1,19 @@
 #include "vsim/core/query_engine.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "vsim/data/dataset.h"
 #include "vsim/distance/lp.h"
 #include "vsim/distance/min_matching.h"
+#include "vsim/service/db_snapshot.h"
 
 namespace vsim {
 namespace {
@@ -104,6 +109,37 @@ TEST_F(QueryEngineTest, CostAccountingIsPopulated) {
   EXPECT_GE(cost.cpu_seconds, 0.0);
   EXPECT_GT(cost.TotalSeconds(), 0.0);
   EXPECT_GT(cost.IoSeconds(), 0.0);
+}
+
+TEST_F(QueryEngineTest, FilterStageIsMeasuredAndRefinementIsTheRest) {
+  // On a disk-backed snapshot, as the server runs it, the filter
+  // strategy times its X-tree work -- the k-NN ranking's node
+  // expansions, the range query's traversal -- and books the rest of
+  // the engine's time as refinement.
+  const std::string path = ::testing::TempDir() + "/" +
+                           std::to_string(getpid()) + "_stage_split.vspg";
+  StatusOr<std::shared_ptr<const DbSnapshot>> disk =
+      DbSnapshot::CreateDiskBacked(*db_, path, 1, IoCostParams{}, 16);
+  std::remove(path.c_str());
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  const QueryEngine& engine = (*disk)->engine();
+  auto check_split = [](const QueryCost& cost, const char* query) {
+    EXPECT_TRUE(cost.status.ok()) << query;
+    EXPECT_GT(cost.filter_seconds, 0.0) << query;
+    EXPECT_GE(cost.refine_seconds, 0.0) << query;
+    EXPECT_NEAR(cost.filter_seconds + cost.refine_seconds, cost.cpu_seconds,
+                1e-12)
+        << query;
+  };
+  QueryCost knn;
+  EXPECT_EQ(engine.Knn(QueryStrategy::kVectorSetFilter, 5, 10, &knn).size(),
+            10u);
+  check_split(knn, "10-NN");
+  QueryCost range;
+  EXPECT_FALSE(engine.Range(QueryStrategy::kVectorSetFilter, db_->object(31),
+                            0.4, &range)
+                   .empty());
+  check_split(range, "range");
 }
 
 TEST_F(QueryEngineTest, RangeQueriesAgreeAcrossStrategies) {
