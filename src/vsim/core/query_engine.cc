@@ -48,9 +48,10 @@ void FinishStageAttribution(QueryStrategy strategy, double elapsed,
 // once, decodes each candidate into a reused flat buffer -- from the
 // store through the buffer pool when one is attached, else from the
 // RAM-resident set -- and computes the minimal matching distance with
-// the row-minimum prune, so refinement allocates nothing per
-// candidate. A failed store read is kept in status() and rules the
-// candidate out; the caller then discards the whole answer.
+// the prepared query's prune (the row-minimum, then the reduction
+// bound), so refinement allocates nothing per candidate. A failed store
+// read is kept in status() and rules the candidate out; the caller then
+// discards the whole answer.
 class Refiner {
  public:
   Refiner(const CadDatabase& db, const VectorSetStore* store,

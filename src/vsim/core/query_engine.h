@@ -82,9 +82,10 @@ struct QueryCost {
   // group is a "hit". candidates_refined may be below k: one
   // refinement can certify a whole answer. hungarian_invocations counts
   // Kuhn-Munkres minimal-matching solves: on the filter strategy only
-  // the refinements whose row-minimum bound did not already exceed the
-  // current threshold (so <= candidates_refined); one per refinement on
-  // scan and M-tree; zero for the one-vector model.
+  // the refinements that neither the row-minimum bound nor the
+  // reduction bound (PreparedQuery) already put above the current
+  // threshold (so <= candidates_refined); one per refinement on scan
+  // and M-tree; zero for the one-vector model.
   // cpu_seconds is the engine's elapsed wall time (steady clock);
   // filter/refine_seconds split it for the filter strategy: filter is
   // the measured X-tree node expansions (k-NN) or index traversal

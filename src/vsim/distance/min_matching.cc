@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
+#include "vsim/common/math_util.h"
 #include "vsim/distance/min_cost_flow.h"
 #include "vsim/distance/lp.h"
 
@@ -61,34 +63,48 @@ class FlatCopy {
   FlatVectorSet view_;
 };
 
+// The square m x m cost matrix of `large` (m vectors, the rows) and
+// `small` (n <= m vectors): columns [0, n) hold the ground distances to
+// the elements of `small`, written by one batched kernel call
+// (docs/KERNELS.md), and columns [n, m) are "unmatched" slots charging
+// row i's weight row_weight(i). Match and the prepared query both
+// build their matrix here.
+template <typename RowWeight>
+void BuildCostMatrix(const kernels::KernelSet& ks, kernels::GroundKind ground,
+                     const FlatVectorSet& large, const FlatVectorSet& small,
+                     RowWeight row_weight, double* cost) {
+  const size_t m = large.size, n = small.size;
+  ks.cost_matrix_build(ground, large.data, m, small.data, n, large.dim, cost,
+                       m);
+  for (size_t i = 0; n < m && i < m; ++i) {
+    double* row = cost + i * m;
+    std::fill(row + n, row + m, row_weight(i));
+  }
+}
+
 // The minimal-matching core of the option-taking forms. `large` has at
-// least as many vectors (m) as `small` (n). Builds the square m x m
-// cost matrix -- columns [0, n) are the elements of `small`, columns
-// [n, m) are "unmatched" slots charging w(x) -- with one batched kernel
-// call for the ground block (docs/KERNELS.md), then solves it. Returns
-// the total before Finish(). Writes the solver's column per row and the
-// identity pairing cost (the matrix trace: element i with element i,
-// surplus unmatched) when asked.
+// least as many vectors (m) as `small` (n). Builds the square cost
+// matrix and solves it. Returns the total before Finish(). Writes the
+// solver's column per row and the identity pairing cost (the matrix
+// trace: element i with element i, surplus unmatched) when asked.
 double Match(const FlatVectorSet& large, const FlatVectorSet& small,
              const MinMatchingOptions& opt, int* column_of,
              double* identity_cost) {
   if (identity_cost != nullptr) *identity_cost = 0.0;
   const int m = static_cast<int>(large.size);
-  const int n = static_cast<int>(small.size);
   if (m == 0) return 0.0;  // both sets empty
-  assert(large.dim == small.dim || n == 0);
+  assert(large.dim == small.dim || small.size == 0);
 
   const size_t dim = large.dim;
   ScratchArray<double, kInlineCostDoubles> cost_store(
       static_cast<size_t>(m) * m);
   double* cost = cost_store.data();
-  kernels::Active().cost_matrix_build(ToKernelGround(opt.ground), large.data,
-                                      m, small.data, n, dim, cost, m);
-  for (int i = 0; i < m; ++i) {
-    double* row = cost + static_cast<size_t>(i) * m;
-    std::fill(row + n, row + m,
-              Weight(opt.ground, large.data + i * dim, dim, opt.omega));
-  }
+  BuildCostMatrix(kernels::Active(), ToKernelGround(opt.ground), large, small,
+                  [&](size_t i) {
+                    return Weight(opt.ground, large.data + i * dim, dim,
+                                  opt.omega);
+                  },
+                  cost);
   if (identity_cost != nullptr) {
     for (int i = 0; i < m; ++i) {
       *identity_cost += cost[static_cast<size_t>(i) * m + i];
@@ -98,6 +114,44 @@ double Match(const FlatVectorSet& large, const FlatVectorSet& small,
 }
 
 }  // namespace
+
+// The reduction bound of a square m x m cost matrix C (m >= 1): its row
+// minima r_i plus the column minima c_j = min_i (C_ij - r_i) of the
+// row-reduced matrix -- the classic Hungarian method's first step.
+// r_i + c_j <= C_ij, so (r, c) is a feasible dual of the assignment
+// problem and, by weak duality, sum r + sum c is at most the optimum
+// OPT over C in exact arithmetic. The computed value is widened for
+// rounding (u = 2^-53):
+//
+//   - the r_i are entries of C, exact;
+//   - each c_j is one rounded subtraction of non-negative values
+//     (C_ij >= r_i), and rounding is monotone, so the computed c_j lies
+//     within a factor (1 + u) above the exact one;
+//   - the sum has 2m non-negative terms, so the computed sum S is at
+//     most (1 + gamma_2m) times the exact bound, hence at most
+//     (1 + gamma_2m) * OPT;
+//   - SolveAssignment's total of any assignment sums m entries of C in
+//     row order, so it is at least (1 - gamma_{m-1}) * OPT.
+//
+// S * (1 - gamma_{3m+6}), with the two roundings of that scaling,
+// therefore never exceeds a solved total: a candidate ruled out because
+// the bound exceeds a threshold has a solved distance above it too.
+double ReductionBound(const double* cost, size_t m) {
+  ScratchArray<double, kInlineAssignmentCols> col_min_store(m);
+  double* col_min = col_min_store.data();
+  std::fill(col_min, col_min + m, std::numeric_limits<double>::infinity());
+  double sum = 0.0;
+  for (size_t i = 0; i < m; ++i) {
+    const double* row = cost + i * m;
+    const double row_min = *std::min_element(row, row + m);
+    sum += row_min;
+    for (size_t j = 0; j < m; ++j) {
+      col_min[j] = std::min(col_min[j], row[j] - row_min);
+    }
+  }
+  for (size_t j = 0; j < m; ++j) sum += col_min[j];
+  return sum * (1.0 - RoundingGamma(static_cast<int>(3 * m + 6)));
+}
 
 MatchingDistanceResult MinimalMatchingDistanceDetailed(
     const VectorSet& a, const VectorSet& b, const MinMatchingOptions& opt) {
@@ -155,19 +209,22 @@ PreparedQuery::PreparedQuery(const FlatVectorSet& query)
 double PreparedQuery::Distance(const FlatVectorSet& candidate,
                                double prune_above, bool* solved) const {
   if (solved != nullptr) *solved = true;
-  const FlatVectorSet query{set_.rows, set_.size, set_.dim};
-  if (prune_above < kNoPrune && std::max(query.size, candidate.size) > 0) {
-    assert(query.dim == candidate.dim || query.size == 0 ||
-           candidate.size == 0);
-    // The candidate's weights price the unmatched slots only when it is
-    // the larger set, whose vectors are the matrix rows.
-    const size_t rows = candidate.size > query.size ? candidate.size : 0;
-    ScratchArray<double, kInlineVectors> candidate_weights(rows);
-    for (size_t i = 0; i < rows; ++i) {
-      candidate_weights.data()[i] =
-          Weight(GroundDistance::kEuclidean,
-                 candidate.data + i * candidate.dim, candidate.dim, kOrigin);
-    }
+  const size_t m = std::max(set_.size, candidate.size);
+  if (m == 0) return 0.0;  // both sets empty
+  assert(set_.dim == candidate.dim || set_.size == 0 || candidate.size == 0);
+  // The rows are the larger set's vectors, the query's on a tie, as in
+  // MinimalMatchingDistance. The candidate's weights price the unmatched
+  // slots only when its vectors are the rows.
+  const bool query_rows = set_.size >= candidate.size;
+  const size_t candidate_rows = query_rows ? 0 : candidate.size;
+  ScratchArray<double, kInlineVectors> candidate_weights(candidate_rows);
+  for (size_t i = 0; i < candidate_rows; ++i) {
+    candidate_weights.data()[i] =
+        Weight(GroundDistance::kEuclidean, candidate.data + i * candidate.dim,
+               candidate.dim, kOrigin);
+  }
+  const bool prune = prune_above < kNoPrune;
+  if (prune) {
     const double bound =
         kernels_.prepared_bound(set_, candidate, candidate_weights.data());
     if (bound > prune_above) {
@@ -175,7 +232,24 @@ double PreparedQuery::Distance(const FlatVectorSet& candidate,
       return bound;
     }
   }
-  return MinimalMatchingDistance(query, candidate, MinMatchingOptions{});
+  const FlatVectorSet query{set_.rows, set_.size, set_.dim};
+  const double* row_weights =
+      query_rows ? set_.weights : candidate_weights.data();
+  ScratchArray<double, kInlineCostDoubles> cost(m * m);
+  BuildCostMatrix(kernels_, kernels::GroundKind::kEuclidean,
+                  query_rows ? query : candidate,
+                  query_rows ? candidate : query,
+                  [row_weights](size_t i) { return row_weights[i]; },
+                  cost.data());
+  if (prune) {
+    const double bound = ReductionBound(cost.data(), m);
+    if (bound > prune_above) {
+      if (solved != nullptr) *solved = false;
+      return bound;
+    }
+  }
+  const int size = static_cast<int>(m);
+  return SolveAssignment(cost.data(), size, size, nullptr);
 }
 
 double VectorSetDistance(const FlatVectorSet& a, const FlatVectorSet& b,

@@ -80,21 +80,36 @@ double MinimalMatchingDistance(const FlatVectorSet& a, const FlatVectorSet& b,
 
 inline constexpr double kNoPrune = std::numeric_limits<double>::infinity();
 
+// The reduction bound of a square m x m assignment cost matrix (m >= 1,
+// row-major): its row minima plus the column minima of the row-reduced
+// matrix, a feasible assignment dual, widened by a rounding margin so
+// that it never exceeds SolveAssignment's total on the same matrix (the
+// argument is in min_matching.cc). PreparedQuery's second prune rung.
+double ReductionBound(const double* cost, size_t m);
+
 // The vector set model's distance from one query to many candidates: the
 // query is laid out once for the kernels (kernels::PreparedSet,
 // docs/KERNELS.md) with its vectors' weights, in stack scratch up to
 // kInlineAssignmentCols vectors of 16 dimensions. It views the query's
 // values, which must outlive it.
 //
-// `prune_above` lets a filter-and-refine loop skip hopeless solves.
-// The sum of the cost matrix's row minima lower-bounds the distance;
-// it is summed in the solver's own row order, so it never exceeds the
-// solved total. When it is greater than `prune_above`, it is returned
-// without building the matrix or running Kuhn-Munkres, and *solved (if
-// given) is set to false. A candidate whose returned value exceeds the
-// caller's threshold thus never enters an answer, exactly as with the
-// solved distance. Otherwise the result is the exact distance:
-// MinimalMatchingDistance with default options.
+// `prune_above` lets a filter-and-refine loop skip hopeless solves. Two
+// lower bounds on the distance are tried in turn, and the first one
+// greater than `prune_above` is returned with *solved (if given) set to
+// false:
+//   1. the row-minimum bound: the sum of the cost matrix's row minima,
+//      one kernel pass without building the matrix. It is summed in
+//      the solver's own row order, so it never exceeds the solved
+//      total.
+//   2. the reduction bound: the matrix is built, and its row minima
+//      plus the column minima of the row-reduced matrix -- a feasible
+//      assignment dual -- are summed and widened by a rounding margin,
+//      so it never exceeds the solved total either.
+// A candidate whose returned value exceeds the caller's threshold thus
+// never enters an answer, exactly as with the solved distance.
+// Otherwise Kuhn-Munkres solves that matrix, and the result is the
+// exact distance: MinimalMatchingDistance with default options, bit
+// for bit.
 class PreparedQuery {
  public:
   explicit PreparedQuery(const FlatVectorSet& query);

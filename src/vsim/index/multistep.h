@@ -69,9 +69,10 @@ struct MultiStepStats {
   size_t candidates_refined = 0;  // refine calls
   size_t filter_hits = 0;         // entries produced by the filter
   // Refinements that computed the exact distance (Kuhn-Munkres solves
-  // for the minimal matching distance); the rest were ruled out by the
-  // refine function's bound. Equals candidates_refined for
-  // ExactDistanceFn callers.
+  // for the minimal matching distance); the rest were ruled out by a
+  // bound of the refine function (the engine's: the row-minimum, then
+  // the reduction bound). Equals candidates_refined for ExactDistanceFn
+  // callers.
   size_t hungarian_invocations = 0;
   // Wall time (steady clock) of the filter stage: the ranking cursor's
   // node expansions (k-NN) or the one index traversal (range). No clock

@@ -110,7 +110,8 @@ void QueryService::RegisterMetrics() {
       "Candidates that reached the exact distance refinement");
   hungarian_total_ = metrics_.RegisterCounter(
       "vsim_hungarian_invocations_total",
-      "Kuhn-Munkres minimal-matching runs");
+      "Kuhn-Munkres minimal-matching solves: refinements not ruled out "
+      "by the row-minimum or the reduction bound");
   io_pages_total_ = metrics_.RegisterCounter(
       "vsim_io_page_accesses_total",
       "Charged page accesses of the paper cost model (8 ms/page)");

@@ -9,7 +9,7 @@
 // that hold one set in different vector orders, whose distances from a
 // smaller query differ in the last bit, to their own distances. A
 // last suite checks the prepared refinement path on every pair of the
-// corpus against the unpruned solve and the row-minimum bound.
+// corpus against the unpruned solve and its two prune bounds.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,10 +18,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "vsim/common/math_util.h"
 #include "vsim/common/rng.h"
 #include "vsim/core/query_engine.h"
 #include "vsim/data/dataset.h"
@@ -270,13 +272,23 @@ TEST_F(BitExactOracleTest, TwoVectorOrdersOfOneSetKeepTheirOwnDistances) {
 }
 
 // The prepared refinement path (PreparedQuery, as every engine strategy
-// refines) on every (query, candidate) pair of the oracle's corpus, at
-// thresholds +inf, the exact distance and the next double below it. It
-// must return the unpruned MinimalMatchingDistanceDetailed's distance
-// bits with `solved`, or -- exactly when the row-minimum sum over the
-// active kernels' cost_matrix_build matrix exceeds the threshold -- that
-// sum's bits without. Registered under kernel_force_scalar and
-// kernel_force_portable too, so every variant's prune is checked.
+// refines) on every (query, candidate) pair of the oracle's corpus,
+// against a test-side model of its prune ladder over the matrix the
+// unpruned MinimalMatchingDistanceDetailed solves (the active kernels'
+// cost_matrix_build plus the weight columns):
+//   1. the row-minimum bound -- each row's minimum, summed in row
+//      order -- when it exceeds the threshold;
+//   2. else the reduction bound -- those row minima, then the column
+//      minima of the row-reduced matrix in column order, summed on and
+//      scaled by (1 - gamma_{3m+6}) -- when it exceeds the threshold;
+//   3. else the solved distance, with `solved`.
+// Each pair is probed at thresholds +inf, the distance, the reduction
+// bound and the next double below each of the last two: at the bound
+// itself the comparison is strict, so the candidate is solved, and
+// below it the reduction rung decides unless the row-minimum rung
+// already did. Both bounds must also lie at or below the distance.
+// Registered under kernel_force_scalar and kernel_force_portable too,
+// so every variant's prune is checked.
 TEST(FlatMatchingOracleTest, PreparedPathMatchesDetailedOnEveryPair) {
   const CadDatabase* corpus = OracleCorpus();
   ASSERT_NE(corpus, nullptr);
@@ -291,10 +303,12 @@ TEST(FlatMatchingOracleTest, PreparedPathMatchesDetailedOnEveryPair) {
       weights[id].push_back(EuclideanNorm(v));
     }
   }
-  // The test-side bound: the matrix MinimalMatchingDistanceDetailed
-  // solves, then each row's minimum summed in row order.
-  std::vector<double> cost;
-  auto row_minimum_sum = [&](int q, int c) {
+  struct Bounds {
+    double row_minimum = 0.0;
+    double reduction = 0.0;
+  };
+  std::vector<double> cost, col_min;
+  auto bounds_of = [&](int q, int c) {
     const bool q_rows = sets[q].size >= sets[c].size;
     const FlatVectorSet& large = sets[q_rows ? q : c];
     const FlatVectorSet& small = sets[q_rows ? c : q];
@@ -303,16 +317,29 @@ TEST(FlatMatchingOracleTest, PreparedPathMatchesDetailedOnEveryPair) {
     kernels::Active().cost_matrix_build(kernels::GroundKind::kEuclidean,
                                         large.data, m, small.data, n,
                                         large.dim, cost.data(), m);
-    double sum = 0.0;
+    col_min.assign(m, std::numeric_limits<double>::infinity());
+    Bounds b;
     for (size_t i = 0; i < m; ++i) {
       double* row = cost.data() + i * m;
       std::fill(row + n, row + m, weights[q_rows ? q : c][i]);
-      sum += *std::min_element(row, row + m);
+      const double row_min = *std::min_element(row, row + m);
+      b.row_minimum += row_min;
+      for (size_t j = 0; j < m; ++j) {
+        col_min[j] = std::min(col_min[j], row[j] - row_min);
+      }
     }
-    return sum;
+    double sum = b.row_minimum;
+    for (double c_j : col_min) sum += c_j;
+    b.reduction = sum * (1.0 - RoundingGamma(static_cast<int>(3 * m + 6)));
+    return b;
   };
+  // decided[t][rung]: pairs that threshold t's probe left to each rung.
+  constexpr const char* kThresholds[] = {"+inf", "distance",
+                                         "below distance", "reduction",
+                                         "below reduction"};
+  constexpr const char* kRungs[] = {"row-minimum", "reduction", "solved"};
+  size_t decided[5][3] = {};
   int mismatches = 0;
-  size_t pruned = 0;
   for (int q = 0; q < kObjects && mismatches < 10; ++q) {
     const PreparedQuery prepared(sets[q]);
     for (int c = 0; c < kObjects; ++c) {
@@ -320,28 +347,50 @@ TEST(FlatMatchingOracleTest, PreparedPathMatchesDetailedOnEveryPair) {
                                corpus->object(q).vector_set,
                                corpus->object(c).vector_set, {})
                                .distance;
-      const double bound = row_minimum_sum(q, c);
-      for (double threshold :
-           {kNoPrune, exact, std::nextafter(exact, 0.0)}) {
+      const Bounds b = bounds_of(q, c);
+      if (!(b.row_minimum <= exact && b.reduction <= exact)) {
+        ADD_FAILURE() << "query " << q << " candidate " << c
+                      << ": a bound above the distance " << exact
+                      << " (row minimum " << b.row_minimum << ", reduction "
+                      << b.reduction << ")";
+        ++mismatches;
+      }
+      const double thresholds[] = {kNoPrune, exact,
+                                   std::nextafter(exact, 0.0), b.reduction,
+                                   std::nextafter(b.reduction, 0.0)};
+      for (int t = 0; t < 5; ++t) {
+        const double threshold = thresholds[t];
+        const int rung = b.row_minimum > threshold ? 0
+                         : b.reduction > threshold ? 1
+                                                   : 2;
+        const double expect = rung == 0   ? b.row_minimum
+                              : rung == 1 ? b.reduction
+                                          : exact;
         bool solved = false;
         const double got = prepared.Distance(sets[c], threshold, &solved);
-        const bool expect_solved = !(bound > threshold);
-        const double expect = expect_solved ? exact : bound;
-        if (solved != expect_solved ||
+        if (solved != (rung == 2) ||
             std::bit_cast<uint64_t>(got) != std::bit_cast<uint64_t>(expect)) {
           ADD_FAILURE() << "query " << q << " candidate " << c
                         << " threshold " << threshold << ": got " << got
                         << (solved ? " solved" : " pruned") << ", expected "
-                        << expect << (expect_solved ? " solved" : " pruned");
+                        << expect << " from the " << kRungs[rung] << " rung";
           ++mismatches;
         }
-        pruned += solved ? 0 : 1;
+        ++decided[t][rung];
       }
     }
   }
-  // The boundary case occurs: a bound equal to the distance prunes at
-  // the next double below it.
-  EXPECT_GT(pruned, 0u);
+  for (int t = 0; t < 5; ++t) {
+    std::printf("threshold %-15s row-minimum %6zu  reduction %6zu  "
+                "solved %6zu\n",
+                kThresholds[t], decided[t][0], decided[t][1], decided[t][2]);
+  }
+  // Every rung decides real pairs: a row-minimum bound equal to the
+  // distance prunes just below it, and the reduction bound prunes
+  // candidates the row minima left to the solve.
+  EXPECT_GT(decided[2][0], 0u);
+  EXPECT_GT(decided[4][1], 0u);
+  EXPECT_GT(decided[3][2], 0u);
 }
 
 }  // namespace

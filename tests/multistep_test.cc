@@ -29,8 +29,9 @@ struct World {
     };
   }
 
-  // The engine's refinement shape: the flat core with the row-minimum
-  // prune against the loop's threshold.
+  // The engine's refinement shape: the flat core with its prune (the
+  // row-minimum, then the reduction bound) against the loop's
+  // threshold.
   RefineFn PruningRefineFor(const VectorSet& query) const {
     return [this, &query](int id, double prune_above, IoStats* stats) {
       if (stats != nullptr) stats->AddPageAccesses(1);

@@ -7,9 +7,10 @@
 //     recent and the slow ring;
 //   - the refinement paths: a 7x7 VectorSetDistance (the paper's
 //     cardinality, Kuhn-Munkres included), a PreparedQuery of 7 vectors
-//     refining 64 candidates, half pruned by its row-minimum bound and
-//     half solved, and one store-record decode (VectorSetStore::GetFlat)
-//     into a reused buffer.
+//     refining 96 candidates, a third each pruned by its row-minimum
+//     bound, pruned by its reduction bound and solved, and one
+//     store-record decode (VectorSetStore::GetFlat) into a reused
+//     buffer.
 // A future change that sneaks a std::string or vector resize into one
 // of them fails this binary, not a profiler session in production.
 //
@@ -147,35 +148,69 @@ int main() {
   CheckNoAllocations("7x7 VectorSetDistance");
   Check(distance > 0.0, "matching distance computed");
 
-  // --- refinement: a prepared 7-vector query, 64 candidates ----------
-  // What every engine strategy runs per candidate: the bound alone for
-  // the pruned ones, the bound, the matrix and Kuhn-Munkres for the
-  // solved ones. The candidates are flattened before counting starts.
+  // --- refinement: a prepared 7-vector query, 96 candidates ----------
+  // What every engine strategy runs per candidate, in its three
+  // classes: ruled out by the row-minimum bound alone (threshold 0),
+  // ruled out by the reduction bound on the built matrix (a threshold
+  // between the two bounds), and solved by Kuhn-Munkres (threshold
+  // 1e9). The candidates are flattened, and their bounds read through
+  // the prepared query, before counting starts.
+  constexpr int kCandidates = 96;
   std::vector<double> query_values(a.size() * a.dim());
   const vsim::FlatVectorSet query = vsim::FlattenInto(a, query_values.data());
-  std::vector<std::vector<double>> candidate_values(64);
+  std::vector<std::vector<double>> candidate_values(kCandidates);
   std::vector<vsim::FlatVectorSet> candidates;
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < kCandidates; ++i) {
     vsim::VectorSet c = b;
     for (vsim::FeatureVector& v : c.vectors) v[i % 6] += 0.01 * i;
     candidate_values[i].resize(c.size() * c.dim());
     candidates.push_back(vsim::FlattenInto(c, candidate_values[i].data()));
   }
-  int pruned = 0, solved_count = 0;
+  std::vector<double> row_bound(kCandidates), reduction_bound(kCandidates),
+      threshold(kCandidates);
+  bool bounds_ordered = true;
+  {
+    const vsim::PreparedQuery prepared(query);
+    for (int i = 0; i < kCandidates; ++i) {
+      bool solved = true;
+      // Below every bound the row-minimum rung decides; at the
+      // row-minimum bound itself the reduction rung does, if its bound
+      // is higher.
+      row_bound[i] = prepared.Distance(candidates[i], -1.0, &solved);
+      bounds_ordered = bounds_ordered && !solved;
+      reduction_bound[i] =
+          prepared.Distance(candidates[i], row_bound[i], &solved);
+      bounds_ordered = bounds_ordered && !solved;
+      const double between = 0.5 * (row_bound[i] + reduction_bound[i]);
+      bounds_ordered = bounds_ordered && row_bound[i] < between &&
+                       between < reduction_bound[i];
+      threshold[i] = i % 3 == 0 ? 0.0 : i % 3 == 1 ? between : 1e9;
+    }
+  }
+  Check(bounds_ordered, "every candidate's reduction bound exceeds its "
+                        "row-minimum bound");
+  int by_row_minimum = 0, by_reduction = 0, solved_count = 0;
   g_counting = true;
   {
     const vsim::PreparedQuery prepared(query);
-    for (int i = 0; i < 64; ++i) {
+    for (int i = 0; i < kCandidates; ++i) {
       bool solved = false;
-      distance += prepared.Distance(candidates[i], i % 2 == 0 ? 0.0 : 1e9,
-                                    &solved);
-      ++(solved ? solved_count : pruned);
+      const double d = prepared.Distance(candidates[i], threshold[i], &solved);
+      if (solved) {
+        ++solved_count;
+      } else if (d == row_bound[i]) {
+        ++by_row_minimum;
+      } else if (d == reduction_bound[i]) {
+        ++by_reduction;
+      }
+      distance += d;
     }
   }
   g_counting = false;
-  CheckNoAllocations("prepared 7-vector query refining 64 candidates");
-  Check(pruned == 32 && solved_count == 32,
-        "prepared refinements: 32 pruned, 32 solved");
+  CheckNoAllocations("prepared 7-vector query refining 96 candidates");
+  Check(by_row_minimum == 32 && by_reduction == 32 && solved_count == 32,
+        "prepared refinements: 32 pruned by the row-minimum bound, 32 by "
+        "the reduction bound, 32 solved");
 
   // --- refinement: one store-record decode into a reused buffer ------
   const char* tmp = std::getenv("TMPDIR");

@@ -539,7 +539,8 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   EXPECT_GE(t.filter_hits, t.candidates_refined);
   EXPECT_GE(t.candidates_refined, 1u);
   // Only real Kuhn-Munkres solves count: a refinement whose row-minimum
-  // bound already exceeds the current k-th distance skips the solve.
+  // or reduction bound already exceeds the current k-th distance skips
+  // the solve.
   EXPECT_LE(t.hungarian_invocations, t.candidates_refined);
   EXPECT_EQ(t.hungarian_invocations, response->cost.hungarian_invocations);
   EXPECT_EQ(t.candidates_refined, response->cost.candidates_refined);
@@ -581,7 +582,8 @@ TEST_F(QueryServiceTest, HungarianInvocationsCountOnlyKuhnMunkresSolves) {
   }
   // A duplicate-heavy corpus (every part four times over): the exact
   // copies fill the heap at distance 0 or close to it, after which the
-  // row-minimum bound rules candidates out without a solve.
+  // row-minimum and reduction bounds rule candidates out without a
+  // solve.
   Dataset ds = MakeCarDataset(10, 99);
   const std::vector<CadObject> originals = ds.objects;
   for (int copy = 1; copy < 4; ++copy) {

@@ -1,8 +1,8 @@
-// The engine's refinement (flat decode + row-minimum prune, one closure
-// for every strategy) must be invisible in the answers: on the filter
-// strategy, QueryEngine::Knn and Range return exactly what the plain
-// multi-step loops return with an unpruned VectorSetDistance, with the
-// same filter hits and refinement counts, for every id of a
+// The engine's refinement (flat decode + the prepared query's prune,
+// one closure for every strategy) must be invisible in the answers: on
+// the filter strategy, QueryEngine::Knn and Range return exactly what
+// the plain multi-step loops return with an unpruned VectorSetDistance,
+// with the same filter hits and refinement counts, for every id of a
 // duplicate-heavy AircraftLike corpus, on a RAM-resident and on a
 // disk-backed snapshot. Only the Kuhn-Munkres solve count may drop.
 //
