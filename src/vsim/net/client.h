@@ -1,7 +1,7 @@
 // Client side of the wire protocol: a blocking connection to a `vsim
 // serve` endpoint that speaks protocol.h frames. Used by the `vsim
-// remote-query` CLI, bench/bench_remote_throughput and the loopback
-// tests; the request/response types are the exact ServiceRequest /
+// remote-query` CLI, servebench and the loopback tests; the
+// request/response types are the exact ServiceRequest /
 // ServiceResponse the in-process QueryService API uses, so switching
 // between local and remote execution is a transport change only.
 //
@@ -19,6 +19,13 @@
 // kIOError/kInvalidArgument and poison the connection (ok() turns
 // false; reconnect to continue).
 //
+// Reads: one per-connection buffer serves Receive, Info and Stats. A
+// recv takes whatever the socket holds -- usually a whole response, and
+// for a pipelined window often several -- and frames are decoded in
+// place from the buffer, so a response costs one recv and no payload
+// copy. Each frame header is validated (DecodeFrameHeader, including
+// the kMaxFramePayloadBytes cap) before the buffer grows to hold it.
+//
 // Thread-safety: a Client is confined to one thread. Concurrency comes
 // from many clients (one per thread, as the bench does), not from
 // sharing one.
@@ -27,6 +34,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "vsim/common/status.h"
 #include "vsim/net/protocol.h"
@@ -90,10 +98,34 @@ class Client {
   void Close() { fd_.Reset(); }
 
  private:
+  // Writes the frames in out_ and clears it; a failed write poisons.
+  Status Flush();
+  // Receives until `bytes` unread bytes are buffered. EOF with nothing
+  // unread sets *clean_eof (when given) and returns OK; any other EOF is
+  // kIOError.
+  Status Fill(size_t bytes, bool* clean_eof);
+  // Reads the next frame through in_: *payload points into in_ and
+  // stays valid until the next read. Clean EOF at a frame boundary sets
+  // *clean_eof and returns OK; EOF inside a frame is kIOError. Does not
+  // poison: the callers do, on any error.
+  Status NextFrame(FrameHeader* header, const uint8_t** payload,
+                   bool* clean_eof);
+  // Reads one frame that must answer the info or stats request `id`
+  // with frame type `expected`; a status frame is returned as its
+  // Status. Poisons the connection on any failure.
+  Status ReadReply(uint64_t id, FrameType expected, const char* what,
+                   const uint8_t** payload, size_t* payload_bytes);
+
   ScopedFd fd_;
   uint64_t next_request_id_ = 1;
   bool poisoned_ = false;
   obs::TraceContext last_trace_;
+  std::string out_;  // frames being written; empty between calls
+  // Received bytes: [in_begin_, in_end_) are not yet consumed. 16 KiB
+  // from the first read, grown to the largest frame read since.
+  std::vector<uint8_t> in_;
+  size_t in_begin_ = 0;
+  size_t in_end_ = 0;
 };
 
 }  // namespace vsim::net

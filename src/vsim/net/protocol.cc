@@ -1,6 +1,7 @@
 #include "vsim/net/protocol.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -23,39 +24,79 @@ constexpr uint8_t kNumSpanNames =
 // (docs/PROTOCOL.md §7).
 constexpr size_t kReservedTraceBytes = 12;
 
-// --- little-endian append helpers ------------------------------------
+// --- in-place frame writer -------------------------------------------
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+// Writes one frame at the end of *out: the header with a zero length,
+// the payload fields in little-endian order, and, in Finish, the
+// payload length patched in. Fields are staged in a block on the stack
+// and appended a block at a time, so a field costs a few stores rather
+// than a string append; `payload_hint` is reserved up front and need
+// not be exact.
+class FrameWriter {
+ public:
+  FrameWriter(FrameType type, uint8_t flags, uint64_t request_id,
+              size_t payload_hint, std::string* out)
+      : out_(out), start_(out->size()) {
+    out->reserve(start_ + kFrameHeaderBytes + payload_hint);
+    U32(kWireMagic);
+    U16(kWireVersion);
+    U8(static_cast<uint8_t>(type));
+    U8(flags);
+    U64(request_id);
+    U32(0);  // payload length, patched by Finish
+  }
+  FrameWriter(const FrameWriter&) = delete;
+  FrameWriter& operator=(const FrameWriter&) = delete;
 
-void PutU16(std::string* out, uint16_t v) {
-  for (int i = 0; i < 2; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
+  void U8(uint8_t v) { Put<1>(v); }
+  void U16(uint16_t v) { Put<2>(v); }
+  void U32(uint32_t v) { Put<4>(v); }
+  void U64(uint64_t v) { Put<8>(v); }
+  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void Doubles(const std::vector<double>& v) {
+    U32(static_cast<uint32_t>(v.size()));
+    for (const double d : v) F64(d);
+  }
+  // The first `n` bytes of `bytes`.
+  void Bytes(const std::string& bytes, size_t n) {
+    Flush();
+    out_->append(bytes, 0, n);
+  }
+  void Zeros(size_t n) {
+    Flush();
+    out_->append(n, '\0');
+  }
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
+  void Finish() {
+    Flush();
+    // The length is the header's last field.
+    const size_t payload = out_->size() - start_ - kFrameHeaderBytes;
+    const size_t length_at = start_ + kFrameHeaderBytes - 4;
+    for (int i = 0; i < 4; ++i) {
+      (*out_)[length_at + i] = static_cast<char>(payload >> (8 * i));
+    }
+  }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
+ private:
+  template <int kBytes>
+  void Put(uint64_t v) {
+    if (staged_ + kBytes > sizeof(block_)) Flush();
+    for (int i = 0; i < kBytes; ++i) {
+      block_[staged_ + i] = static_cast<char>(v >> (8 * i));
+    }
+    staged_ += kBytes;
+  }
+  void Flush() {
+    out_->append(block_, staged_);
+    staged_ = 0;
+  }
 
-void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  // vsim-lint: allow(wire-memcpy) bit-cast of a local double, no wire buffer
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-void PutDoubles(std::string* out, const std::vector<double>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (double d : v) PutF64(out, d);
-}
+  std::string* out_;
+  size_t start_;  // offset of the frame header in *out_
+  size_t staged_ = 0;
+  char block_[256];
+};
 
 // --- strict bounds-checked cursor ------------------------------------
 
@@ -156,13 +197,18 @@ Status GetDoubles(WireCursor* c, std::vector<double>* v, uint32_t cap,
   return Status::OK();
 }
 
-void AppendObjectRepr(std::string* out, const ObjectRepr& query) {
-  PutU32(out, static_cast<uint32_t>(query.vector_set.size()));
-  for (const FeatureVector& v : query.vector_set.vectors) {
-    PutDoubles(out, v);
-  }
-  PutDoubles(out, query.centroid);
-  PutDoubles(out, query.cover_vector);
+// The encoded size of AppendObjectRepr's block: its counts and values.
+size_t ObjectReprBytes(const ObjectRepr& query) {
+  size_t values = query.centroid.size() + query.cover_vector.size();
+  for (const FeatureVector& v : query.vector_set.vectors) values += v.size();
+  return 4 * (query.vector_set.size() + 3) + 8 * values;
+}
+
+void AppendObjectRepr(FrameWriter* w, const ObjectRepr& query) {
+  w->U32(static_cast<uint32_t>(query.vector_set.size()));
+  for (const FeatureVector& v : query.vector_set.vectors) w->Doubles(v);
+  w->Doubles(query.centroid);
+  w->Doubles(query.cover_vector);
 }
 
 Status DecodeObjectRepr(WireCursor* c, ObjectRepr* query) {
@@ -186,18 +232,16 @@ Status DecodeObjectRepr(WireCursor* c, ObjectRepr* query) {
 
 // Chunk body shared by every kResponse frame: a slice of the neighbor
 // list followed by a slice of the id list.
-void AppendChunkBody(std::string* out, const ServiceResponse& response,
+void AppendChunkBody(FrameWriter* w, const ServiceResponse& response,
                      size_t neighbor_begin, size_t neighbor_end,
                      size_t id_begin, size_t id_end) {
-  PutU32(out, static_cast<uint32_t>(neighbor_end - neighbor_begin));
+  w->U32(static_cast<uint32_t>(neighbor_end - neighbor_begin));
   for (size_t i = neighbor_begin; i < neighbor_end; ++i) {
-    PutI32(out, response.neighbors[i].id);
-    PutF64(out, response.neighbors[i].distance);
+    w->I32(response.neighbors[i].id);
+    w->F64(response.neighbors[i].distance);
   }
-  PutU32(out, static_cast<uint32_t>(id_end - id_begin));
-  for (size_t i = id_begin; i < id_end; ++i) {
-    PutI32(out, response.ids[i]);
-  }
+  w->U32(static_cast<uint32_t>(id_end - id_begin));
+  for (size_t i = id_begin; i < id_end; ++i) w->I32(response.ids[i]);
 }
 
 }  // namespace
@@ -206,167 +250,167 @@ void AppendChunkBody(std::string* out, const ServiceResponse& response,
 
 void AppendFrame(FrameType type, uint8_t flags, uint64_t request_id,
                  const std::string& payload, std::string* out) {
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  PutU32(out, kWireMagic);
-  PutU16(out, kWireVersion);
-  PutU8(out, static_cast<uint8_t>(type));
-  PutU8(out, flags);
-  PutU64(out, request_id);
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  out->append(payload);
+  FrameWriter w(type, flags, request_id, payload.size(), out);
+  w.Bytes(payload, payload.size());
+  w.Finish();
 }
 
 void AppendRequestFrame(uint64_t request_id, const ServiceRequest& request,
-                        std::string* out) {
-  std::string payload;
+                        const obs::TraceContext& trace, std::string* out) {
   const bool has_query = request.object_id < 0;
-  PutU8(&payload, static_cast<uint8_t>(request.kind));
-  PutU8(&payload, static_cast<uint8_t>(request.strategy));
-  PutU8(&payload, request.with_reflections ? 1 : 0);
-  PutU8(&payload, has_query ? 1 : 0);
-  PutI32(&payload, request.object_id);
-  PutI32(&payload, request.options.k);
-  PutF64(&payload, request.options.eps);
-  PutF64(&payload, request.options.timeout_seconds);
-  if (has_query) AppendObjectRepr(&payload, request.query);
+  FrameWriter w(FrameType::kRequest, kFlagFinal, request_id,
+                56 + (has_query ? ObjectReprBytes(request.query) : 0), out);
+  w.U8(static_cast<uint8_t>(request.kind));
+  w.U8(static_cast<uint8_t>(request.strategy));
+  w.U8(request.with_reflections ? 1 : 0);
+  w.U8(has_query ? 1 : 0);
+  w.I32(request.object_id);
+  w.I32(request.options.k);
+  w.F64(request.options.eps);
+  w.F64(request.options.timeout_seconds);
+  if (has_query) AppendObjectRepr(&w, request.query);
   // Reserved u32 (docs/PROTOCOL.md §3): written as zero, kept so the
   // trace block below stays at its offset for every peer. The
   // ObjectRepr block is self-terminating, so the trailing position is
   // unambiguous.
-  PutU32(&payload, 0);
+  w.U32(0);
   // Trailing trace context (docs/PROTOCOL.md §12): the distributed
   // trace identity this request belongs to, zero when untraced.
   // Decoders that predate the block stop above and mint server-side.
-  PutU64(&payload, request.trace.trace_hi);
-  PutU64(&payload, request.trace.trace_lo);
-  PutU64(&payload, request.trace.parent_span_id);
-  AppendFrame(FrameType::kRequest, kFlagFinal, request_id, payload, out);
+  w.U64(trace.trace_hi);
+  w.U64(trace.trace_lo);
+  w.U64(trace.parent_span_id);
+  w.Finish();
 }
 
 void AppendStatusFrame(uint64_t request_id, const Status& status,
                        std::string* out) {
-  std::string payload;
-  PutU8(&payload, static_cast<uint8_t>(status.code()));
-  std::string message = status.message();
-  if (message.size() > kMaxWireMessageBytes) {
-    message.resize(kMaxWireMessageBytes);
-  }
-  PutU32(&payload, static_cast<uint32_t>(message.size()));
-  payload.append(message);
-  AppendFrame(FrameType::kStatus, kFlagFinal, request_id, payload, out);
+  const std::string& message = status.message();
+  const size_t message_bytes =
+      std::min<size_t>(message.size(), kMaxWireMessageBytes);
+  FrameWriter w(FrameType::kStatus, kFlagFinal, request_id, 5 + message_bytes,
+                out);
+  w.U8(static_cast<uint8_t>(status.code()));
+  w.U32(static_cast<uint32_t>(message_bytes));
+  w.Bytes(message, message_bytes);
+  w.Finish();
 }
 
 void AppendInfoRequestFrame(uint64_t request_id, std::string* out) {
-  AppendFrame(FrameType::kInfoRequest, kFlagFinal, request_id, {}, out);
+  FrameWriter(FrameType::kInfoRequest, kFlagFinal, request_id, 0, out)
+      .Finish();
 }
 
 void AppendInfoResponseFrame(uint64_t request_id, const ServerInfo& info,
                              std::string* out) {
-  std::string payload;
-  PutU64(&payload, info.generation);
-  PutU64(&payload, info.object_count);
-  PutI32(&payload, info.num_covers);
-  PutI32(&payload, info.cover_resolution);
-  PutI32(&payload, info.histogram_cells);
-  PutI32(&payload, info.histogram_resolution);
-  PutU8(&payload, info.extract_histograms ? 1 : 0);
-  PutU8(&payload, info.anisotropic_fit ? 1 : 0);
-  PutU8(&payload, static_cast<uint8_t>(info.cover_search));
+  FrameWriter w(FrameType::kInfoResponse, kFlagFinal, request_id, 39, out);
+  w.U64(info.generation);
+  w.U64(info.object_count);
+  w.I32(info.num_covers);
+  w.I32(info.cover_resolution);
+  w.I32(info.histogram_cells);
+  w.I32(info.histogram_resolution);
+  w.U8(info.extract_histograms ? 1 : 0);
+  w.U8(info.anisotropic_fit ? 1 : 0);
+  w.U8(static_cast<uint8_t>(info.cover_search));
   // Trailing optional field (kFeatureStats et al.): decoders that
   // predate it stop at the byte above and read flags = 0.
-  PutU32(&payload, info.feature_flags);
-  AppendFrame(FrameType::kInfoResponse, kFlagFinal, request_id, payload, out);
+  w.U32(info.feature_flags);
+  w.Finish();
 }
 
 void AppendStatsRequestFrame(uint64_t request_id, const StatsRequest& request,
                              std::string* out) {
-  std::string payload;
-  PutU32(&payload, request.max_traces);
-  PutU8(&payload, request.slow_only ? 1 : 0);
+  FrameWriter w(FrameType::kStatsRequest, kFlagFinal, request_id, 11, out);
+  w.U32(request.max_traces);
+  w.U8(request.slow_only ? 1 : 0);
   // Trailing span/profiler fields (docs/PROTOCOL.md §12): servers that
   // predate them stop above (no spans, no profiler action).
-  PutU8(&payload, request.include_spans ? 1 : 0);
-  PutU8(&payload, request.profile_op);
-  PutU32(&payload, request.profile_hz);
-  AppendFrame(FrameType::kStatsRequest, kFlagFinal, request_id, payload, out);
+  w.U8(request.include_spans ? 1 : 0);
+  w.U8(request.profile_op);
+  w.U32(request.profile_hz);
+  w.Finish();
 }
 
 void AppendStatsResponseFrame(uint64_t request_id,
                               const StatsResponse& response,
                               std::string* out) {
-  std::string payload;
-  std::string text = response.metrics_text;
-  if (text.size() > kMaxWireStatsTextBytes) {
-    text.resize(kMaxWireStatsTextBytes);
-  }
-  PutU32(&payload, static_cast<uint32_t>(text.size()));
-  payload.append(text);
+  const size_t text_bytes = std::min<size_t>(response.metrics_text.size(),
+                                             kMaxWireStatsTextBytes);
   const size_t traces =
       std::min<size_t>(response.traces.size(), kMaxWireTraces);
-  PutU32(&payload, static_cast<uint32_t>(traces));
+  const size_t trees =
+      std::min<size_t>(response.span_trees.size(), kMaxWireSpanTrees);
+  const size_t profile_bytes = std::min<size_t>(
+      response.profile_text.size(), kMaxWireProfileBytes);
+  size_t tree_bytes = 0;
+  for (size_t i = 0; i < trees; ++i) {
+    tree_bytes += 32 + 41 * std::min<size_t>(response.span_trees[i].span_count,
+                                             obs::kSpanArenaCapacity);
+  }
+  FrameWriter w(FrameType::kStatsResponse, kFlagFinal, request_id,
+                16 + text_bytes + traces * (112 + kReservedTraceBytes + 16) +
+                    tree_bytes + profile_bytes,
+                out);
+  w.U32(static_cast<uint32_t>(text_bytes));
+  w.Bytes(response.metrics_text, text_bytes);
+  w.U32(static_cast<uint32_t>(traces));
   for (size_t i = 0; i < traces; ++i) {
     const obs::QueryTrace& t = response.traces[i];
-    PutU64(&payload, t.trace_id);
-    PutU64(&payload, t.generation);
-    PutU8(&payload, t.kind);
-    PutU8(&payload, t.strategy);
-    PutU8(&payload, t.cache_hit);
-    PutU8(&payload, t.status_code);
-    PutI32(&payload, t.k);
-    PutF64(&payload, t.eps);
-    PutF64(&payload, t.queue_seconds);
-    PutF64(&payload, t.total_seconds);
-    PutF64(&payload, t.cpu_seconds);
-    PutF64(&payload, t.filter_seconds);
-    PutF64(&payload, t.refine_seconds);
-    PutU64(&payload, t.filter_hits);
-    PutU64(&payload, t.candidates_refined);
-    PutU64(&payload, t.hungarian_invocations);
-    PutU64(&payload, t.page_accesses);
-    PutU64(&payload, t.bytes_read);
+    w.U64(t.trace_id);
+    w.U64(t.generation);
+    w.U8(t.kind);
+    w.U8(t.strategy);
+    w.U8(t.cache_hit);
+    w.U8(t.status_code);
+    w.I32(t.k);
+    w.F64(t.eps);
+    w.F64(t.queue_seconds);
+    w.F64(t.total_seconds);
+    w.F64(t.cpu_seconds);
+    w.F64(t.filter_seconds);
+    w.F64(t.refine_seconds);
+    w.U64(t.filter_hits);
+    w.U64(t.candidates_refined);
+    w.U64(t.hungarian_invocations);
+    w.U64(t.page_accesses);
+    w.U64(t.bytes_read);
   }
   // Reserved block (docs/PROTOCOL.md §7): 12 zero bytes per trace,
   // after all the fixed 112-byte records, kept so the tracing blocks
   // below stay at their offsets for every peer.
-  payload.append(traces * kReservedTraceBytes, '\0');
+  w.Zeros(traces * kReservedTraceBytes);
   // Trailing tracing blocks (docs/PROTOCOL.md §12), emitted in a fixed
   // order so truncation at any block boundary decodes as "absent":
   // (a) per-trace 16-byte trace ids, (b) span trees, (c) profiler text.
   for (size_t i = 0; i < traces; ++i) {
-    PutU64(&payload, response.traces[i].trace_hi);
-    PutU64(&payload, response.traces[i].trace_lo);
+    w.U64(response.traces[i].trace_hi);
+    w.U64(response.traces[i].trace_lo);
   }
-  const size_t trees =
-      std::min<size_t>(response.span_trees.size(), kMaxWireSpanTrees);
-  PutU32(&payload, static_cast<uint32_t>(trees));
+  w.U32(static_cast<uint32_t>(trees));
   for (size_t i = 0; i < trees; ++i) {
     const obs::SpanTreeRecord& tree = response.span_trees[i];
     const uint32_t count =
         std::min<uint32_t>(tree.span_count,
                            static_cast<uint32_t>(obs::kSpanArenaCapacity));
-    PutU64(&payload, tree.summary.trace_hi);
-    PutU64(&payload, tree.summary.trace_lo);
-    PutU64(&payload, tree.summary.trace_id);
-    PutU32(&payload, count);
-    PutU32(&payload, tree.spans_dropped);
+    w.U64(tree.summary.trace_hi);
+    w.U64(tree.summary.trace_lo);
+    w.U64(tree.summary.trace_id);
+    w.U32(count);
+    w.U32(tree.spans_dropped);
     for (uint32_t s = 0; s < count; ++s) {
       const obs::SpanRecord& span = tree.spans[s];
-      PutU64(&payload, span.span_id);
-      PutU64(&payload, span.parent_span_id);
-      PutU64(&payload, span.start_ns);
-      PutU64(&payload, span.end_ns);
-      PutU64(&payload, span.counter);
-      PutU8(&payload, span.name);
+      w.U64(span.span_id);
+      w.U64(span.parent_span_id);
+      w.U64(span.start_ns);
+      w.U64(span.end_ns);
+      w.U64(span.counter);
+      w.U8(span.name);
     }
   }
-  std::string profile = response.profile_text;
-  if (profile.size() > kMaxWireProfileBytes) {
-    profile.resize(kMaxWireProfileBytes);
-  }
-  PutU32(&payload, static_cast<uint32_t>(profile.size()));
-  payload.append(profile);
-  AppendFrame(FrameType::kStatsResponse, kFlagFinal, request_id, payload,
-              out);
+  w.U32(static_cast<uint32_t>(profile_bytes));
+  w.Bytes(response.profile_text, profile_bytes);
+  w.Finish();
 }
 
 void AppendResponseFrames(uint64_t request_id,
@@ -378,34 +422,37 @@ void AppendResponseFrames(uint64_t request_id,
   const size_t longest = std::max(total_neighbors, total_ids);
   const size_t chunks =
       std::max<size_t>(1, (longest + results_per_frame - 1) / results_per_frame);
+  // Response header (57), per-chunk counts (8), trace echo (16).
+  out->reserve(out->size() + chunks * (kFrameHeaderBytes + 8) + 57 + 16 +
+               total_neighbors * 12 + total_ids * 4);
   for (size_t chunk = 0; chunk < chunks; ++chunk) {
-    std::string payload;
+    const bool final_chunk = chunk + 1 == chunks;
+    FrameWriter w(FrameType::kResponse, final_chunk ? kFlagFinal : 0,
+                  request_id, 0, out);
     if (chunk == 0) {
-      PutU8(&payload, response.cache_hit ? 1 : 0);
-      PutU64(&payload, response.generation);
-      PutF64(&payload, response.latency_seconds);
-      PutF64(&payload, response.cost.cpu_seconds);
-      PutU64(&payload, response.cost.io.page_accesses());
-      PutU64(&payload, response.cost.io.bytes_read());
-      PutU64(&payload, response.cost.candidates_refined);
-      PutU32(&payload, static_cast<uint32_t>(total_neighbors));
-      PutU32(&payload, static_cast<uint32_t>(total_ids));
+      w.U8(response.cache_hit ? 1 : 0);
+      w.U64(response.generation);
+      w.F64(response.latency_seconds);
+      w.F64(response.cost.cpu_seconds);
+      w.U64(response.cost.io.page_accesses());
+      w.U64(response.cost.io.bytes_read());
+      w.U64(response.cost.candidates_refined);
+      w.U32(static_cast<uint32_t>(total_neighbors));
+      w.U32(static_cast<uint32_t>(total_ids));
     }
     const size_t nb = std::min(total_neighbors, chunk * results_per_frame);
     const size_t ne =
         std::min(total_neighbors, (chunk + 1) * results_per_frame);
     const size_t ib = std::min(total_ids, chunk * results_per_frame);
     const size_t ie = std::min(total_ids, (chunk + 1) * results_per_frame);
-    AppendChunkBody(&payload, response, nb, ne, ib, ie);
-    const bool final_chunk = chunk + 1 == chunks;
+    AppendChunkBody(&w, response, nb, ne, ib, ie);
     if (final_chunk) {
       // Trailing trace-id echo (docs/PROTOCOL.md §12) on the final
       // chunk only: clients that predate it stop at the chunk body.
-      PutU64(&payload, response.trace_hi);
-      PutU64(&payload, response.trace_lo);
+      w.U64(response.trace_hi);
+      w.U64(response.trace_lo);
     }
-    AppendFrame(FrameType::kResponse, final_chunk ? kFlagFinal : 0,
-                request_id, payload, out);
+    w.Finish();
   }
 }
 
@@ -699,7 +746,7 @@ Status DecodeStatsResponsePayload(const uint8_t* data, size_t size,
     }
     response->span_trees.reserve(n_trees);
     for (uint32_t i = 0; i < n_trees; ++i) {
-      obs::SpanTreeRecord tree;
+      obs::SpanTreeRecord tree{};
       if (!c.U64(&tree.summary.trace_hi) || !c.U64(&tree.summary.trace_lo) ||
           !c.U64(&tree.summary.trace_id) || !c.U32(&tree.span_count) ||
           !c.U32(&tree.spans_dropped)) {

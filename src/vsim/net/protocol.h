@@ -160,11 +160,21 @@ struct StatsResponse {
 };
 
 // --- Encoding (appends complete frames to *out) ----------------------
+//
+// Every encoder writes its frame straight into *out: one reserve, the
+// header, the fields, and the payload length patched in at the end.
 
 void AppendFrame(FrameType type, uint8_t flags, uint64_t request_id,
                  const std::string& payload, std::string* out);
+// Frames `request` with `trace` as its trace context (request.trace is
+// not read), so a caller that mints a context need not copy the request.
 void AppendRequestFrame(uint64_t request_id, const ServiceRequest& request,
-                        std::string* out);
+                        const obs::TraceContext& trace, std::string* out);
+inline void AppendRequestFrame(uint64_t request_id,
+                               const ServiceRequest& request,
+                               std::string* out) {
+  AppendRequestFrame(request_id, request, request.trace, out);
+}
 // `status` must be non-OK: a kStatus frame is an error completion (OK
 // completions are kResponse frames).
 void AppendStatusFrame(uint64_t request_id, const Status& status,

@@ -4,10 +4,11 @@
 // a blocking frame-read loop (header validation via protocol.h,
 // payload bounded before allocation).
 //
-// The blocking helpers serve the client (and tests that speak raw
-// frames); the epoll reactor (src/vsim/net/reactor.h) flips its fds
-// non-blocking via SetNonBlocking and does its own readiness-driven
-// recv/send loops.
+// WriteAll serves the client, which reads through its own buffer
+// (client.h); ReadFull and ReadFrame read exactly one frame's bytes, for
+// peers that speak raw frames (the tests). The epoll reactor
+// (src/vsim/net/reactor.h) flips its fds non-blocking via
+// SetNonBlocking and does its own readiness-driven recv/send loops.
 //
 // Thread-safety: free functions are stateless. A ScopedFd is owned by
 // one thread at a time.

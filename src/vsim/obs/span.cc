@@ -2,6 +2,7 @@
 
 #include <time.h>
 
+#include <cstddef>
 #include <cstring>
 #include <random>
 
@@ -91,13 +92,14 @@ int SpanArena::Add(SpanName name, uint64_t parent_span_id, uint64_t start_ns,
     return kInvalidSpan;
   }
   const int index = static_cast<int>(count_++);
-  SpanRecord& span = spans_[static_cast<size_t>(index)];
-  span.span_id = MixSpanId(span_id_seed_, static_cast<uint64_t>(index));
-  span.parent_span_id = parent_span_id;
-  span.start_ns = start_ns;
-  span.end_ns = end_ns;
-  span.counter = counter;
-  span.name = static_cast<uint8_t>(name);
+  spans_[static_cast<size_t>(index)] = SpanRecord{
+      MixSpanId(span_id_seed_, static_cast<uint64_t>(index)),
+      parent_span_id,
+      start_ns,
+      end_ns,
+      counter,
+      static_cast<uint8_t>(name),
+      {}};
   return index;
 }
 
@@ -121,9 +123,6 @@ void RenderSpanTree(const SpanArena& arena, const QueryTrace& summary,
   for (uint32_t i = 0; i < arena.count(); ++i) {
     out->spans[i] = arena.span(i);
   }
-  for (uint32_t i = arena.count(); i < kSpanArenaCapacity; ++i) {
-    out->spans[i] = SpanRecord{};
-  }
 }
 
 SpanRing::SpanRing(double slow_threshold_seconds, size_t capacity,
@@ -131,6 +130,12 @@ SpanRing::SpanRing(double slow_threshold_seconds, size_t capacity,
     : slow_threshold_(slow_threshold_seconds),
       ring_(capacity),
       slow_ring_(slow_capacity) {}
+
+size_t SpanRing::RecordWords(uint32_t span_count) {
+  const size_t spans =
+      span_count < kSpanArenaCapacity ? span_count : kSpanArenaCapacity;
+  return kHeaderWords + spans * (sizeof(SpanRecord) / 8);
+}
 
 bool SpanRing::WriteSlot(Slot* slot, const SpanTreeRecord& record) {
   uint64_t seq = slot->seq.load(std::memory_order_relaxed);
@@ -140,10 +145,12 @@ bool SpanRing::WriteSlot(Slot* slot, const SpanTreeRecord& record) {
                                          std::memory_order_relaxed)) {
     return false;
   }
-  uint64_t words[kRecordWords];
-  std::memcpy(words, &record, sizeof(record));
-  for (size_t i = 0; i < kRecordWords; ++i) {
-    slot->words[i].store(words[i], std::memory_order_relaxed);
+  const size_t words = RecordWords(record.span_count);
+  const auto* bytes = reinterpret_cast<const unsigned char*>(&record);
+  for (size_t i = 0; i < words; ++i) {
+    uint64_t word;
+    std::memcpy(&word, bytes + 8 * i, 8);
+    slot->words[i].store(word, std::memory_order_relaxed);
   }
   slot->seq.store(seq + 2, std::memory_order_release);
   return true;
@@ -153,12 +160,23 @@ bool SpanRing::ReadSlot(const Slot& slot, SpanTreeRecord* record) {
   const uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
   if (seq1 == 0 || (seq1 & 1)) return false;  // empty or mid-write
   uint64_t words[kRecordWords];
-  for (size_t i = 0; i < kRecordWords; ++i) {
+  for (size_t i = 0; i < kHeaderWords; ++i) {
+    words[i] = slot.words[i].load(std::memory_order_relaxed);
+  }
+  // A torn span_count is caught by the sequence check below;
+  // RecordWords clamps it, so it cannot overrun the slot first.
+  uint32_t span_count;
+  std::memcpy(&span_count,
+              reinterpret_cast<const unsigned char*>(words) +
+                  offsetof(SpanTreeRecord, span_count),
+              sizeof(span_count));
+  const size_t used = RecordWords(span_count);
+  for (size_t i = kHeaderWords; i < used; ++i) {
     words[i] = slot.words[i].load(std::memory_order_relaxed);
   }
   std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.seq.load(std::memory_order_relaxed) != seq1) return false;
-  std::memcpy(record, words, sizeof(*record));
+  std::memcpy(record, words, used * 8);
   return true;
 }
 
@@ -189,7 +207,7 @@ std::vector<SpanTreeRecord> SpanRing::Snapshot(size_t max_records,
   out.reserve(walk < max_records ? walk : max_records);
   // Newest first: walk backwards from the most recently claimed slot.
   for (size_t i = 0; i < walk && out.size() < max_records; ++i) {
-    SpanTreeRecord record;
+    SpanTreeRecord record{};
     if (ReadSlot(ring.slots[(newest - 1 - i) % capacity], &record)) {
       out.push_back(record);
     }

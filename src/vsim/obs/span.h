@@ -91,15 +91,17 @@ const char* SpanNameString(SpanName name);
 
 // One node of the tree. Trivially copyable and sized in whole 64-bit
 // words: published through the SpanRing seqlock and encoded field by
-// field on the wire.
+// field on the wire. No default member initializers, so the arrays of
+// unused slots below are not filled on every request; `SpanRecord{}`
+// is all zeros.
 struct SpanRecord {
-  uint64_t span_id = 0;
-  uint64_t parent_span_id = 0;  // 0 = root of this layer's tree
-  uint64_t start_ns = 0;
-  uint64_t end_ns = 0;
-  uint64_t counter = 0;  // paper-native per-span count (see taxonomy)
-  uint8_t name = 0;      // SpanName enumerator
-  uint8_t padding[7] = {};
+  uint64_t span_id;
+  uint64_t parent_span_id;  // 0 = root of this layer's tree
+  uint64_t start_ns;
+  uint64_t end_ns;
+  uint64_t counter;  // paper-native per-span count (see taxonomy)
+  uint8_t name;      // SpanName enumerator
+  uint8_t padding[7];
 };
 
 static_assert(std::is_trivially_copyable_v<SpanRecord>,
@@ -144,6 +146,7 @@ class SpanArena {
   const TraceContext& context() const { return context_; }
   uint32_t count() const { return count_; }
   uint32_t dropped() const { return dropped_; }
+  // Span `index` < count().
   const SpanRecord& span(size_t index) const { return spans_[index]; }
 
  private:
@@ -151,11 +154,15 @@ class SpanArena {
   uint64_t span_id_seed_;
   uint32_t count_ = 0;
   uint32_t dropped_ = 0;
-  std::array<SpanRecord, kSpanArenaCapacity> spans_{};
+  std::array<SpanRecord, kSpanArenaCapacity> spans_;  // [0, count_) set
 };
 
 // The finished tree of one layer for one request, as published into
-// the SpanRing. POD sized in whole 64-bit words (seqlock + wire).
+// the SpanRing. POD sized in whole 64-bit words (seqlock + wire). Only
+// spans[0, span_count) are meaningful: a default-initialized record
+// leaves the rest unset (`SpanTreeRecord{}` zeroes them), and readers
+// -- the ring, the wire encoder, the trace export -- stop at
+// span_count.
 struct SpanTreeRecord {
   // A service-layer record's summary is the request's whole QueryTrace
   // (trace_id != 0). A net-layer tree's holds only the trace-id pair
@@ -163,7 +170,7 @@ struct SpanTreeRecord {
   QueryTrace summary;
   uint32_t span_count = 0;
   uint32_t spans_dropped = 0;
-  SpanRecord spans[kSpanArenaCapacity] = {};
+  SpanRecord spans[kSpanArenaCapacity];
 };
 
 static_assert(std::is_trivially_copyable_v<SpanTreeRecord>,
@@ -172,8 +179,9 @@ static_assert(sizeof(SpanTreeRecord) % 8 == 0,
               "SpanTreeRecord must be sized in whole 64-bit words");
 
 // Renders the arena into a ring-publishable record: `summary` copied,
-// except that its trace-id pair is the arena's context. A layer that
-// summarizes nothing passes a default QueryTrace.
+// except that its trace-id pair is the arena's context, and the
+// arena's count() spans. A layer that summarizes nothing passes a
+// default QueryTrace.
 void RenderSpanTree(const SpanArena& arena, const QueryTrace& summary,
                     SpanTreeRecord* out);
 
@@ -185,10 +193,13 @@ void RenderSpanTree(const SpanArena& arena, const QueryTrace& summary,
 // Each slot is a per-slot *seqlock*: an atomic sequence number that is
 // odd while a write is in progress, plus the record stored as relaxed
 // atomic 64-bit words (a plain struct would be a data race under
-// concurrent snapshot reads). A writer claims its round-robin slot by
-// CAS-ing the sequence from even to odd; if another writer got there
-// first (possible only when >= capacity records race at once) the
-// write is dropped and counted -- lossy by design, never blocking.
+// concurrent snapshot reads). A write stores, and a read loads, only
+// the words of the summary, the counts and the span_count spans in use
+// (about a fifth of a full record for a typical request). A writer
+// claims its round-robin slot by CAS-ing the sequence from even to odd;
+// if another writer got there first (possible only when >= capacity
+// records race at once) the write is dropped and counted -- lossy by
+// design, never blocking.
 // Snapshot reads a slot's words between two sequence loads and skips
 // the slot if the sequence changed or was odd (torn read).
 //
@@ -208,8 +219,8 @@ class SpanRing {
   void Record(const SpanTreeRecord& record);
 
   // Most-recent-first records of the recent ring (or of the slow ring
-  // with slow_only), at most `max_records`. A slot overwritten
-  // mid-read is skipped, not torn.
+  // with slow_only), at most `max_records`, their unused span slots
+  // zeroed. A slot overwritten mid-read is skipped, not torn.
   std::vector<SpanTreeRecord> Snapshot(size_t max_records,
                                        bool slow_only = false) const;
 
@@ -225,6 +236,9 @@ class SpanRing {
 
  private:
   static constexpr size_t kRecordWords = sizeof(SpanTreeRecord) / 8;
+  // The summary and counts: every word before the spans.
+  static constexpr size_t kHeaderWords = offsetof(SpanTreeRecord, spans) / 8;
+  static_assert(offsetof(SpanTreeRecord, spans) % 8 == 0);
 
   struct Slot {
     std::atomic<uint64_t> seq{0};  // odd while a write is in progress
@@ -237,6 +251,9 @@ class SpanRing {
     std::vector<Slot> slots;
   };
 
+  // Slot words holding a record with `span_count` spans (clamped to
+  // the capacity).
+  static size_t RecordWords(uint32_t span_count);
   void RecordInto(Ring* ring, const SpanTreeRecord& record);
   static bool WriteSlot(Slot* slot, const SpanTreeRecord& record);
   static bool ReadSlot(const Slot& slot, SpanTreeRecord* record);

@@ -2,37 +2,24 @@
 
 namespace vsim {
 
-uint64_t Fnv1aHash(const void* data, size_t bytes, uint64_t seed) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 namespace {
 
 uint64_t DigestDoubles(const std::vector<double>& v, uint64_t h) {
-  const size_t n = v.size();
-  h = Fnv1aHash(&n, sizeof(n), h);
-  if (!v.empty()) h = Fnv1aHash(v.data(), n * sizeof(double), h);
+  h = HashWord(h, v.size());
+  for (const double d : v) h = HashWord(h, std::bit_cast<uint64_t>(d));
   return h;
 }
 
 }  // namespace
 
 uint64_t DigestQueryObject(const ObjectRepr& query) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  const size_t sets = query.vector_set.size();
-  h = Fnv1aHash(&sets, sizeof(sets), h);
+  uint64_t h = HashWord(0, query.vector_set.size());
   for (const FeatureVector& v : query.vector_set.vectors) {
     h = DigestDoubles(v, h);
   }
   h = DigestDoubles(query.centroid, h);
   h = DigestDoubles(query.cover_vector, h);
-  return h;
+  return HashFinish(h);
 }
 
 ResultCache::ResultCache(size_t capacity_bytes, int num_shards)

@@ -23,6 +23,7 @@
 #define VSIM_SERVICE_RESULT_CACHE_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -35,11 +36,26 @@
 
 namespace vsim {
 
-// FNV-1a over an arbitrary byte range.
-uint64_t Fnv1aHash(const void* data, size_t bytes, uint64_t seed = 0xcbf29ce484222325ull);
+// Word-wise hashing for cache keys: one multiply-rotate step per 64-bit
+// word (FxHash's step: a bijection of the running hash for each word,
+// so changing any one word changes the result) and MurmurHash3's
+// fmix64 avalanche at the end, so every output bit -- the hash map's
+// low bits and the shard's high bits alike -- depends on every input.
+inline uint64_t HashWord(uint64_t h, uint64_t word) {
+  return (std::rotl(h, 5) ^ word) * 0x517cc1b727220a95ull;
+}
+
+inline uint64_t HashFinish(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  return h ^ (h >> 33);
+}
 
 // Digest of everything about a query object that the engine's distance
-// computations can observe (vector set, centroid, cover vector).
+// computations can observe (vector set, centroid, cover vector): every
+// value's bits in order, with each list's length before it.
 uint64_t DigestQueryObject(const ObjectRepr& query);
 
 struct ResultCacheKey {
@@ -56,15 +72,14 @@ struct ResultCacheKey {
 
 struct ResultCacheKeyHash {
   size_t operator()(const ResultCacheKey& key) const {
-    uint64_t h = key.digest;
-    h = Fnv1aHash(&key.generation, sizeof(key.generation), h);
-    const uint32_t shape = (static_cast<uint32_t>(key.kind) << 16) |
-                           (static_cast<uint32_t>(key.strategy) << 8) |
-                           key.invariance;
-    h = Fnv1aHash(&shape, sizeof(shape), h);
-    h = Fnv1aHash(&key.k, sizeof(key.k), h);
-    h = Fnv1aHash(&key.eps, sizeof(key.eps), h);
-    return static_cast<size_t>(h);
+    const uint64_t shape = (static_cast<uint64_t>(key.kind) << 48) |
+                           (static_cast<uint64_t>(key.strategy) << 40) |
+                           (static_cast<uint64_t>(key.invariance) << 32) |
+                           static_cast<uint32_t>(key.k);
+    uint64_t h = HashWord(key.digest, key.generation);
+    h = HashWord(h, shape);
+    h = HashWord(h, std::bit_cast<uint64_t>(key.eps));
+    return static_cast<size_t>(HashFinish(h));
   }
 };
 

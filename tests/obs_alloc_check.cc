@@ -10,7 +10,11 @@
 //     refining 96 candidates, a third each pruned by its row-minimum
 //     bound, pruned by its reduction bound and solved, and one
 //     store-record decode (VectorSetStore::GetFlat) into a reused
-//     buffer.
+//     buffer;
+//   - the result-cache hit path's fixed cost: the digest and key hash of
+//     a stored object, encoding a 10-NN response into a buffer that
+//     already has the capacity, and publishing a service record as
+//     QueryService does for a hit (root, queue and admission spans).
 // A future change that sneaks a std::string or vector resize into one
 // of them fails this binary, not a profiler session in production.
 //
@@ -26,8 +30,10 @@
 #include <vector>
 
 #include "vsim/distance/min_matching.h"
+#include "vsim/net/protocol.h"
 #include "vsim/obs/query_trace.h"
 #include "vsim/obs/span.h"
+#include "vsim/service/result_cache.h"
 #include "vsim/storage/vector_set_store.h"
 
 namespace {
@@ -134,6 +140,55 @@ int main() {
   Check(!slow.empty() && slow[0].summary.trace_id == 1 &&
             slow[0].summary.trace_hi == context.trace_hi,
         "slow ring snapshot");
+
+  // --- the result-cache hit path -------------------------------------
+  // A stored object's shape: 7 vectors of 6 dims, a 7-d centroid and a
+  // 42-d cover vector.
+  vsim::ObjectRepr stored;
+  for (int v = 0; v < 7; ++v) {
+    stored.vector_set.vectors.push_back(
+        {0.1 * v, 0.2, 0.3 * v, 0.4, 0.5, 0.6 * v});
+  }
+  stored.centroid.assign(7, 0.25);
+  stored.cover_vector.assign(42, 0.5);
+  vsim::ServiceResponse hit;
+  hit.cache_hit = true;
+  hit.generation = 3;
+  for (int i = 0; i < 10; ++i) hit.neighbors.push_back({i * 7, 0.1 * i});
+  hit.trace_hi = 0x1234;
+  hit.trace_lo = 0x5678;
+  std::string encoded;
+  vsim::net::AppendResponseFrames(1, hit, &encoded);  // sizes the buffer
+  QueryTrace hit_summary{};
+  hit_summary.trace_id = 2;
+  hit_summary.cache_hit = 1;
+  uint64_t key_hashes = 0;
+  g_counting = true;
+  for (int i = 0; i < 16; ++i) {
+    vsim::ResultCacheKey key;
+    key.digest = vsim::DigestQueryObject(stored);
+    key.generation = 3;
+    key.k = 10;
+    key_hashes += vsim::ResultCacheKeyHash()(key);
+    encoded.clear();
+    vsim::net::AppendResponseFrames(static_cast<uint64_t>(i), hit, &encoded);
+    const uint64_t now = MonotonicNowNs();
+    SpanArena arena(context, hit_summary.trace_id);
+    const int root = arena.Add(SpanName::kRequest, 0, now, now + 1000);
+    arena.Add(SpanName::kQueue, arena.span_id(root), now, now);
+    arena.Add(SpanName::kAdmission, arena.span_id(root), now, now);
+    SpanTreeRecord record;
+    RenderSpanTree(arena, hit_summary, &record);
+    ring.Record(record);
+  }
+  g_counting = false;
+  CheckNoAllocations(
+      "cache-hit digest, key hash, 10-NN response encode and service record");
+  Check(key_hashes != 0 && encoded.size() > 10 * 12, "hit path ran");
+  const std::vector<SpanTreeRecord> recent = ring.Snapshot(1);
+  Check(!recent.empty() && recent[0].summary.trace_id == 2 &&
+            recent[0].span_count == 3 && recent[0].spans[3].span_id == 0,
+        "service record published with its three spans, the rest zero");
 
   // --- refinement: one 7x7 minimal matching --------------------------
   vsim::VectorSet a, b;

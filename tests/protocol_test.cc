@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -834,6 +835,190 @@ TEST(ProtocolTest, EmptyResponseStillProducesAFinalFrame) {
                        true)
                   .ok());
   EXPECT_TRUE(assembler.complete());
+}
+
+// --- golden wire bytes -----------------------------------------------
+//
+// Byte-exact frames, recorded from the field-by-field encoders that
+// preceded the in-place ones: every encoder must keep reproducing them.
+// The round trips above would pass a symmetric change to encoder and
+// decoder; these do not.
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<uint8_t>(c);
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 15]);
+  }
+  return hex;
+}
+
+struct GoldenFrame {
+  const char* name;
+  const char* expected;  // hex, as recorded
+  std::function<void(std::string*)> append;
+};
+
+std::vector<GoldenFrame> GoldenFrames() {
+  std::vector<GoldenFrame> frames;
+  auto encode = [&frames](const char* name, const char* expected,
+                          std::function<void(std::string*)> append) {
+    frames.push_back({name, expected, std::move(append)});
+  };
+  ServiceRequest stored;
+  stored.kind = QueryKind::kKnn;
+  stored.strategy = QueryStrategy::kVectorSetFilter;
+  stored.object_id = 17;
+  stored.options.k = 10;
+  stored.options.timeout_seconds = 0.25;
+  stored.trace = {0x0102030405060708ULL, 0x1112131415161718ULL, 0x2122ULL};
+  encode("stored-id request",
+         "56534e500100010105000000000000003800000000010000110000000a000000"
+         "0000000000000000000000000000d03f00000000080706050403020118171615"
+         "141312112221000000000000",
+         [=](std::string* out) { AppendRequestFrame(5, stored, out); });
+  ServiceRequest external;
+  external.kind = QueryKind::kInvariantRange;
+  external.strategy = QueryStrategy::kVectorSetFilter;
+  external.object_id = -1;
+  external.options.eps = 0.5;
+  external.with_reflections = true;
+  external.query.vector_set.vectors = {{0.25, -1.5, 3.0}, {1e-3, 2.0, 0.0}};
+  external.query.centroid = {0.125, 0.75, 1.5, 2.0};
+  external.query.cover_vector = {1.0, 2.0, 4.0, 8.0, -0.0, 0.1};
+  encode("external-query request",
+         "56534e50010001010600000000000000cc00000003010101ffffffff0a000000"
+         "000000000000e03f00000000000000000200000003000000000000000000d03f"
+         "000000000000f8bf000000000000084003000000fca9f1d24d62503f00000000"
+         "00000040000000000000000004000000000000000000c03f000000000000e83f"
+         "000000000000f83f000000000000004006000000000000000000f03f00000000"
+         "000000400000000000001040000000000000204000000000000000809a999999"
+         "9999b93f00000000000000000000000000000000000000000000000000000000",
+         [=](std::string* out) { AppendRequestFrame(6, external, out); });
+  ServiceResponse one;
+  one.cache_hit = true;
+  one.generation = 9;
+  one.latency_seconds = 2.5e-5;
+  one.cost.cpu_seconds = 1.25e-4;
+  one.cost.io.AddPageAccesses(3);
+  one.cost.io.AddBytesRead(12288);
+  one.cost.candidates_refined = 14;
+  one.neighbors = {{4, 0.0}, {19, 0.5}, {7, 1.75}};
+  one.ids = {2, 40};
+  one.trace_hi = 0xa1a2a3a4a5a6a7a8ULL;
+  one.trace_lo = 0xb1b2b3b4b5b6b7b8ULL;
+  encode("one-frame response",
+         "56534e500100020107000000000000007d0000000109000000000000002d431c"
+         "ebe236fa3efca9f1d24d62203f030000000000000000300000000000000e0000"
+         "0000000000030000000200000003000000040000000000000000000000130000"
+         "00000000000000e03f07000000000000000000fc3f0200000002000000280000"
+         "00a8a7a6a5a4a3a2a1b8b7b6b5b4b3b2b1",
+         [=](std::string* out) { AppendResponseFrames(7, one, out); });
+  ServiceResponse three = one;
+  three.cache_hit = false;
+  three.ids.clear();
+  three.neighbors.clear();
+  for (int i = 0; i < 10; ++i) {
+    three.neighbors.push_back({100 + 3 * i, 0.125 * i});
+  }
+  encode("three-frame response",
+         "56534e50010002000800000000000000710000000009000000000000002d431c"
+         "ebe236fa3efca9f1d24d62203f030000000000000000300000000000000e0000"
+         "00000000000a0000000000000004000000640000000000000000000000670000"
+         "00000000000000c03f6a000000000000000000d03f6d000000000000000000d8"
+         "3f0000000056534e500100020008000000000000003800000004000000700000"
+         "00000000000000e03f73000000000000000000e43f76000000000000000000e8"
+         "3f79000000000000000000ec3f0000000056534e500100020108000000000000"
+         "0030000000020000007c000000000000000000f03f7f000000000000000000f2"
+         "3f00000000a8a7a6a5a4a3a2a1b8b7b6b5b4b3b2b1",
+         [=](std::string* out) { AppendResponseFrames(8, three, out, 4); });
+  encode("status frame",
+         "56534e500100030109000000000000000f000000080a00000071756575652066"
+         "756c6c",
+         [](std::string* out) {
+           AppendStatusFrame(9, Status::Unavailable("queue full"), out);
+         });
+  encode("info request",
+         "56534e50010004010a0000000000000000000000",
+         [](std::string* out) { AppendInfoRequestFrame(10, out); });
+  ServerInfo info;
+  info.generation = 3;
+  info.object_count = 2000;
+  info.num_covers = 7;
+  info.cover_resolution = 15;
+  info.histogram_cells = 6;
+  info.histogram_resolution = 30;
+  info.extract_histograms = true;
+  info.cover_search = CoverSequenceOptions::Search::kBeam;
+  info.feature_flags = kFeatureStats;
+  encode("info response",
+         "56534e50010005010a00000000000000270000000300000000000000d0070000"
+         "00000000070000000f000000060000001e00000001000201000000",
+         [=](std::string* out) { AppendInfoResponseFrame(10, info, out); });
+  StatsRequest stats_request;
+  stats_request.max_traces = 2;
+  stats_request.include_spans = true;
+  stats_request.profile_op = kProfileArm;
+  stats_request.profile_hz = 250;
+  encode("stats request",
+         "56534e50010006010b000000000000000b00000002000000000101fa000000",
+         [=](std::string* out) {
+           AppendStatsRequestFrame(11, stats_request, out);
+         });
+  StatsResponse stats;
+  stats.metrics_text = "vsim_requests_completed_total 3\n";
+  stats.traces.push_back(MakeTrace(55));
+  stats.traces[0].trace_hi = 0x0102030405060708ULL;
+  stats.traces[0].trace_lo = 0x1112131415161718ULL;
+  obs::SpanTreeRecord tree{};
+  tree.summary.trace_hi = 0x0102030405060708ULL;
+  tree.summary.trace_lo = 0x1112131415161718ULL;
+  tree.summary.trace_id = 55;
+  tree.span_count = 2;
+  tree.spans_dropped = 1;
+  tree.spans[0] = {77, 0, 1000, 9000, 12,
+                   static_cast<uint8_t>(obs::SpanName::kRequest), {}};
+  tree.spans[1] = {78, 77, 2000, 4000, 5,
+                   static_cast<uint8_t>(obs::SpanName::kFilter), {}};
+  stats.span_trees.push_back(tree);
+  stats.profile_text = "main;Worker 17\n";
+  encode("stats response",
+         "56534e50010007010b000000000000003d010000200000007673696d5f726571"
+         "75657374735f636f6d706c657465645f746f74616c20330a0100000037000000"
+         "000000000300000000000000020301090a000000000000000000e03ffca9f1d2"
+         "4d62503f9a9999999999993f7b14ae47e17a943ffca9f1d24d62703ffca9f1d2"
+         "4d62903f25000000000000000c000000000000000c0000000000000058000000"
+         "0000000000100000000000000000000000000000000000000807060504030201"
+         "1817161514131211010000000807060504030201181716151413121137000000"
+         "0000000002000000010000004d000000000000000000000000000000e8030000"
+         "0000000028230000000000000c00000000000000004e000000000000004d0000"
+         "0000000000d007000000000000a00f0000000000000500000000000000060f00"
+         "00006d61696e3b576f726b65722031370a",
+         [=](std::string* out) { AppendStatsResponseFrame(11, stats, out); });
+  return frames;
+}
+
+TEST(ProtocolTest, EncodersReproduceGoldenWireBytes) {
+  for (const GoldenFrame& frame : GoldenFrames()) {
+    std::string bytes;
+    frame.append(&bytes);
+    EXPECT_EQ(Hex(bytes), frame.expected) << frame.name;
+  }
+}
+
+// Each encoder appends to what the buffer already holds: encoded into
+// one buffer, the frames are the golden frames back to back, every
+// length patched at its own frame's offset.
+TEST(ProtocolTest, EncodersAppendGoldenFramesBackToBack) {
+  std::string buffer = "prefix";
+  std::string expected = Hex(buffer);
+  for (const GoldenFrame& frame : GoldenFrames()) {
+    frame.append(&buffer);
+    expected += frame.expected;
+  }
+  EXPECT_EQ(Hex(buffer), expected);
 }
 
 // --- structural violations -------------------------------------------

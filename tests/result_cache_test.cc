@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "vsim/data/dataset.h"
 
 namespace vsim {
 namespace {
@@ -166,6 +171,137 @@ TEST(DigestTest, DistinguishesQueryObjects) {
   c.vector_set.vectors = {{1.0, 2.0, 3.0}, {4.0}};
   c.centroid = {2.0, 3.0};
   EXPECT_NE(DigestQueryObject(a), DigestQueryObject(c));
+}
+
+// A stored object's shape: a 7-vector set of 6-d vectors, its 7-d
+// extended centroid and a 42-d cover vector, every value distinct.
+ObjectRepr StoredShapeObject() {
+  ObjectRepr object;
+  double value = 0.0;
+  for (int v = 0; v < 7; ++v) {
+    FeatureVector vector(6);
+    for (double& d : vector) d = (value += 0.37);
+    object.vector_set.vectors.push_back(std::move(vector));
+  }
+  object.centroid.resize(7);
+  for (double& d : object.centroid) d = (value += 0.37);
+  object.cover_vector.resize(42);
+  for (double& d : object.cover_vector) d = (value += 0.37);
+  return object;
+}
+
+// Every value the digest reads, in its order.
+std::vector<double*> AllValues(ObjectRepr* object) {
+  std::vector<double*> values;
+  for (FeatureVector& v : object->vector_set.vectors) {
+    for (double& d : v) values.push_back(&d);
+  }
+  for (double& d : object->centroid) values.push_back(&d);
+  for (double& d : object->cover_vector) values.push_back(&d);
+  return values;
+}
+
+TEST(DigestTest, OneUlpChangeToAnySingleValueChangesTheDigest) {
+  const ObjectRepr base = StoredShapeObject();
+  const uint64_t digest = DigestQueryObject(base);
+  ObjectRepr copy = base;
+  EXPECT_EQ(DigestQueryObject(copy), digest);
+  const size_t count = AllValues(&copy).size();
+  ASSERT_EQ(count, 7u * 6 + 7 + 42);
+  for (size_t i = 0; i < count; ++i) {
+    for (const double toward : {-1e300, 1e300}) {
+      ObjectRepr changed = base;
+      double* value = AllValues(&changed)[i];
+      *value = std::nextafter(*value, toward);
+      EXPECT_NE(DigestQueryObject(changed), digest)
+          << "value " << i << " toward " << toward;
+    }
+  }
+}
+
+TEST(DigestTest, SwappingTwoVectorsChangesTheDigest) {
+  const ObjectRepr base = StoredShapeObject();
+  const uint64_t digest = DigestQueryObject(base);
+  for (size_t i = 0; i < base.vector_set.size(); ++i) {
+    for (size_t j = i + 1; j < base.vector_set.size(); ++j) {
+      ObjectRepr swapped = base;
+      std::swap(swapped.vector_set.vectors[i], swapped.vector_set.vectors[j]);
+      EXPECT_NE(DigestQueryObject(swapped), digest) << i << " <-> " << j;
+    }
+  }
+}
+
+// The same values in the same order, with one moved across the boundary
+// between two fields -- two vectors, the last vector and the centroid,
+// the centroid and the cover vector -- in either direction: the
+// lengths folded into the digest tell them apart.
+TEST(DigestTest, MovingAValueAcrossAFieldBoundaryChangesTheDigest) {
+  const ObjectRepr base = StoredShapeObject();
+  const uint64_t digest = DigestQueryObject(base);
+  auto fields = [](ObjectRepr* object) {
+    std::vector<FeatureVector*> out;
+    for (FeatureVector& v : object->vector_set.vectors) out.push_back(&v);
+    out.push_back(&object->centroid);
+    out.push_back(&object->cover_vector);
+    return out;
+  };
+  ObjectRepr probe = base;
+  const size_t boundaries = fields(&probe).size() - 1;
+  for (size_t b = 0; b < boundaries; ++b) {
+    ObjectRepr forward = base;
+    FeatureVector& left = *fields(&forward)[b];
+    FeatureVector& right = *fields(&forward)[b + 1];
+    right.insert(right.begin(), left.back());
+    left.pop_back();
+    EXPECT_NE(DigestQueryObject(forward), digest) << "forward " << b;
+
+    ObjectRepr backward = base;
+    FeatureVector& first = *fields(&backward)[b];
+    FeatureVector& second = *fields(&backward)[b + 1];
+    first.push_back(second.front());
+    second.erase(second.begin());
+    EXPECT_NE(DigestQueryObject(backward), digest) << "backward " << b;
+  }
+}
+
+// Over a generated corpus (AircraftLike, 600 parts, many of them sharing
+// a vector set): objects whose digested fields are equal share a digest,
+// and no two that differ do.
+TEST(DigestTest, DistinctObjectsOfAGeneratedCorpusHaveDistinctDigests) {
+  ExtractionOptions opt;
+  opt.extract_histograms = false;
+  StatusOr<CadDatabase> db =
+      CadDatabase::FromDataset(MakeAircraftDataset(600, 7), opt, 2);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto same = [](const ObjectRepr& a, const ObjectRepr& b) {
+    return a.vector_set.vectors == b.vector_set.vectors &&
+           a.centroid == b.centroid && a.cover_vector == b.cover_vector;
+  };
+  std::unordered_map<uint64_t, int> first_with_digest;
+  size_t distinct = 0;
+  for (int id = 0; id < static_cast<int>(db->size()); ++id) {
+    const ObjectRepr& object = db->object(id);
+    const auto [it, inserted] =
+        first_with_digest.emplace(DigestQueryObject(object), id);
+    if (inserted) {
+      ++distinct;
+    } else {
+      EXPECT_TRUE(same(db->object(it->second), object))
+          << "objects " << it->second << " and " << id
+          << " differ but share a digest";
+    }
+  }
+  // Every object with distinct content got its own digest.
+  size_t distinct_content = 0;
+  for (int id = 0; id < static_cast<int>(db->size()); ++id) {
+    bool seen = false;
+    for (int earlier = 0; earlier < id && !seen; ++earlier) {
+      seen = same(db->object(earlier), db->object(id));
+    }
+    if (!seen) ++distinct_content;
+  }
+  EXPECT_EQ(distinct, distinct_content);
+  EXPECT_GT(distinct, 100u);
 }
 
 }  // namespace
