@@ -1,7 +1,7 @@
 // Query-processing strategies side by side (the machinery behind the
 // paper's Table 2): one-vector X-tree, vector set with the extended-
-// centroid filter, sequential scan, and an M-tree -- with the paper's
-// simulated I/O cost model (8 ms/page, 200 ns/byte).
+// centroid filter, and sequential scan -- with the paper's simulated
+// I/O cost model (8 ms/page, 200 ns/byte).
 //
 //   $ ./example_index_comparison [objects] [queries]
 #include <cstdio>
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
   }
-  std::printf("building indexes (X-trees + M-tree)...\n");
+  std::printf("building indexes (X-trees)...\n");
   QueryEngine engine(&*db);
   std::printf("centroid X-tree: %zu nodes, height %d, %zu supernodes\n",
               engine.centroid_index().node_count(),
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                       "refined/query", "pages/query"});
   for (QueryStrategy strategy :
        {QueryStrategy::kOneVectorXTree, QueryStrategy::kVectorSetFilter,
-        QueryStrategy::kVectorSetScan, QueryStrategy::kVectorSetMTree}) {
+        QueryStrategy::kVectorSetScan}) {
     QueryCost total;
     for (int id : query_ids) {
       QueryCost cost;

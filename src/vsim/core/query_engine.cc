@@ -23,9 +23,8 @@ namespace {
 // range query's one traversal -- and books the rest as refinement, so
 // no clock is read per candidate. The strategies without a measured
 // split charge the whole execution to the stage that dominates them by
-// construction: scan and M-tree spend their time in exact distance
-// evaluations (refine); the one-vector model has no refinement at all
-// (filter).
+// construction: the scan spends its time in exact distance evaluations
+// (refine); the one-vector model has no refinement at all (filter).
 void FinishStageAttribution(QueryStrategy strategy, double elapsed,
                             QueryCost* cost) {
   cost->cpu_seconds = elapsed;
@@ -37,7 +36,6 @@ void FinishStageAttribution(QueryStrategy strategy, double elapsed,
       cost->filter_seconds = elapsed;
       break;
     case QueryStrategy::kVectorSetScan:
-    case QueryStrategy::kVectorSetMTree:
       cost->refine_seconds = elapsed;
       break;
   }
@@ -149,8 +147,6 @@ const char* QueryStrategyName(QueryStrategy strategy) {
       return "vector set + filter";
     case QueryStrategy::kVectorSetScan:
       return "vector set seq. scan";
-    case QueryStrategy::kVectorSetMTree:
-      return "vector set M-tree";
   }
   return "unknown";
 }
@@ -168,20 +164,9 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params,
   centroid_index_ = std::make_unique<XTree>(dim, xopts);
   one_vector_index_ = std::make_unique<XTree>(one_vector_dim, xopts);
 
-  MTreeOptions mopts;
-  mopts.page_size_bytes = params_.page_size_bytes;
-  mopts.object_bytes =
-      static_cast<size_t>(num_covers_) * dim * sizeof(double);
-  mtree_ = std::make_unique<MTree<VectorSet>>(
-      [](const VectorSet& a, const VectorSet& b) {
-        return VectorSetDistance(a, b);
-      },
-      mopts);
-
-  // The X-trees are bulk-loaded (STR packing); the M-tree grows by
-  // insertion (metric trees have no comparable packing). The centroid
-  // X-tree holds one entry per group, at its smallest member's
-  // centroid, and declares the largest rounding error of those points.
+  // Both X-trees are bulk-loaded (STR packing). The centroid X-tree
+  // holds one entry per group, at its smallest member's centroid, and
+  // declares the largest rounding error of those points.
   scan_groups_ = GroupObjects(*db_, grouping);
   std::vector<FeatureVector> group_centroids;
   group_centroids.reserve(scan_groups_.size());
@@ -204,7 +189,6 @@ QueryEngine::QueryEngine(const CadDatabase* db, IoCostParams params,
     const ObjectRepr& repr = db_->object(id);
     cover_vectors.push_back(repr.cover_vector);
     ids.push_back(id);
-    mtree_->Insert(repr.vector_set, id);
   }
   st = one_vector_index_->BulkLoad(cover_vectors, ids);
   assert(st.ok());
@@ -307,14 +291,6 @@ std::vector<Neighbor> QueryEngine::Knn(QueryStrategy strategy,
       local.candidates_refined = scan_groups_.size();
       local.filter_hits = scan_groups_.size();
       local.hungarian_invocations = scan_groups_.size();
-      break;
-    }
-    case QueryStrategy::kVectorSetMTree: {
-      size_t evals = 0;
-      result = mtree_->KnnQuery(query.vector_set, k, &local.io, &evals);
-      local.candidates_refined = evals;
-      local.filter_hits = evals;
-      local.hungarian_invocations = evals;
       break;
     }
   }
@@ -434,14 +410,6 @@ std::vector<int> QueryEngine::Range(QueryStrategy strategy,
       local.candidates_refined = scan_groups_.size();
       local.filter_hits = scan_groups_.size();
       local.hungarian_invocations = scan_groups_.size();
-      break;
-    }
-    case QueryStrategy::kVectorSetMTree: {
-      size_t evals = 0;
-      result = mtree_->RangeQuery(query.vector_set, eps, &local.io, &evals);
-      local.candidates_refined = evals;
-      local.filter_hits = evals;
-      local.hungarian_invocations = evals;
       break;
     }
     case QueryStrategy::kOneVectorXTree: {

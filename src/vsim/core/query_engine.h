@@ -9,8 +9,6 @@
 //                       minimal matching distance (optimal multi-step
 //                       k-NN).
 //   kVectorSetScan   -- the vector set model with a sequential scan.
-//   kVectorSetMTree  -- bonus: the vector set model indexed directly in
-//                       a metric M-tree (Section 4.3 names this option).
 //
 // All strategies charge simulated I/O (8 ms/page, 200 ns/byte) and
 // measure CPU wall time, reproducing the paper's cost model.
@@ -20,8 +18,8 @@
 // per distinct vector set, carrying the ids of every object holding it,
 // so one refinement serves them all. Their answers are canonical -- the
 // k smallest (distance, id) pairs, range ids ascending -- and equal the
-// per-object index's (SetGrouping::kNone) bit for bit. The M-tree and
-// one-vector strategies stay per object.
+// per-object index's (SetGrouping::kNone) bit for bit. The one-vector
+// strategy stays per object.
 //
 // Thread-safety: the engine and its indexes are immutable after
 // construction; every query method is const and touches no mutable
@@ -42,7 +40,6 @@
 #include "vsim/common/status.h"
 #include "vsim/core/similarity.h"
 #include "vsim/index/io_stats.h"
-#include "vsim/index/mtree.h"
 #include "vsim/index/multistep.h"
 #include "vsim/index/xtree.h"
 #include "vsim/storage/vector_set_store.h"
@@ -50,14 +47,16 @@
 namespace vsim {
 
 // The wire protocol and the result-cache key carry these values, so
-// they never change. Value 4 is retired (a former VA-file centroid
-// filter): never reused, and the wire decoder rejects it.
+// they never change. Values 3 (a former vector-set M-tree) and 4 (a
+// former VA-file centroid filter) are retired: never reused, and the
+// wire decoder rejects them.
 enum class QueryStrategy {
   kOneVectorXTree,
   kVectorSetFilter,
   kVectorSetScan,
-  kVectorSetMTree,
 };
+// Every value below this one is a served strategy.
+inline constexpr int kNumQueryStrategies = 3;
 
 const char* QueryStrategyName(QueryStrategy strategy);
 
@@ -84,14 +83,14 @@ struct QueryCost {
   // Kuhn-Munkres minimal-matching solves: on the filter strategy only
   // the refinements that neither the row-minimum bound nor the
   // reduction bound (PreparedQuery) already put above the current
-  // threshold (so <= candidates_refined); one per refinement on scan
-  // and M-tree; zero for the one-vector model.
+  // threshold (so <= candidates_refined); one per refinement on scan;
+  // zero for the one-vector model.
   // cpu_seconds is the engine's elapsed wall time (steady clock);
   // filter/refine_seconds split it for the filter strategy: filter is
   // the measured X-tree node expansions (k-NN) or index traversal
   // (range), refine the rest of the engine's time -- no clock is read
   // per candidate. Strategies without a split report the whole
-  // execution as one stage (scan/M-tree: refine; one-vector: filter).
+  // execution as one stage (scan: refine; one-vector: filter).
   size_t filter_hits = 0;
   size_t hungarian_invocations = 0;
   double filter_seconds = 0.0;
@@ -202,7 +201,6 @@ class QueryEngine {
   size_t scan_bytes_ = 0;  // total size of the groups' first records
   std::unique_ptr<XTree> centroid_index_;    // 6-d extended centroids
   std::unique_ptr<XTree> one_vector_index_;  // 6k-d cover vectors
-  std::unique_ptr<MTree<VectorSet>> mtree_;
   const VectorSetStore* store_ = nullptr;    // optional disk-backed fetches
   // Every group of equal vector sets, ids ascending, in the scan
   // strategy's visiting order: the page order of the groups' first

@@ -9,14 +9,11 @@ namespace vsim::net {
 
 namespace {
 
-// Enumerator counts of the wire-visible enums. The wire encodes the
-// underlying values, so these move in lockstep with the enum
-// definitions (a new enumerator extends the valid range; reordering
-// would be a protocol break, as documented at each enum). Strategy
-// value 4 is retired (docs/PROTOCOL.md §3): it is never reused, so a
-// payload naming it fails like any unknown value.
-constexpr uint8_t kNumQueryKinds = 4;
-constexpr uint8_t kNumQueryStrategies = 4;
+// The wire encodes the enums' underlying values, so a byte at or above
+// an enum's count (kNumQueryKinds, kNumQueryStrategies, declared beside
+// the enums) is unknown. Strategy values 3 and 4 are retired
+// (docs/PROTOCOL.md §3): never reused, so a payload naming either fails
+// like any unknown value.
 constexpr uint8_t kNumSpanNames =
     static_cast<uint8_t>(vsim::obs::kNumSpanNames);
 

@@ -46,10 +46,9 @@ StatusOr<std::shared_ptr<const DbSnapshot>> DbSnapshot::CreateDiskBacked(
   owned_engine->AttachStore(snapshot->owned_store_.get());
   snapshot->engine_ = owned_engine.get();
   snapshot->owned_engine_ = std::move(owned_engine);
-  // The engine build was the last consumer of the RAM vector sets (it
-  // copied the sets it keeps into its M-tree). From here on the store
-  // holds the only full copies; QueryService hydrates stored-id queries
-  // from it.
+  // The engine build was the last consumer of the RAM vector sets, and
+  // the engine keeps no copy of them. From here on the store holds the
+  // only full copies; QueryService hydrates stored-id queries from it.
   if (!keep_ram_sets) owned_db->ReleaseVectorSets();
   snapshot->owned_db_ = std::move(owned_db);
   snapshot->generation_ = generation;

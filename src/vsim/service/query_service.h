@@ -60,12 +60,15 @@
 
 namespace vsim {
 
+// The wire protocol carries these values, so they never change.
 enum class QueryKind {
   kKnn,
   kRange,
   kInvariantKnn,    // Definition-2 pose-invariant k-NN
   kInvariantRange,
 };
+// Every value below this one is a query kind.
+inline constexpr int kNumQueryKinds = 4;
 
 const char* QueryKindName(QueryKind kind);
 
@@ -333,7 +336,7 @@ class QueryService {
   obs::Counter* io_pages_total_ = nullptr;
   obs::Counter* io_bytes_total_ = nullptr;
   obs::Gauge* generation_gauge_ = nullptr;
-  std::array<obs::Counter*, 4> queries_by_strategy_{};
+  std::array<obs::Counter*, kNumQueryStrategies> queries_by_strategy_{};
 
   std::atomic<size_t> queued_{0};
   std::atomic<uint64_t> next_trace_id_{0};

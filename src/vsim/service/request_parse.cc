@@ -36,8 +36,6 @@ const char* QueryStrategyFlagName(QueryStrategy strategy) {
       return "filter";
     case QueryStrategy::kVectorSetScan:
       return "scan";
-    case QueryStrategy::kVectorSetMTree:
-      return "mtree";
   }
   return "unknown";
 }
@@ -45,14 +43,14 @@ const char* QueryStrategyFlagName(QueryStrategy strategy) {
 StatusOr<QueryStrategy> ParseQueryStrategy(const std::string& name) {
   for (QueryStrategy strategy :
        {QueryStrategy::kOneVectorXTree, QueryStrategy::kVectorSetFilter,
-        QueryStrategy::kVectorSetScan, QueryStrategy::kVectorSetMTree}) {
+        QueryStrategy::kVectorSetScan}) {
     if (name == QueryStrategyFlagName(strategy)) return strategy;
   }
   return UnknownName("strategy", name, QueryStrategyNames());
 }
 
 const char* QueryStrategyNames() {
-  return "filter scan mtree onevector";
+  return "filter scan onevector";
 }
 
 const char* CoverSearchFlagName(CoverSequenceOptions::Search search) {

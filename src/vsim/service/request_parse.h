@@ -30,9 +30,9 @@ StatusOr<QueryKind> ParseQueryKind(const std::string& name);
 // Space-separated list of valid spellings, for usage strings.
 const char* QueryKindNames();
 
-// --- QueryStrategy flag spellings: "filter" | "scan" | "mtree" |
-// "onevector". Distinct from QueryStrategyName, which
-// returns the paper-facing display names ("vector set + filter").
+// --- QueryStrategy flag spellings: "filter" | "scan" | "onevector".
+// Distinct from QueryStrategyName, which returns the paper-facing
+// display names ("vector set + filter").
 const char* QueryStrategyFlagName(QueryStrategy strategy);
 StatusOr<QueryStrategy> ParseQueryStrategy(const std::string& name);
 const char* QueryStrategyNames();

@@ -129,10 +129,25 @@ TEST(MTreeTest, WorksWithVectorSetsAndMatchingDistance) {
     EXPECT_EQ(got[0].id, query);
     EXPECT_NEAR(got[0].distance, 0.0, 1e-12);
     // Verify against a scan.
-    std::vector<double> all;
-    for (const auto& s : sets) all.push_back(VectorSetDistance(sets[query], s));
+    std::vector<double> by_id;
+    for (const auto& s : sets) {
+      by_id.push_back(VectorSetDistance(sets[query], s));
+    }
+    std::vector<double> all = by_id;
     std::sort(all.begin(), all.end());
     for (int i = 0; i < 3; ++i) EXPECT_NEAR(got[i].distance, all[i], 1e-9);
+
+    // A range query against the same scan, with eps halfway between the
+    // 30th and 31st smallest distances: no set lies near its boundary.
+    const double eps = 0.5 * (all[29] + all[30]);
+    std::vector<int> expect;
+    for (int id = 0; id < static_cast<int>(sets.size()); ++id) {
+      if (by_id[id] <= eps) expect.push_back(id);
+    }
+    ASSERT_EQ(expect.size(), 30u);
+    std::vector<int> in_range = tree.RangeQuery(sets[query], eps);
+    std::sort(in_range.begin(), in_range.end());
+    EXPECT_EQ(in_range, expect) << "query " << query;
   }
 }
 

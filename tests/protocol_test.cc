@@ -28,7 +28,7 @@ const uint8_t* Bytes(const std::string& s) {
 ServiceRequest MakeExternalRequest() {
   ServiceRequest req;
   req.kind = QueryKind::kInvariantKnn;
-  req.strategy = QueryStrategy::kVectorSetMTree;
+  req.strategy = QueryStrategy::kVectorSetScan;
   req.object_id = -1;
   req.options.k = 7;
   req.options.eps = 1.25;
@@ -139,8 +139,8 @@ TEST(ProtocolTest, StoredIdRequestCarriesNoQueryPayload) {
 }
 
 // Payload bytes 0 and 1 carry the kind and strategy values that
-// docs/PROTOCOL.md §3 documents; strategy 4 (the former VA-file filter)
-// is retired and rejected.
+// docs/PROTOCOL.md §3 documents; strategies 3 (the former M-tree) and 4
+// (the former VA-file filter) are retired and rejected.
 TEST(ProtocolTest, KindAndStrategyBytesMatchTheDocumentedValues) {
   const std::pair<QueryKind, uint8_t> kinds[] = {
       {QueryKind::kKnn, 0},
@@ -150,8 +150,7 @@ TEST(ProtocolTest, KindAndStrategyBytesMatchTheDocumentedValues) {
   const std::pair<QueryStrategy, uint8_t> strategies[] = {
       {QueryStrategy::kOneVectorXTree, 0},
       {QueryStrategy::kVectorSetFilter, 1},
-      {QueryStrategy::kVectorSetScan, 2},
-      {QueryStrategy::kVectorSetMTree, 3}};
+      {QueryStrategy::kVectorSetScan, 2}};
   for (const auto& [kind, kind_byte] : kinds) {
     for (const auto& [strategy, strategy_byte] : strategies) {
       ServiceRequest req;
@@ -178,13 +177,15 @@ TEST(ProtocolTest, KindAndStrategyBytesMatchTheDocumentedValues) {
   req.object_id = 5;
   std::string buffer;
   AppendRequestFrame(1, req, &buffer);
-  std::string payload = SplitFrames(buffer)[0].payload;
-  payload[1] = 4;
-  ServiceRequest out;
-  const Status retired =
-      DecodeRequestPayload(Bytes(payload), payload.size(), &out);
-  EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument)
-      << retired.ToString();
+  for (const int retired_byte : {3, 4}) {
+    std::string payload = SplitFrames(buffer)[0].payload;
+    payload[1] = static_cast<char>(retired_byte);
+    ServiceRequest out;
+    const Status retired =
+        DecodeRequestPayload(Bytes(payload), payload.size(), &out);
+    EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument)
+        << "strategy " << retired_byte << ": " << retired.ToString();
+  }
 }
 
 TEST(ProtocolTest, StatusFrameRoundTripsCodeAndMessage) {
@@ -237,7 +238,7 @@ obs::QueryTrace MakeTrace(uint64_t id) {
   t.trace_id = id;
   t.generation = 3;
   t.kind = static_cast<uint8_t>(QueryKind::kInvariantKnn);
-  t.strategy = static_cast<uint8_t>(QueryStrategy::kVectorSetMTree);
+  t.strategy = static_cast<uint8_t>(QueryStrategy::kVectorSetScan);
   t.cache_hit = 1;
   t.status_code = static_cast<uint8_t>(StatusCode::kDeadlineExceeded);
   t.k = 10;
@@ -312,6 +313,19 @@ TEST(ProtocolTest, StatsResponseRoundTripsTextAndTraces) {
     EXPECT_EQ(b.hungarian_invocations, a.hungarian_invocations);
     EXPECT_EQ(b.page_accesses, a.page_accesses);
     EXPECT_EQ(b.bytes_read, a.bytes_read);
+  }
+
+  // A trace naming a retired strategy -- 3, the M-tree an older server
+  // still served, or 4 -- fails the whole response.
+  for (const int retired_byte : {3, 4}) {
+    resp.traces[1].strategy = static_cast<uint8_t>(retired_byte);
+    buffer.clear();
+    AppendStatsResponseFrame(12, resp, &buffer);
+    const std::string payload = SplitFrames(buffer)[0].payload;
+    const Status retired =
+        DecodeStatsResponsePayload(Bytes(payload), payload.size(), &out);
+    EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument)
+        << "strategy " << retired_byte << ": " << retired.ToString();
   }
 }
 
@@ -970,6 +984,9 @@ std::vector<GoldenFrame> GoldenFrames() {
   StatsResponse stats;
   stats.metrics_text = "vsim_requests_completed_total 3\n";
   stats.traces.push_back(MakeTrace(55));
+  // Recorded while strategy 3 was the M-tree: the encoder writes a
+  // trace's strategy byte as given, and only the decoder rejects it.
+  stats.traces[0].strategy = 3;
   stats.traces[0].trace_hi = 0x0102030405060708ULL;
   stats.traces[0].trace_lo = 0x1112131415161718ULL;
   obs::SpanTreeRecord tree{};

@@ -58,8 +58,7 @@ TEST_F(QueryEngineTest, AllVectorSetStrategiesAgree) {
   for (int query : {0, 17, 42, 99}) {
     const auto expect = BruteForceKnn(*db_, query, 10);
     for (QueryStrategy strategy :
-         {QueryStrategy::kVectorSetFilter, QueryStrategy::kVectorSetScan,
-          QueryStrategy::kVectorSetMTree}) {
+         {QueryStrategy::kVectorSetFilter, QueryStrategy::kVectorSetScan}) {
       const auto got = engine_->Knn(strategy, query, 10);
       ASSERT_EQ(got.size(), 10u) << QueryStrategyName(strategy);
       for (int i = 0; i < 10; ++i) {
@@ -148,12 +147,9 @@ TEST_F(QueryEngineTest, RangeQueriesAgreeAcrossStrategies) {
   QueryCost c;
   auto scan = engine_->Range(QueryStrategy::kVectorSetScan, query, 0.4, &c);
   auto filter = engine_->Range(QueryStrategy::kVectorSetFilter, query, 0.4, &c);
-  auto mtree = engine_->Range(QueryStrategy::kVectorSetMTree, query, 0.4, &c);
   std::sort(scan.begin(), scan.end());
   std::sort(filter.begin(), filter.end());
-  std::sort(mtree.begin(), mtree.end());
   EXPECT_EQ(scan, filter);
-  EXPECT_EQ(scan, mtree);
   EXPECT_FALSE(scan.empty());  // the query object itself qualifies
   EXPECT_LT(scan.size(), db_->size());
 }

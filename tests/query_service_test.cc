@@ -553,6 +553,8 @@ TEST_F(QueryServiceTest, TraceRecordsPaperCountersWithLemma2Ordering) {
   const std::string text = service.metrics().TextExposition();
   EXPECT_NE(text.find("vsim_queries_total{strategy=\"filter\"} 1\n"),
             std::string::npos);
+  // The retired M-tree strategy exports no series.
+  EXPECT_EQ(text.find("strategy=\"mtree\""), std::string::npos);
   EXPECT_NE(text.find("vsim_filter_hits_total " +
                       std::to_string(t.filter_hits) + "\n"),
             std::string::npos);

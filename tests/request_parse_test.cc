@@ -36,7 +36,7 @@ TEST(RequestParseTest, EveryQueryKindRoundTrips) {
 TEST(RequestParseTest, EveryQueryStrategyRoundTrips) {
   for (QueryStrategy strategy :
        {QueryStrategy::kVectorSetFilter, QueryStrategy::kVectorSetScan,
-        QueryStrategy::kVectorSetMTree, QueryStrategy::kOneVectorXTree}) {
+        QueryStrategy::kOneVectorXTree}) {
     const char* name = QueryStrategyFlagName(strategy);
     StatusOr<QueryStrategy> parsed = ParseQueryStrategy(name);
     ASSERT_TRUE(parsed.ok()) << name;
@@ -82,8 +82,10 @@ TEST(RequestParseTest, NameListsMatchTheParsers) {
   for (const std::string& name : Split(ModelTypeNames())) {
     EXPECT_TRUE(ParseModelType(name).ok()) << name;
   }
-  EXPECT_EQ(Split(QueryKindNames()).size(), 4u);
-  EXPECT_EQ(Split(QueryStrategyNames()).size(), 4u);
+  EXPECT_EQ(Split(QueryKindNames()).size(),
+            static_cast<size_t>(kNumQueryKinds));
+  EXPECT_EQ(Split(QueryStrategyNames()).size(),
+            static_cast<size_t>(kNumQueryStrategies));
   EXPECT_EQ(Split(CoverSearchNames()).size(), 3u);
   EXPECT_EQ(Split(ModelTypeNames()).size(), 5u);
 }
@@ -92,6 +94,7 @@ TEST(RequestParseTest, UnknownNamesFailWithValidSpellings) {
   for (const Status& status :
        {ParseQueryKind("nearest").status(),
         ParseQueryStrategy("xtree").status(),
+        ParseQueryStrategy("mtree").status(),  // retired
         ParseCoverSearch("greedy").status(),
         ParseModelType("voxel").status()}) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);

@@ -198,6 +198,8 @@ check "bad --kind is a usage error" 2 \
     "$VSIM" remote-query --port 1 --id 0 --kind nearest
 check "bad --strategy is a usage error" 2 \
     "$VSIM" remote-query --port 1 --id 0 --strategy xtree
+check "retired --strategy mtree is a usage error" 2 \
+    "$VSIM" remote-query --port 1 --id 0 --strategy mtree
 check "serve without a data source is a usage error" 2 \
     "$VSIM" serve
 check "--transport is an unknown flag (usage error)" 2 \

@@ -1046,7 +1046,7 @@ int CmdRemoteQuery(const Flags& flags) {
                  "usage: vsim remote-query --port P [--host H] "
                  "(--id N | --mesh FILE) [--k K] "
                  "[--kind knn|range|invariant-knn|invariant-range] "
-                 "[--strategy filter|scan|mtree|onevector] "
+                 "[--strategy filter|scan|onevector] "
                  "[--eps E] [--invariant] [--reflections] "
                  "[--timeout-ms MS]\n");
     return 2;
